@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,11 +22,12 @@ from ._version import __version__
 from .config import load_scenario
 from .engine import (
     SchemeKind,
+    analytic_shift,
     compare_schemes,
     discrepancy_from_results,
-    mean_shift_analytic,
-    postselected_spectrum,
+    pointform_probability,
     postselection_probability,
+    scheme_spectrum,
 )
 from .errors import (
     IoError,
@@ -44,8 +46,7 @@ from .output import (
     write_spectrum_csv,
     write_table_csv,
 )
-from .sagnac import coupling_chain
-from .spectrum import normalize, ProbeSpectrum
+from .spectrum import normalize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,21 +124,11 @@ def _resolved_scheme(config, override: str | None) -> SchemeKind:
     return SchemeKind(name)
 
 
-def _post_spectrum(config, scheme: SchemeKind, omega: float | None = None):
-    probe = config.probe()
-    g = coupling_chain(config.sagnac(omega=omega)).g
-    bias = config.bias() if scheme is SchemeKind.BWM else None
-    spec = postselected_spectrum(
-        probe, g, config.phi_rad, bias, paper_literal=config.paper_literal
-    )
-    return probe, spec
-
-
 def _cmd_spectrum(args) -> int:
     config = load_scenario(args.config)
     scheme = _resolved_scheme(config, args.scheme)
-    probe, spec = _post_spectrum(config, scheme)
-    write_spectrum_csv(args.out, probe, spec)
+    probe = config.probe()
+    write_spectrum_csv(args.out, probe, scheme_spectrum(config, scheme, probe))
     return EXIT_OK
 
 
@@ -172,6 +163,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if not math.isfinite(args.delta_lambda_m):
+        raise ValidationError(
+            "delta_lambda_m", f"must be a finite number, got {args.delta_lambda_m}"
+        )
     config = load_scenario(args.config)
     scheme = _resolved_scheme(config, None)
     if args.method == "analytic":
@@ -199,40 +194,22 @@ def _cmd_figure3(args) -> int:
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
 
+    probe = config.probe()
+    schemes = (SchemeKind.SWM, SchemeKind.BWM)
+
     # panels A and B: probe plus normalized post-selected spectra, both schemes
     for omega, name in zip(FIGURE3_OMEGAS, FIGURE3_FILES[:2]):
-        probe, swm = _post_spectrum(config, SchemeKind.SWM, omega=omega)
-        _, bwm = _post_spectrum(config, SchemeKind.BWM, omega=omega)
-        swm_n = normalize(ProbeSpectrum(swm.p_grid, swm.intensity, swm.p0, swm.sigma_p))
-        bwm_n = normalize(ProbeSpectrum(bwm.p_grid, bwm.intensity, bwm.p0, bwm.sigma_p))
+        posts = [normalize(scheme_spectrum(config, s, probe, omega)) for s in schemes]
         write_table_csv(
             out_dir / name,
             "p_inv_m,lambda_m,intensity_probe,intensity_post_swm,intensity_post_bwm",
-            [
-                probe.p_grid,
-                2.0 * np.pi / probe.p_grid,
-                probe.intensity,
-                swm_n.intensity,
-                bwm_n.intensity,
-            ],
+            [probe.p_grid, 2.0 * np.pi / probe.p_grid, probe.intensity]
+            + [post.intensity for post in posts],
         )
 
     # panel C: analytic shifts of both schemes and their ratio across Omega
-    lo, hi, n = FIGURE3_SWEEP
-    omegas = np.geomspace(lo, hi, n)
-    probe = config.probe()
-    swm_shift = np.empty(n)
-    bwm_shift = np.empty(n)
-    for k, omega in enumerate(omegas):
-        g = coupling_chain(config.sagnac(omega=omega)).g
-        swm_shift[k] = mean_shift_analytic(
-            SchemeKind.SWM, g, probe, config.phi_rad,
-            config.delta_lambda_means, config.paper_literal,
-        ).delta_lambda
-        bwm_shift[k] = mean_shift_analytic(
-            SchemeKind.BWM, g, probe, config.phi_rad,
-            config.delta_lambda_means, config.paper_literal,
-        ).delta_lambda
+    omegas = np.geomspace(*FIGURE3_SWEEP)
+    swm_shift, bwm_shift = (analytic_shift(config, s, probe, omegas).delta_lambda for s in schemes)
     write_table_csv(
         out_dir / FIGURE3_FILES[2],
         "omega_rad_per_s,delta_lambda_swm_analytic_m,delta_lambda_bwm_analytic_m,bwm_to_swm_ratio",
@@ -240,22 +217,15 @@ def _cmd_figure3(args) -> int:
     )
 
     # panel D: survival probabilities across the same sweep
-    prob_swm = np.empty(n)
-    prob_bwm = np.empty(n)
-    point_swm = np.empty(n)
-    point_bwm = np.empty(n)
-    for k, omega in enumerate(omegas):
-        g = coupling_chain(config.sagnac(omega=omega)).g
-        _, swm = _post_spectrum(config, SchemeKind.SWM, omega=omega)
-        _, bwm = _post_spectrum(config, SchemeKind.BWM, omega=omega)
-        prob_swm[k] = postselection_probability(swm)
-        prob_bwm[k] = postselection_probability(bwm)
-        point_swm[k] = np.sin(g * probe.p0 + config.phi_rad) ** 2
-        point_bwm[k] = np.sin(g * probe.p0) ** 2
+    rows = [
+        [postselection_probability(scheme_spectrum(config, s, probe, omega)) for s in schemes]
+        + [pointform_probability(config, s, probe, omega) for s in schemes]
+        for omega in omegas
+    ]
     write_table_csv(
         out_dir / FIGURE3_FILES[3],
         "omega_rad_per_s,prob_swm_numeric,prob_bwm_numeric,prob_swm_pointform,prob_bwm_pointform",
-        [omegas, prob_swm, prob_bwm, point_swm, point_bwm],
+        [omegas, *np.array(rows).T],
     )
     return EXIT_OK
 

@@ -4,12 +4,17 @@ numeric mean shifts, the closed-form shift and probability expressions, and
 a numeric-vs-analytic discrepancy report.
 
 Ground truth throughout is the post-selected spectrum evaluated exactly on
-the grid.  It is computed twice per run: once from the closed-form
-sin^2(p*(g + psi_pre) + phi) law, and once node by node through the 2x2
-transfer algebra in `jones`.  The two routes agree to rounding and are both
-kept on the result for cross-checking.  Closed-form mean-shift and
-probability expressions are always labelled analytic and never replace the
-numeric values.
+the grid from the closed-form sin^2(p*(g + psi_pre) + phi) law.
+`transfer_matrix_intensity` rebuilds the same full law independently from
+stacked 2x2 transfer matrices of the `jones` algebra; it is a cross-check
+that tests call, not part of any forward evaluation.  Closed-form
+mean-shift and probability expressions are always labelled analytic and
+never replace the numeric values.
+
+`scheme_spectrum`, `analytic_shift`, `pointform_probability` and
+`forward_delta_lambda` are the only code that turns (scenario, scheme,
+rotation rate) into a spectrum, a closed-form shift or a point-form
+probability; `compare_schemes`, the estimators and the CLI all use them.
 
 Scheme conventions:
 
@@ -35,13 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PhiOutOfRange
-from .jones import (
-    coupling_unitary,
-    postselection_state,
-    preselection_state,
-    sigma_z,
-    transition_amplitude,
-)
+from .jones import coupling_unitaries, postselection_state, preselection_state, sigma_z
 from .sagnac import BiasConfig, coupling_chain
 from .spectrum import FWHM_PER_SIGMA, ProbeSpectrum, moments, momentum_to_wavelength
 
@@ -60,15 +59,12 @@ class MeanShift(NamedTuple):
 class PostselectedSpectrum:
     """Unnormalized post-selected intensity; its integral is the survival probability.
 
-    `intensity` is the closed-form sin^2 evaluation; `intensity_matrix` is
-    the same full (unsimplified) law rebuilt per node from the transfer
-    algebra.  In paper-literal biased mode the two differ by construction,
-    since `intensity` then uses the simplified sin^2(p*g) form.
+    `intensity` is the closed-form sin^2 evaluation on the probe grid; in
+    paper-literal biased mode it is the simplified sin^2(p*g) form.
     """
 
     p_grid: np.ndarray
     intensity: np.ndarray
-    intensity_matrix: np.ndarray
     p0: float
     sigma_p: float
 
@@ -123,34 +119,36 @@ def postselected_spectrum(
     Returns
     -------
     PostselectedSpectrum
-        Unnormalized intensities from both evaluation routes.
+        Unnormalized closed-form intensity on the probe grid.
     """
-    psi = bias.psi_pre if bias is not None else 0.0
-    shift_length = g + psi
-
     if paper_literal and bias is not None:
         closed_phase = probe.p_grid * g
     else:
-        closed_phase = probe.p_grid * shift_length + phi
+        psi = bias.psi_pre if bias is not None else 0.0
+        closed_phase = probe.p_grid * (g + psi) + phi
     intensity = np.sin(closed_phase) ** 2 * probe.intensity
-
-    # independent route: per-node 2x2 transfer algebra of the full law
-    post = postselection_state(phi)
-    pre = preselection_state()
-    op = sigma_z()
-    amps = np.empty(probe.p_grid.size, dtype=complex)
-    for k, p in enumerate(probe.p_grid):
-        element = coupling_unitary(op, shift_length * p)
-        amps[k] = transition_amplitude(post, element, pre)
-    intensity_matrix = np.abs(amps) ** 2 * probe.intensity
-
     return PostselectedSpectrum(
-        p_grid=probe.p_grid,
-        intensity=intensity,
-        intensity_matrix=intensity_matrix,
-        p0=probe.p0,
-        sigma_p=probe.sigma_p,
+        p_grid=probe.p_grid, intensity=intensity, p0=probe.p0, sigma_p=probe.sigma_p
     )
+
+
+def transfer_matrix_intensity(
+    probe: ProbeSpectrum, g: float, phi: float, bias: BiasConfig | None = None
+) -> np.ndarray:
+    """The full post-selected law rebuilt from transfer matrices, for cross-checks.
+
+    Every grid node p_k gets its own coupling unitary
+    U_k = exp(-i * p_k * (g + psi_pre) * sigma_z), stacked to shape (N, 2, 2)
+    and contracted with the analyzer and input states:
+    |<post| U_k |pre>|^2 * I(p_k).  No sin^2 law is used, so agreement with
+    `postselected_spectrum` (full law) checks the closed form independently.
+    """
+    psi = bias.psi_pre if bias is not None else 0.0
+    unitaries = coupling_unitaries(sigma_z(), probe.p_grid * (g + psi))
+    post = postselection_state(phi).as_array()
+    pre = preselection_state().as_array()
+    amps = np.einsum("i,kij,j->k", post.conj(), unitaries, pre)
+    return np.abs(amps) ** 2 * probe.intensity
 
 
 def postselection_probability(post_spectrum) -> float:
@@ -223,30 +221,73 @@ def mean_shift_analytic(
     return MeanShift(delta_p=delta_p, delta_lambda=delta_lambda)
 
 
+def _coupling_length(config, omega=None):
+    """Coupling length g at `omega` (scalar or array; None: the scenario's rate)."""
+    return coupling_chain(config.sagnac(omega=omega)).g
+
+
+def scheme_spectrum(
+    config, scheme: SchemeKind, probe: ProbeSpectrum, omega=None
+) -> PostselectedSpectrum:
+    """Post-selected spectrum of one scheme of a scenario at one rotation rate."""
+    bias = config.bias() if scheme is SchemeKind.BWM else None
+    return postselected_spectrum(
+        probe, _coupling_length(config, omega), config.phi_rad, bias,
+        paper_literal=config.paper_literal,
+    )
+
+
+def analytic_shift(config, scheme: SchemeKind, probe: ProbeSpectrum, omega=None) -> MeanShift:
+    """Closed-form shifts of one scheme; broadcasts over an array of rates."""
+    return mean_shift_analytic(
+        scheme, _coupling_length(config, omega), probe, config.phi_rad,
+        config.delta_lambda_means, config.paper_literal,
+    )
+
+
+def pointform_probability(config, scheme: SchemeKind, probe: ProbeSpectrum, omega=None) -> float:
+    """Survival probability read at p0 alone: sin^2(g*p0 + phi) or, biased, sin^2(g*p0).
+
+    The biased full law reduces to the latter exactly at p0 for any bias order.
+    """
+    theta0 = _coupling_length(config, omega) * probe.p0
+    if scheme is SchemeKind.SWM:
+        theta0 += config.phi_rad
+    return float(np.sin(theta0) ** 2)
+
+
+def forward_delta_lambda(
+    config, scheme: SchemeKind, probe: ProbeSpectrum, omegas, mode: str
+) -> np.ndarray:
+    """Predicted wavelength shift (m) at each rotation rate in `omegas`.
+
+    "analytic" evaluates the closed form on the whole array at once and
+    builds no spectrum; "numeric" takes the mean shift of one gridded
+    spectrum per rate.  Returns an array shaped like `omegas`.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    if mode == "analytic":
+        return np.asarray(analytic_shift(config, scheme, probe, omegas).delta_lambda)
+    values = [
+        mean_shift_numeric(scheme_spectrum(config, scheme, probe, omega), probe).delta_lambda
+        for omega in omegas.flat
+    ]
+    return np.reshape(values, omegas.shape)
+
+
 def compare_schemes(config) -> tuple[MeasurementResult, MeasurementResult]:
     """Run both schemes on identical probe and rotation inputs.
 
     Returns the (standard, biased) results with every numeric and analytic
-    field filled in.  The point-form probabilities are sin^2(g*p0 + phi) and
-    sin^2(g*p0); the biased full law reduces to the latter exactly at p0 for
-    any bias order.
+    field filled in.
     """
     probe = config.probe()
-    g = coupling_chain(config.sagnac()).g
-    phi = config.phi_rad
     amp = amplification_factor(probe, config.delta_lambda_means)
-
     results = []
     for scheme in (SchemeKind.SWM, SchemeKind.BWM):
-        bias = config.bias() if scheme is SchemeKind.BWM else None
-        spec = postselected_spectrum(
-            probe, g, phi, bias, paper_literal=config.paper_literal
-        )
+        spec = scheme_spectrum(config, scheme, probe)
         numeric = mean_shift_numeric(spec, probe)
-        analytic = mean_shift_analytic(
-            scheme, g, probe, phi, config.delta_lambda_means, config.paper_literal
-        )
-        theta0 = g * probe.p0 + (phi if scheme is SchemeKind.SWM else 0.0)
+        analytic = analytic_shift(config, scheme, probe)
         results.append(
             MeasurementResult(
                 scheme=scheme,
@@ -255,7 +296,7 @@ def compare_schemes(config) -> tuple[MeasurementResult, MeasurementResult]:
                 delta_p_analytic=analytic.delta_p,
                 delta_lambda_analytic=analytic.delta_lambda,
                 postselect_prob_numeric=postselection_probability(spec),
-                postselect_prob_pointform=float(np.sin(theta0) ** 2),
+                postselect_prob_pointform=pointform_probability(config, scheme, probe),
                 amplification_factor=amp,
             )
         )

@@ -12,18 +12,13 @@ the calibrated range.  No silent extrapolation, ever.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    SchemeKind,
-    mean_shift_analytic,
-    mean_shift_numeric,
-    postselected_spectrum,
-)
+from .engine import SchemeKind, forward_delta_lambda
 from .errors import NonMonotonicCalibration, OutOfRangeObservation, ValidationError
-from .sagnac import coupling_chain
 
 #: bisection stops when the bracket shrinks below this relative width in Omega
 BISECTION_REL_TOL = 1e-6
@@ -57,21 +52,6 @@ def _single_scheme(config) -> SchemeKind:
     return SchemeKind(config.scheme)
 
 
-def _forward_delta_lambda(config, scheme: SchemeKind, probe, omega: float, mode: str) -> float:
-    """Predicted wavelength shift at the given rotation rate."""
-    g = coupling_chain(config.sagnac(omega=omega)).g
-    if mode == "analytic":
-        shift = mean_shift_analytic(
-            scheme, g, probe, config.phi_rad, config.delta_lambda_means, config.paper_literal
-        )
-        return shift.delta_lambda
-    bias = config.bias() if scheme is SchemeKind.BWM else None
-    spec = postselected_spectrum(
-        probe, g, config.phi_rad, bias, paper_literal=config.paper_literal
-    )
-    return mean_shift_numeric(spec, probe).delta_lambda
-
-
 def calibration_curve(
     config,
     omega_min: float,
@@ -86,25 +66,26 @@ def calibration_curve(
     monotone (either direction); the numeric inverter requires it.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise ValidationError("mode", f"must be one of {MODES}, got {mode!r}")
     if spacing not in ("log", "linear"):
-        raise ValueError(f"spacing must be 'log' or 'linear', got {spacing!r}")
+        raise ValidationError("spacing", f"must be 'log' or 'linear', got {spacing!r}")
     if not 0.0 <= omega_min < omega_max:
-        raise ValueError(f"need 0 <= omega_min < omega_max, got [{omega_min}, {omega_max}]")
+        raise ValidationError(
+            "omega_min", f"need 0 <= omega_min < omega_max, got [{omega_min}, {omega_max}]"
+        )
+    if not math.isfinite(omega_max):
+        raise ValidationError("omega_max", f"must be finite, got {omega_max}")
     if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
+        raise ValidationError("points", f"must be >= 2, got {n_points!r}")
     if spacing == "log":
         if omega_min <= 0.0:
-            raise ValueError("log spacing requires omega_min > 0")
+            raise ValidationError("omega_min", "log spacing requires omega_min > 0")
         omegas = np.geomspace(omega_min, omega_max, n_points)
     else:
         omegas = np.linspace(omega_min, omega_max, n_points)
 
     scheme = _single_scheme(config)
-    probe = config.probe()
-    values = np.array(
-        [_forward_delta_lambda(config, scheme, probe, om, mode) for om in omegas]
-    )
+    values = forward_delta_lambda(config, scheme, config.probe(), omegas, mode)
     diffs = np.diff(values)
     monotone = bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
     return CalibrationCurve(
@@ -124,8 +105,7 @@ def estimate_omega_analytic(delta_lambda_obs: float, scheme: SchemeKind, config)
     inversion matches whatever cot-vs-1/phi and width-reading conventions
     the scenario selects, and forward-then-invert round-trips to rounding.
     """
-    probe = config.probe()
-    coefficient = _forward_delta_lambda(config, scheme, probe, 1.0, "analytic")
+    coefficient = float(forward_delta_lambda(config, scheme, config.probe(), 1.0, "analytic"))
     omega_hat = delta_lambda_obs / coefficient
     residual = abs(coefficient * omega_hat - delta_lambda_obs)
     return OmegaEstimate(omega_hat=omega_hat, method="analytic-closed-form", residual=residual)
@@ -165,7 +145,7 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
     increasing = hi_val > lo_val
 
     def forward(om: float) -> float:
-        return _forward_delta_lambda(config, curve.scheme, probe, om, curve.mode)
+        return float(forward_delta_lambda(config, curve.scheme, probe, om, curve.mode))
 
     a = float(curve.omega_values[0])
     b = float(curve.omega_values[-1])

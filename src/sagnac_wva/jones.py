@@ -1,5 +1,6 @@
 """
-Two-level polarization algebra: states, optical elements, weak values.
+Two-level polarization algebra: states, observables, coupling unitaries,
+weak values.
 
 Everything lives in the |H>, |V> basis as dimensionless complex amplitudes.
 The three ingredients of the interferometer readout are built here:
@@ -11,8 +12,7 @@ The three ingredients of the interferometer readout are built here:
 
 Sign convention: the analyzer state carries e^{+i phi} on |H> (not e^{-i phi}),
 so that the post-selected intensity law is sin^2(theta + phi) and the weak
-value of A is +i*cot(phi).  The wave-plate construction in
-`postselection_state_via_waveplate` produces the identical state.
+value of A is +i*cot(phi).
 
 All functions are pure; the dataclasses are frozen and treated as immutable.
 """
@@ -27,9 +27,6 @@ from .errors import NearOrthogonalPostselection
 
 #: overlaps at or below this magnitude make a weak value numerically undefined
 OVERLAP_UNDERFLOW = 1e-300
-
-#: tolerance for the U+U = I check on elements declared unitary
-UNITARY_TOL = 1e-12
 
 _HERMITIAN_TOL = 1e-12
 
@@ -72,31 +69,6 @@ class SystemOperator:
         object.__setattr__(self, "entries", m)
 
 
-@dataclass(frozen=True)
-class OpticalElement:
-    """Transfer matrix of one polarization optic (2x2 complex)."""
-
-    entries: np.ndarray
-    unitary_flag: bool = False
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"element must be 2x2, got shape {m.shape}")
-        if self.unitary_flag:
-            dev = float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
-            if dev > UNITARY_TOL:
-                raise ValueError(f"element declared unitary deviates from U+U=I by {dev:.3e}")
-        object.__setattr__(self, "entries", m)
-
-
-@dataclass(frozen=True)
-class WeakValue:
-    """Complex weak value <post|A|pre>/<post|pre>."""
-
-    value: complex
-
-
 def basis_h() -> PolarizationState:
     return PolarizationState(1.0 + 0.0j, 0.0 + 0.0j)
 
@@ -135,27 +107,6 @@ def postselection_state(phi: float) -> PolarizationState:
     return PolarizationState(s * np.exp(1j * phi), -s * np.exp(-1j * phi))
 
 
-def qwp_matrix() -> OpticalElement:
-    """Quarter-wave plate Jones matrix [[1, -i], [-i, 1]]/sqrt(2)."""
-    m = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
-    return OpticalElement(m, unitary_flag=True)
-
-
-def postselection_state_via_waveplate(phi: float) -> PolarizationState:
-    """Build the analyzer state as wave plate times linear-polarizer vector.
-
-    The plate is applied to the unit vector at angle -phi - pi/4; it
-    contributes a global phase e^{i pi/4} which is stripped so the components
-    come out exactly as e^{+-i phi}/sqrt(2), matching `postselection_state`.
-    """
-    analyzer = np.array(
-        [np.cos(-phi - np.pi / 4.0), np.sin(-phi - np.pi / 4.0)], dtype=complex
-    )
-    out = qwp_matrix().entries @ analyzer
-    out = out * np.exp(-1j * np.pi / 4.0)
-    return PolarizationState(out[0], out[1])
-
-
 def inner_product(bra: PolarizationState, ket: PolarizationState) -> complex:
     """<bra|ket> with the physics convention (bra side conjugated)."""
     return complex(
@@ -166,7 +117,7 @@ def inner_product(bra: PolarizationState, ket: PolarizationState) -> complex:
 
 def weak_value(
     op: SystemOperator, pre: PolarizationState, post: PolarizationState
-) -> WeakValue:
+) -> complex:
     """Weak value <post|op|pre>/<post|pre>.
 
     Raises
@@ -183,27 +134,16 @@ def weak_value(
         )
     acted = op.entries @ pre.as_array()
     numer = complex(np.conj(post.as_array()) @ acted)
-    return WeakValue(numer / overlap)
+    return numer / overlap
 
 
-def coupling_unitary(op: SystemOperator, total_phase: float) -> OpticalElement:
-    """exp(-i * total_phase * op) as an optical element.
+def coupling_unitaries(op: SystemOperator, phases) -> np.ndarray:
+    """exp(-i * theta * op) for every theta in `phases`, stacked.
 
-    Diagonal operators take the exact elementwise-exponential path; general
-    Hermitian operators go through an eigendecomposition.  Both paths agree
-    to rounding for diagonal input.
+    One eigendecomposition of the 2x2 operator serves every phase, whether
+    the operator is diagonal or a general Hermitian matrix.  The result has
+    shape phases.shape + (2, 2).
     """
-    m = op.entries
-    if m[0, 1] == 0.0 and m[1, 0] == 0.0:
-        u = np.diag(np.exp(-1j * total_phase * m.diagonal()))
-    else:
-        evals, evecs = np.linalg.eigh(m)
-        u = (evecs * np.exp(-1j * total_phase * evals)) @ evecs.conj().T
-    return OpticalElement(u, unitary_flag=True)
-
-
-def transition_amplitude(
-    post: PolarizationState, element: OpticalElement, pre: PolarizationState
-) -> complex:
-    """<post| element |pre>."""
-    return complex(np.conj(post.as_array()) @ (element.entries @ pre.as_array()))
+    evals, evecs = np.linalg.eigh(op.entries)
+    phase_factors = np.exp(-1j * np.multiply.outer(phases, evals))
+    return (evecs * phase_factors[..., None, :]) @ evecs.conj().T

@@ -242,3 +242,74 @@ def test_entry_point_declaration_runs_main(monkeypatch, capsys):
         main()
     assert exit_info.value.code == 0
     assert capsys.readouterr().out == f"sagnac-wva {project['version']}\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "estimate"])
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ["--omega-min", "1e-8", "--omega-max", "1e-10", "--points", "4"],
+        ["--omega-min", "1e-8", "--omega-max", "1e-8", "--points", "4"],
+        ["--omega-min", "1e-10", "--omega-max", "1e-8", "--points", "1"],
+        ["--omega-min", "1e-10", "--omega-max", "1e-8", "--points", "0"],
+        ["--omega-min", "0", "--omega-max", "1e-8", "--points", "4"],
+        ["--omega-min", "1e-10", "--omega-max", "inf", "--points", "4"],
+    ],
+    ids=["min-above-max", "min-equals-max", "one-point", "zero-points", "zero-min-log", "inf-max"],
+)
+def test_bad_calibration_range_is_config_error(tmp_path, capsys, command, bounds):
+    config = _scenario(tmp_path, scheme="swm")
+    if command == "sweep":
+        argv = ["sweep", "--mode", "analytic", "--out", str(tmp_path / "sweep.csv")]
+    else:
+        argv = ["estimate", "--method", "numeric", "--delta-lambda-m", "1e-13"]
+    code = cli_main(argv + ["--config", str(config)] + bounds)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("method", ["analytic", "numeric"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_estimate_rejects_non_finite_observation(tmp_path, capsys, method, value):
+    config = _scenario(tmp_path, scheme="bwm")
+    code = cli_main(
+        [
+            "estimate", "--config", str(config), f"--delta-lambda-m={value}",
+            "--method", method,
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "delta_lambda_m" in captured.err
+    assert captured.out == ""
+
+
+def test_figure3_rows_match_compare_schemes(tmp_path):
+    # panels C and D and compare_schemes share one forward path: equal bits
+    from sagnac_wva.config import load_scenario
+    from sagnac_wva.engine import compare_schemes
+
+    config_path = _scenario(tmp_path)
+    out_dir = tmp_path / "fig3"
+    assert cli_main(["figure3", "--config", str(config_path), "--out", str(out_dir)]) == 0
+
+    def rows(name):
+        lines = (out_dir / name).read_text(encoding="utf-8").splitlines()[1:]
+        return [[float(x) for x in line.split(",")] for line in lines]
+
+    shifts, probs = rows(FIGURE3_FILES[2]), rows(FIGURE3_FILES[3])
+    assert len(shifts) == len(probs) == 25
+    config = load_scenario(config_path)
+    for k, omega in ((0, 1e-10), (24, 1.9e-8)):
+        assert shifts[k][0] == probs[k][0] == omega
+        swm, bwm = compare_schemes(config.with_omega(omega))
+        assert shifts[k][1:3] == [swm.delta_lambda_analytic, bwm.delta_lambda_analytic]
+        assert probs[k][1:] == [
+            swm.postselect_prob_numeric,
+            bwm.postselect_prob_numeric,
+            swm.postselect_prob_pointform,
+            bwm.postselect_prob_pointform,
+        ]
