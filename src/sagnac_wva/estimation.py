@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SchemeKind, forward_delta_lambda
+from .engine import SchemeKind, analytic_shift, forward_delta_lambda
 from .errors import NonMonotonicCalibration, OutOfRangeObservation, ValidationError
 
 #: bisection stops when the bracket shrinks below this relative width in Omega
@@ -69,12 +69,12 @@ def calibration_curve(
         raise ValidationError("mode", f"must be one of {MODES}, got {mode!r}")
     if spacing not in ("log", "linear"):
         raise ValidationError("spacing", f"must be 'log' or 'linear', got {spacing!r}")
+    if not math.isfinite(omega_max):
+        raise ValidationError("omega_max", f"must be finite, got {omega_max}")
     if not 0.0 <= omega_min < omega_max:
         raise ValidationError(
             "omega_min", f"need 0 <= omega_min < omega_max, got [{omega_min}, {omega_max}]"
         )
-    if not math.isfinite(omega_max):
-        raise ValidationError("omega_max", f"must be finite, got {omega_max}")
     if n_points < 2:
         raise ValidationError("points", f"must be >= 2, got {n_points!r}")
     if spacing == "log":
@@ -105,7 +105,7 @@ def estimate_omega_analytic(delta_lambda_obs: float, scheme: SchemeKind, config)
     inversion matches whatever cot-vs-1/phi and width-reading conventions
     the scenario selects, and forward-then-invert round-trips to rounding.
     """
-    coefficient = float(forward_delta_lambda(config, scheme, config.probe(), 1.0, "analytic"))
+    coefficient = float(analytic_shift(config, scheme, config.probe(), 1.0).delta_lambda)
     omega_hat = delta_lambda_obs / coefficient
     residual = abs(coefficient * omega_hat - delta_lambda_obs)
     return OmegaEstimate(omega_hat=omega_hat, method="analytic-closed-form", residual=residual)

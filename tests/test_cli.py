@@ -254,8 +254,12 @@ def test_entry_point_declaration_runs_main(monkeypatch, capsys):
         ["--omega-min", "1e-10", "--omega-max", "1e-8", "--points", "0"],
         ["--omega-min", "0", "--omega-max", "1e-8", "--points", "4"],
         ["--omega-min", "1e-10", "--omega-max", "inf", "--points", "4"],
+        ["--omega-min", "1e-10", "--omega-max", "nan", "--points", "4"],
     ],
-    ids=["min-above-max", "min-equals-max", "one-point", "zero-points", "zero-min-log", "inf-max"],
+    ids=[
+        "min-above-max", "min-equals-max", "one-point", "zero-points", "zero-min-log",
+        "inf-max", "nan-max",
+    ],
 )
 def test_bad_calibration_range_is_config_error(tmp_path, capsys, command, bounds):
     config = _scenario(tmp_path, scheme="swm")

@@ -104,7 +104,7 @@ def test_coupling_unitary_is_unitary_and_norm_preserving():
         gram = np.conj(np.swapaxes(u, -1, -2)) @ u
         assert np.max(np.abs(gram - np.eye(2))) < 1e-12
         out = np.einsum("kij,kj->ki", u, states)
-        assert np.allclose(np.linalg.norm(out, axis=1), np.linalg.norm(states, axis=1), rtol=1e-12)
+        assert np.allclose(np.linalg.norm(out, axis=1), np.linalg.norm(states, axis=1), rtol=1e-12, atol=0.0)
 
 
 def test_closed_form_fringe_law():
