@@ -239,10 +239,41 @@ _COMMANDS = {
 }
 
 
+#: float-valued flags whose value may be negative, e.g. an swm shift of -1.2e-09
+_FLOAT_FLAGS = ("--omega-min", "--omega-max", "--delta-lambda-m")
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_float_values(argv: list[str]) -> list[str]:
+    """Fold `FLAG VALUE` into `FLAG=VALUE` for _FLOAT_FLAGS when VALUE parses as a float.
+
+    argparse takes a token such as -1.2e-09 for an option (its negative
+    number pattern has no exponent form); the `=` form always reaches `type`.
+    """
+    joined, k = [], 0
+    while k < len(argv):
+        token = argv[k]
+        if token in _FLOAT_FLAGS and k + 1 < len(argv) and _is_float(argv[k + 1]):
+            token = f"{token}={argv[k + 1]}"
+            k += 1
+        joined.append(token)
+        k += 1
+    return joined
+
+
 def cli_main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_float_values(argv))
     except SystemExit as exc:
         # argparse already printed usage/help; fold its exit status through
         return int(exc.code) if exc.code is not None else EXIT_OK

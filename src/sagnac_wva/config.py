@@ -14,7 +14,13 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import GridTooNarrow, ParseError, ValidationError
+from .errors import (
+    GridPointsInvalid,
+    GridTooNarrow,
+    GridTooWide,
+    ParseError,
+    ValidationError,
+)
 from .sagnac import SagnacConfig, BiasConfig, bias_phase
 from .spectrum import GridSpec, ProbeSpectrum, gaussian_probe
 
@@ -152,11 +158,10 @@ def _grid_from_dict(raw: dict) -> GridSpec:
         spec["half_width_sigmas"] = float(hw)
     try:
         return GridSpec(**spec)
-    except GridTooNarrow as exc:
+    except GridPointsInvalid as exc:
+        raise ValidationError("grid.points", str(exc)) from exc
+    except (GridTooNarrow, GridTooWide) as exc:
         raise ValidationError("grid.half_width_sigmas", str(exc)) from exc
-    except ValueError as exc:
-        fld = "grid.points" if "points" in str(exc) else "grid.half_width_sigmas"
-        raise ValidationError(fld, str(exc)) from exc
 
 
 def config_from_dict(raw) -> ExperimentConfig:

@@ -209,7 +209,11 @@ def mean_shift_analytic(
     """
     if not 0.0 < phi < np.pi / 2.0:
         raise PhiOutOfRange(f"phi must lie in (0, pi/2), got {phi}")
-    cot = 1.0 / phi if paper_literal else 1.0 / np.tan(phi)
+    with np.errstate(over="ignore"):
+        cot = 1.0 / phi if paper_literal else 1.0 / np.tan(phi)
+    if not np.isfinite(cot):
+        # a valid but tiny phi (e.g. 1e-310) overflows 1/tan(phi)
+        raise PhiOutOfRange(f"cot(phi) is not finite for phi = {phi}")
     if scheme is SchemeKind.SWM:
         delta_p = 2.0 * g * probe.sigma_p**2 * cot
         delta_lambda = 4.0 * np.pi * g * cot * _width_ratio_sq(probe, delta_lambda_means)

@@ -21,8 +21,16 @@ class NonPositiveInput(SagnacWvaError, ValueError):
     """A generic numeric input violated a positivity requirement."""
 
 
+class GridPointsInvalid(SagnacWvaError, ValueError):
+    """Momentum grid node count is not an odd integer >= 3."""
+
+
 class GridTooNarrow(SagnacWvaError, ValueError):
     """Momentum grid clips too much spectral mass to be trustworthy."""
+
+
+class GridTooWide(SagnacWvaError, ValueError):
+    """Momentum grid reaches so far into the tails that they carry no weight."""
 
 
 class ZeroTotalIntensity(SagnacWvaError):

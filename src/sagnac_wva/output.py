@@ -31,11 +31,12 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _atomic_write_text(path, text: str) -> None:
-    """Write the whole file in one temp-then-rename step.
+def _atomic_write_text(path, chunks) -> None:
+    """Write an iterable of text chunks in one temp-then-rename step.
 
     Any OS-level failure (missing directory, permissions, full disk) comes
-    back as IoError.
+    back as IoError.  On any failure, an exception raised by `chunks`
+    included, the temp file is removed and the target is left as it was.
     """
     target = Path(path)
     tmp_name = None
@@ -44,7 +45,7 @@ def _atomic_write_text(path, text: str) -> None:
             dir=str(target.parent) or ".", prefix=target.name + ".", suffix=".tmp"
         )
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp_name, target)
         tmp_name = None
     except OSError as exc:
@@ -57,6 +58,26 @@ def _atomic_write_text(path, text: str) -> None:
                 pass
 
 
+#: rows formatted per `%` call; bounds the transient text held in memory
+CSV_CHUNK_ROWS = 2048
+
+
+def _csv_chunks(header: str, columns):
+    """Yield the header line, then the rows in chunks of CSV_CHUNK_ROWS.
+
+    Each chunk is one `%.17g` pass over its values; `%.17g` and
+    `format_float` share CPython's float-to-string routine, so the bytes
+    equal a per-value `format_float` join (nan, inf, -0 and subnormals
+    included).
+    """
+    table = np.column_stack(columns)
+    yield header + "\n"
+    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for start in range(0, table.shape[0], CSV_CHUNK_ROWS):
+        block = table[start : start + CSV_CHUNK_ROWS]
+        yield (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
+
+
 def write_spectrum_csv(path, probe, post_spectrum) -> None:
     """Write probe and post-selected intensities that share one grid.
 
@@ -66,13 +87,10 @@ def write_spectrum_csv(path, probe, post_spectrum) -> None:
         probe.p_grid, post_spectrum.p_grid
     ):
         raise ValueError("probe and post-selected spectra must share a grid")
-    lines = [CSV_SPECTRUM_HEADER]
-    lam = 2.0 * np.pi / probe.p_grid
-    for p, l, ip, io_ in zip(probe.p_grid, lam, probe.intensity, post_spectrum.intensity):
-        lines.append(
-            f"{format_float(p)},{format_float(l)},{format_float(ip)},{format_float(io_)}"
-        )
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = [
+        probe.p_grid, 2.0 * np.pi / probe.p_grid, probe.intensity, post_spectrum.intensity
+    ]
+    _atomic_write_text(path, _csv_chunks(CSV_SPECTRUM_HEADER, columns))
 
 
 def write_table_csv(path, header: str, columns) -> None:
@@ -81,10 +99,7 @@ def write_table_csv(path, header: str, columns) -> None:
     n = columns[0].size
     if any(c.size != n for c in columns):
         raise ValueError("columns must have equal length")
-    lines = [header]
-    for k in range(n):
-        lines.append(",".join(format_float(float(c[k])) for c in columns))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write_text(path, _csv_chunks(header, columns))
 
 
 @dataclass(frozen=True)
@@ -155,4 +170,4 @@ def record_to_json(record: RunRecord) -> str:
 
 def write_results_json(path, record: RunRecord) -> None:
     """Write a run record as canonical JSON (atomic, UTF-8, LF)."""
-    _atomic_write_text(path, record_to_json(record))
+    _atomic_write_text(path, [record_to_json(record)])

@@ -17,7 +17,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    GridPointsInvalid,
     GridTooNarrow,
+    GridTooWide,
     NonPositiveInput,
     NonPositiveWavelength,
     NonPositiveWidth,
@@ -43,14 +45,14 @@ class GridSpec:
 
     def __post_init__(self):
         if int(self.points) != self.points or self.points < 3 or self.points % 2 == 0:
-            raise ValueError(f"points must be an odd integer >= 3, got {self.points}")
+            raise GridPointsInvalid(f"points must be an odd integer >= 3, got {self.points}")
         if self.half_width_sigmas < 3.0:
             raise GridTooNarrow(
                 f"half_width_sigmas = {self.half_width_sigmas} clips too much "
                 f"spectral mass; need >= 3"
             )
         if self.half_width_sigmas > 12.0:
-            raise ValueError(
+            raise GridTooWide(
                 f"half_width_sigmas = {self.half_width_sigmas} exceeds 12; the "
                 f"far tails carry no usable weight"
             )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -317,3 +318,86 @@ def test_figure3_rows_match_compare_schemes(tmp_path):
             swm.postselect_prob_pointform,
             bwm.postselect_prob_pointform,
         ]
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep", "estimate"])
+def test_tiny_phi_is_numeric_error(tmp_path, capsys, command):
+    # 1/tan(1e-310) overflows; the closed form must refuse, not emit inf or NaN
+    config = _scenario(tmp_path, phi_rad=1e-310, scheme="swm", grid={"points": 101})
+    out = tmp_path / "out"
+    argv = {
+        "compare": ["--out", str(out)],
+        "sweep": [
+            "--omega-min", "1e-10", "--omega-max", "1e-8", "--points", "4",
+            "--mode", "analytic", "--out", str(out),
+        ],
+        "estimate": ["--delta-lambda-m", "1e-9", "--method", "analytic"],
+    }[command]
+    code = cli_main([command, "--config", str(config), *argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" not in captured.err
+    assert "phi" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "before,flag,value,after",
+    [
+        (["estimate"], "--delta-lambda-m", "-1.2e-09", ["--method", "analytic"]),
+        (["sweep"], "--omega-min", "-1e-08", ["--omega-max", "1e-8"]),
+        (["sweep", "--omega-min", "1e-10"], "--omega-max", "-1e-08", []),
+    ],
+    ids=["delta-lambda-m", "omega-min", "omega-max"],
+)
+def test_negative_exponent_value_reaches_the_command(
+    tmp_path, capsys, before, flag, value, after
+):
+    # "-1.2e-09" as its own token must behave exactly like "--flag=-1.2e-09"
+    rest = after + ["--config", str(_scenario(tmp_path, scheme="swm"))]
+    if before[0] == "sweep":
+        rest += ["--points", "4", "--mode", "analytic", "--out", str(tmp_path / "s.csv")]
+    separate = cli_main(before + [flag, value] + rest), capsys.readouterr()
+    joined = cli_main(before + [f"{flag}={value}"] + rest), capsys.readouterr()
+    assert separate == joined
+    code, captured = separate
+    if flag == "--delta-lambda-m":
+        assert code == 0
+        assert json.loads(captured.out)["omega_hat_rad_per_s"] < 0.0
+    else:
+        # the negative bound reached the range check, not argparse
+        assert code == 2
+        assert captured.err.startswith("error: omega_min:")
+
+
+#: SHA-256 of CLI outputs for the BASE scenario, frozen from the per-value
+#: writer; a change to the CSV writer must keep every byte
+FROZEN_SHA256 = {
+    "spectrum.csv": "0a5162b9682ab66b7a95dcc88f52d158235c5cbcb8d3801bd62c240d64c020c0",
+    "sweep.csv": "70bcf1da849868dd4f44c48dedac6638a1fd932ed797fa819403ac45a9f63c5a",
+    FIGURE3_FILES[0]: "c8e28c681f3a8a8f5e5c8edc5a73d6f55e16f2114226d70a2ca1ed4592293013",
+    FIGURE3_FILES[1]: "977509f44e0ec949af6453f28abeeadd1483401873ab9dcd2a41f34d051bae41",
+    FIGURE3_FILES[2]: "49205daa2a1b82a3c01898c76b0e86757d817221ee94eee9bb94901756d42cd7",
+    FIGURE3_FILES[3]: "751be0c409eb221808671a6bcb4cb6dfdc1838e88b96ac99e6d9ec151c17a687",
+}
+
+
+def test_cli_outputs_match_frozen_digests(tmp_path):
+    config = str(_scenario(tmp_path))
+    assert cli_main(
+        ["spectrum", "--config", config, "--out", str(tmp_path / "spectrum.csv"), "--scheme", "swm"]
+    ) == 0
+    # 5000 rates: longer than one CSV chunk
+    assert cli_main(
+        [
+            "sweep", "--config", config, "--omega-min", "1e-10", "--omega-max", "1e-8",
+            "--points", "5000", "--mode", "analytic", "--out", str(tmp_path / "sweep.csv"),
+        ]
+    ) == 0
+    assert cli_main(["figure3", "--config", config, "--out", str(tmp_path)]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in FROZEN_SHA256
+    }
+    assert digests == FROZEN_SHA256

@@ -4,7 +4,13 @@ import math
 import pytest
 
 from sagnac_wva.config import ExperimentConfig, config_from_dict, load_scenario
-from sagnac_wva.errors import ParseError, ValidationError
+from sagnac_wva.errors import (
+    GridPointsInvalid,
+    GridTooNarrow,
+    GridTooWide,
+    ParseError,
+    ValidationError,
+)
 from sagnac_wva.spectrum import GridSpec
 
 BASE = {
@@ -115,6 +121,36 @@ def test_rejects_bad_grid(grid, field):
     with pytest.raises(ValidationError) as exc:
         config_from_dict(_raw(grid=grid))
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize(
+    "grid,cause,message",
+    [
+        (
+            {"points": 4000},
+            GridPointsInvalid,
+            "grid.points: points must be an odd integer >= 3, got 4000",
+        ),
+        (
+            {"half_width_sigmas": 2.0},
+            GridTooNarrow,
+            "grid.half_width_sigmas: half_width_sigmas = 2.0 clips too much "
+            "spectral mass; need >= 3",
+        ),
+        (
+            {"half_width_sigmas": 20.0},
+            GridTooWide,
+            "grid.half_width_sigmas: half_width_sigmas = 20.0 exceeds 12; the "
+            "far tails carry no usable weight",
+        ),
+    ],
+    ids=["points", "too-narrow", "too-wide"],
+)
+def test_grid_error_field_comes_from_error_type(grid, cause, message):
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict(_raw(grid=grid))
+    assert type(exc.value.__cause__) is cause
+    assert str(exc.value) == message
 
 
 def test_rejects_non_object_grid():

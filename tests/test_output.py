@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sagnac_wva import output
 from sagnac_wva.config import config_from_dict
 from sagnac_wva.engine import (
     compare_schemes,
@@ -12,6 +15,7 @@ from sagnac_wva.engine import (
 )
 from sagnac_wva.errors import IoError
 from sagnac_wva.output import (
+    CSV_CHUNK_ROWS,
     CSV_SPECTRUM_HEADER,
     build_run_record,
     format_float,
@@ -99,6 +103,53 @@ def test_table_csv_contents(tmp_path):
     out = tmp_path / "t.csv"
     write_table_csv(out, "a,b", [np.array([1.0, 2.0]), np.array([3.0, 4.5])])
     assert out.read_text(encoding="utf-8") == "a,b\n1,3\n2,4.5\n"
+
+
+#: values whose 17-digit spelling is easiest to get wrong, then one per decade
+EDGE_VALUES = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+] + [1.2345678901234567 * 10.0**e for e in range(-308, 309)]
+
+
+def _per_value_csv(header, columns):
+    """The writer the chunked one replaced: one format_float call per value."""
+    rows = [
+        ",".join(format_float(float(c[k])) for c in columns) for k in range(len(columns[0]))
+    ]
+    return "\n".join([header] + rows) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_rows=st.sampled_from(
+        [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 3 * CSV_CHUNK_ROWS + 5]
+    ),
+    n_cols=st.integers(1, 5),
+    pool=st.lists(st.floats() | st.sampled_from(EDGE_VALUES), min_size=1, max_size=40),
+)
+@example(n_rows=3 * CSV_CHUNK_ROWS + 5, n_cols=5, pool=[-0.0])
+@example(n_rows=CSV_CHUNK_ROWS + 1, n_cols=1, pool=[math.nan])
+def test_table_csv_matches_per_value_format(tmp_path_factory, n_rows, n_cols, pool):
+    values = np.resize(np.array(pool + EDGE_VALUES), n_rows * n_cols)
+    columns = list(values.reshape(n_cols, n_rows))
+    header = ",".join(f"c{k}" for k in range(n_cols))
+    out = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_table_csv(out, header, columns)
+    assert out.read_bytes() == _per_value_csv(header, columns).encode("utf-8")
+
+
+@pytest.mark.parametrize("error", [RuntimeError, OSError])
+def test_error_during_write_leaves_no_file(tmp_path, error):
+    def chunks():
+        yield "a,b\n"
+        yield "1,2\n"
+        raise error("failed mid-write")
+
+    out = tmp_path / "t.csv"
+    with pytest.raises(IoError if error is OSError else RuntimeError):
+        output._atomic_write_text(out, chunks())
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_record_layout():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from sagnac_wva.errors import (
+    GridPointsInvalid,
     GridTooNarrow,
+    GridTooWide,
     NonPositiveInput,
     NonPositiveWavelength,
     NonPositiveWidth,
@@ -180,14 +182,14 @@ def test_normalize_zero_intensity_raises():
 
 @pytest.mark.parametrize("points", [4000, 2, 1, -5])
 def test_gridspec_rejects_bad_point_counts(points):
-    with pytest.raises(ValueError):
+    with pytest.raises(GridPointsInvalid):
         GridSpec(points=points)
 
 
 def test_gridspec_rejects_narrow_and_absurd_widths():
     with pytest.raises(GridTooNarrow):
         GridSpec(half_width_sigmas=2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(GridTooWide):
         GridSpec(half_width_sigmas=20.0)
 
 
