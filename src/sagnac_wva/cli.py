@@ -11,6 +11,8 @@ or stdout only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import sys
@@ -25,13 +27,14 @@ from .engine import (
     analytic_shift,
     compare_schemes,
     discrepancy_from_results,
+    numeric_forward,
     pointform_probability,
-    postselection_probability,
     scheme_spectrum,
 )
 from .errors import (
     IoError,
     NearOrthogonalPostselection,
+    NonFiniteResult,
     NonMonotonicCalibration,
     OutOfRangeObservation,
     ParseError,
@@ -66,7 +69,9 @@ FIGURE3_FILES = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="sagnac-wva",
         description=(
@@ -135,6 +140,13 @@ def _cmd_spectrum(args) -> int:
 def _cmd_compare(args) -> int:
     config = load_scenario(args.config)
     results = compare_schemes(config)
+    for res in results:
+        for field in dataclasses.fields(res):
+            value = getattr(res, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NonFiniteResult(
+                    f"{res.scheme.value} {field.name} is {value}; no record written"
+                )
     record = build_run_record(config, results, discrepancy_from_results(results))
     write_results_json(args.out, record)
     return EXIT_OK
@@ -217,15 +229,14 @@ def _cmd_figure3(args) -> int:
     )
 
     # panel D: survival probabilities across the same sweep
-    rows = [
-        [postselection_probability(scheme_spectrum(config, s, probe, omega)) for s in schemes]
-        + [pointform_probability(config, s, probe, omega) for s in schemes]
-        for omega in omegas
+    numeric = [numeric_forward(config, s, probe)(omegas).probability for s in schemes]
+    pointform = [
+        [pointform_probability(config, s, probe, omega) for omega in omegas] for s in schemes
     ]
     write_table_csv(
         out_dir / FIGURE3_FILES[3],
         "omega_rad_per_s,prob_swm_numeric,prob_bwm_numeric,prob_swm_pointform,prob_bwm_pointform",
-        [omegas, *np.array(rows).T],
+        [omegas, *numeric, *pointform],
     )
     return EXIT_OK
 
@@ -251,16 +262,23 @@ def _is_float(text: str) -> bool:
     return True
 
 
+def _is_float_flag(token: str) -> bool:
+    """True for one of _FLOAT_FLAGS or a prefix of exactly one of them (`--delta`)."""
+    return token.startswith("--") and sum(f.startswith(token) for f in _FLOAT_FLAGS) == 1
+
+
 def _join_float_values(argv: list[str]) -> list[str]:
     """Fold `FLAG VALUE` into `FLAG=VALUE` for _FLOAT_FLAGS when VALUE parses as a float.
 
     argparse takes a token such as -1.2e-09 for an option (its negative
     number pattern has no exponent form); the `=` form always reaches `type`.
+    FLAG may be abbreviated as argparse allows; an ambiguous prefix such as
+    `--omega` is left alone for argparse to reject.
     """
     joined, k = [], 0
     while k < len(argv):
         token = argv[k]
-        if token in _FLOAT_FLAGS and k + 1 < len(argv) and _is_float(argv[k + 1]):
+        if _is_float_flag(token) and k + 1 < len(argv) and _is_float(argv[k + 1]):
             token = f"{token}={argv[k + 1]}"
             k += 1
         joined.append(token)
@@ -287,6 +305,7 @@ def cli_main(argv=None) -> int:
         return EXIT_CONFIG
     except (
         ZeroTotalIntensity,
+        NonFiniteResult,
         NonMonotonicCalibration,
         OutOfRangeObservation,
         NearOrthogonalPostselection,

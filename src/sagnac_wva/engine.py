@@ -11,10 +11,20 @@ that tests call, not part of any forward evaluation.  Closed-form
 mean-shift and probability expressions are always labelled analytic and
 never replace the numeric values.
 
-`scheme_spectrum`, `analytic_shift`, `pointform_probability` and
-`forward_delta_lambda` are the only code that turns (scenario, scheme,
-rotation rate) into a spectrum, a closed-form shift or a point-form
+`scheme_spectrum`, `analytic_shift`, `pointform_probability`,
+`numeric_forward` and `forward_delta_lambda` are the only code that turns
+(scenario, scheme, rotation rate) into a spectrum, a shift or a survival
 probability; `compare_schemes`, the estimators and the CLI all use them.
+
+`numeric_forward` is the batched numeric forward model behind the
+calibration ladder, the bisection, numeric sweeps and the figure3
+probability panel.  It works out the probe mean, lambda0 and the bias once,
+then evaluates the sin^2 law on a (rates, nodes) block of at most
+NUMERIC_CHUNK_ELEMENTS elements at a time (128 KiB per float64 temporary;
+one rate per block on a grid with more nodes than that) and takes two
+trapezoid sums per rate: the total and the first moment.
+Every rate gets the bits a one-rate spectrum and `mean_shift_numeric` would
+give it.
 
 Scheme conventions:
 
@@ -42,7 +52,11 @@ import numpy as np
 from .errors import PhiOutOfRange
 from .jones import coupling_unitaries, postselection_state, preselection_state, sigma_z
 from .sagnac import BiasConfig, coupling_chain
-from .spectrum import FWHM_PER_SIGMA, ProbeSpectrum, moments, momentum_to_wavelength
+from .spectrum import FWHM_PER_SIGMA, ProbeSpectrum, integrals, moments, momentum_to_wavelength
+
+#: rates x grid nodes evaluated per block by `numeric_forward`; bounds each
+#: float64 temporary to 128 KiB whatever the number of rates
+NUMERIC_CHUNK_ELEMENTS = 16384
 
 
 class SchemeKind(Enum):
@@ -53,6 +67,13 @@ class SchemeKind(Enum):
 class MeanShift(NamedTuple):
     delta_p: float  # 1/m
     delta_lambda: float  # m
+
+
+class NumericForward(NamedTuple):
+    """Numeric forward results, one entry per rotation rate."""
+
+    delta_lambda: np.ndarray  # m, mean shift of the gridded spectrum
+    probability: np.ndarray  # trapezoidal survival probability
 
 
 @dataclass(frozen=True)
@@ -214,14 +235,17 @@ def mean_shift_analytic(
     if not np.isfinite(cot):
         # a valid but tiny phi (e.g. 1e-310) overflows 1/tan(phi)
         raise PhiOutOfRange(f"cot(phi) is not finite for phi = {phi}")
-    if scheme is SchemeKind.SWM:
-        delta_p = 2.0 * g * probe.sigma_p**2 * cot
-        delta_lambda = 4.0 * np.pi * g * cot * _width_ratio_sq(probe, delta_lambda_means)
-    elif scheme is SchemeKind.BWM:
-        delta_p = 2.0 * g * probe.p0**2 * cot
-        delta_lambda = 4.0 * np.pi * g * cot
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    # a huge g*cot overflows to inf silently; callers that publish a single
+    # record refuse non-finite values, tables carry them as `inf`
+    with np.errstate(over="ignore"):
+        if scheme is SchemeKind.SWM:
+            delta_p = 2.0 * g * probe.sigma_p**2 * cot
+            delta_lambda = 4.0 * np.pi * g * cot * _width_ratio_sq(probe, delta_lambda_means)
+        elif scheme is SchemeKind.BWM:
+            delta_p = 2.0 * g * probe.p0**2 * cot
+            delta_lambda = 4.0 * np.pi * g * cot
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
     return MeanShift(delta_p=delta_p, delta_lambda=delta_lambda)
 
 
@@ -230,15 +254,28 @@ def _coupling_length(config, omega=None):
     return coupling_chain(config.sagnac(omega=omega)).g
 
 
+def _spectrum_at(config, scheme: SchemeKind, probe: ProbeSpectrum):
+    """`omega -> PostselectedSpectrum` for one scheme, the bias worked out once.
+
+    `omega` is a rate, a column of rates (one spectrum per row) or None for
+    the scenario's rate.
+    """
+    bias = config.bias() if scheme is SchemeKind.BWM else None
+
+    def spectrum(omega=None) -> PostselectedSpectrum:
+        return postselected_spectrum(
+            probe, _coupling_length(config, omega), config.phi_rad, bias,
+            paper_literal=config.paper_literal,
+        )
+
+    return spectrum
+
+
 def scheme_spectrum(
     config, scheme: SchemeKind, probe: ProbeSpectrum, omega=None
 ) -> PostselectedSpectrum:
     """Post-selected spectrum of one scheme of a scenario at one rotation rate."""
-    bias = config.bias() if scheme is SchemeKind.BWM else None
-    return postselected_spectrum(
-        probe, _coupling_length(config, omega), config.phi_rad, bias,
-        paper_literal=config.paper_literal,
-    )
+    return _spectrum_at(config, scheme, probe)(omega)
 
 
 def analytic_shift(config, scheme: SchemeKind, probe: ProbeSpectrum, omega=None) -> MeanShift:
@@ -260,23 +297,54 @@ def pointform_probability(config, scheme: SchemeKind, probe: ProbeSpectrum, omeg
     return float(np.sin(theta0) ** 2)
 
 
+def numeric_forward(config, scheme: SchemeKind, probe: ProbeSpectrum):
+    """Bind the numeric forward model of one scheme to a scenario and probe.
+
+    Returns `evaluate(omegas) -> NumericForward`, flat arrays with one entry
+    per rate of `omegas` (a scalar or any array).  The probe mean, lambda0
+    and the bias are worked out here, once; `evaluate` builds the spectra
+    of at most NUMERIC_CHUNK_ELEMENTS // nodes rates at a time (at least
+    one) and integrates each row once for its total and first moment.
+
+    Raises ZeroTotalIntensity, from `evaluate`, for the first block that
+    holds a rate whose spectrum integrates to zero.
+    """
+    spectrum = _spectrum_at(config, scheme, probe)
+    p = probe.p_grid
+    probe_mean = moments(probe).mean
+    lambda0 = momentum_to_wavelength(probe.p0)
+    rows = max(1, NUMERIC_CHUNK_ELEMENTS // p.size)
+
+    def evaluate(omegas) -> NumericForward:
+        omegas = np.asarray(omegas, dtype=float).reshape(-1)
+        totals = np.empty(omegas.size)
+        firsts = np.empty(omegas.size)
+        for start in range(0, omegas.size, rows):
+            block = slice(start, start + rows)
+            totals[block], firsts[block] = integrals(p, spectrum(omegas[block, None]).intensity)
+        # the operation order of mean_shift_numeric, rate by rate
+        delta_p = firsts / totals - probe_mean
+        return NumericForward(
+            delta_lambda=-delta_p * lambda0**2 / (2.0 * np.pi), probability=totals
+        )
+
+    return evaluate
+
+
 def forward_delta_lambda(
     config, scheme: SchemeKind, probe: ProbeSpectrum, omegas, mode: str
 ) -> np.ndarray:
     """Predicted wavelength shift (m) at each rotation rate in `omegas`.
 
     "analytic" evaluates the closed form on the whole array at once and
-    builds no spectrum; "numeric" takes the mean shift of one gridded
-    spectrum per rate.  Returns an array shaped like `omegas`.
+    builds no spectrum; "numeric" takes the mean shift of the gridded
+    spectrum at each rate through `numeric_forward`.  Returns an array
+    shaped like `omegas`.
     """
     omegas = np.asarray(omegas, dtype=float)
     if mode == "analytic":
         return np.asarray(analytic_shift(config, scheme, probe, omegas).delta_lambda)
-    values = [
-        mean_shift_numeric(scheme_spectrum(config, scheme, probe, omega), probe).delta_lambda
-        for omega in omegas.flat
-    ]
-    return np.reshape(values, omegas.shape)
+    return numeric_forward(config, scheme, probe)(omegas).delta_lambda.reshape(omegas.shape)
 
 
 def compare_schemes(config) -> tuple[MeasurementResult, MeasurementResult]:

@@ -37,6 +37,10 @@ class ZeroTotalIntensity(SagnacWvaError):
     """Spectrum integrates to zero (or underflows); moments are undefined."""
 
 
+class NonFiniteResult(SagnacWvaError):
+    """A forward result overflowed to inf or NaN; it is not published."""
+
+
 class PhiOutOfRange(SagnacWvaError, ValueError):
     """Analyzer offset angle outside the open interval (0, pi/2)."""
 

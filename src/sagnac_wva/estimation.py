@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SchemeKind, analytic_shift, forward_delta_lambda
+from .engine import SchemeKind, analytic_shift, forward_delta_lambda, numeric_forward
 from .errors import NonMonotonicCalibration, OutOfRangeObservation, ValidationError
+from .spectrum import ProbeSpectrum
 
 #: bisection stops when the bracket shrinks below this relative width in Omega
 BISECTION_REL_TOL = 1e-6
@@ -44,6 +45,7 @@ class CalibrationCurve:
     mode: str  # "numeric" | "analytic"
     monotone_flag: bool
     config: object  # scenario the curve was built from; reused by the inverter
+    probe: ProbeSpectrum  # probe the curve was sampled on; reused by the inverter
 
 
 def _single_scheme(config) -> SchemeKind:
@@ -85,7 +87,8 @@ def calibration_curve(
         omegas = np.linspace(omega_min, omega_max, n_points)
 
     scheme = _single_scheme(config)
-    values = forward_delta_lambda(config, scheme, config.probe(), omegas, mode)
+    probe = config.probe()
+    values = forward_delta_lambda(config, scheme, probe, omegas, mode)
     diffs = np.diff(values)
     monotone = bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
     return CalibrationCurve(
@@ -95,6 +98,7 @@ def calibration_curve(
         mode=mode,
         monotone_flag=monotone,
         config=config,
+        probe=probe,
     )
 
 
@@ -140,12 +144,19 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
             f"[{vmin:.6e}, {vmax:.6e}] m"
         )
 
-    config = curve.config
-    probe = config.probe()
+    config, scheme, probe = curve.config, curve.scheme, curve.probe
     increasing = hi_val > lo_val
+    if curve.mode == "numeric":
+        # bound once per curve: each bisection step is a one-rate evaluation
+        evaluate = numeric_forward(config, scheme, probe)
 
-    def forward(om: float) -> float:
-        return float(forward_delta_lambda(config, curve.scheme, probe, om, curve.mode))
+        def forward(om: float) -> float:
+            return float(evaluate(om).delta_lambda[0])
+
+    else:
+
+        def forward(om: float) -> float:
+            return float(forward_delta_lambda(config, scheme, probe, om, "analytic"))
 
     a = float(curve.omega_values[0])
     b = float(curve.omega_values[-1])

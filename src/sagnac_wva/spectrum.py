@@ -192,12 +192,28 @@ def moments(s, intensity=None) -> Moments:
     else:
         p = np.asarray(s, dtype=float)
         i = np.asarray(intensity, dtype=float)
-    total = float(np.trapezoid(i, p))
-    if not np.isfinite(total) or total <= _UNDERFLOW:
-        raise ZeroTotalIntensity("intensity integrates to zero on this grid")
-    mean = float(np.trapezoid(p * i, p) / total)
+    total, first = integrals(p, i)
+    mean = float(first / total)
     variance = float(np.trapezoid((p - mean) ** 2 * i, p) / total)
     return Moments(mean=mean, variance=variance)
+
+
+def integrals(p_grid: np.ndarray, intensity: np.ndarray):
+    """Trapezoidal total and first moment of each row of `intensity`.
+
+    `intensity` is one spectrum on `p_grid` or a (rows, nodes) stack of
+    them; both sums run along the last axis, so each row gets the bits a
+    1-d call on that row would.
+
+    Raises
+    ------
+    ZeroTotalIntensity
+        If any row integrates to zero, underflows or is not finite.
+    """
+    total = np.trapezoid(intensity, p_grid)
+    if not np.all(np.isfinite(total) & (total > _UNDERFLOW)):
+        raise ZeroTotalIntensity("intensity integrates to zero on this grid")
+    return total, np.trapezoid(p_grid * intensity, p_grid)
 
 
 def normalize(s: ProbeSpectrum) -> ProbeSpectrum:

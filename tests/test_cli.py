@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sagnac_wva.cli import FIGURE3_FILES, cli_main, main
+from sagnac_wva.cli import FIGURE3_FILES, build_parser, cli_main, main
 
 BASE = {
     "lambda0_nm": 833.0,
@@ -372,10 +372,15 @@ def test_negative_exponent_value_reaches_the_command(
 
 
 #: SHA-256 of CLI outputs for the BASE scenario, frozen from the per-value
-#: writer; a change to the CSV writer must keep every byte
+#: writer and, for the numeric sweep and estimates, from the per-rate
+#: numeric forward loop; a change to the writer or the forward path must
+#: keep every byte
 FROZEN_SHA256 = {
     "spectrum.csv": "0a5162b9682ab66b7a95dcc88f52d158235c5cbcb8d3801bd62c240d64c020c0",
     "sweep.csv": "70bcf1da849868dd4f44c48dedac6638a1fd932ed797fa819403ac45a9f63c5a",
+    "sweep_numeric.csv": "fcdeef17a6ab63f98c75832e52a8e0d825ce6d3c1d3ec982eb211364309af932",
+    "estimate_swm.stdout": "f8e6bf73875d6298ebc95a37d25eb05cfb989c8a46cb05db3f086cc4006a03bd",
+    "estimate_bwm.stdout": "1efa86e1d3951c05ab3417bfcfaedf6770d5cb9481354077fc0e3aa4b46edf19",
     FIGURE3_FILES[0]: "c8e28c681f3a8a8f5e5c8edc5a73d6f55e16f2114226d70a2ca1ed4592293013",
     FIGURE3_FILES[1]: "977509f44e0ec949af6453f28abeeadd1483401873ab9dcd2a41f34d051bae41",
     FIGURE3_FILES[2]: "49205daa2a1b82a3c01898c76b0e86757d817221ee94eee9bb94901756d42cd7",
@@ -383,7 +388,7 @@ FROZEN_SHA256 = {
 }
 
 
-def test_cli_outputs_match_frozen_digests(tmp_path):
+def test_cli_outputs_match_frozen_digests(tmp_path, capsys):
     config = str(_scenario(tmp_path))
     assert cli_main(
         ["spectrum", "--config", config, "--out", str(tmp_path / "spectrum.csv"), "--scheme", "swm"]
@@ -395,9 +400,143 @@ def test_cli_outputs_match_frozen_digests(tmp_path):
             "--points", "5000", "--mode", "analytic", "--out", str(tmp_path / "sweep.csv"),
         ]
     ) == 0
+    # 300 rates at 801 nodes: several blocks of the numeric forward model
+    assert cli_main(
+        [
+            "sweep", "--config", config, "--omega-min", "1e-10", "--omega-max", "1e-8",
+            "--points", "300", "--mode", "numeric", "--out", str(tmp_path / "sweep_numeric.csv"),
+        ]
+    ) == 0
+    for scheme, observed in (("swm", "-1.2e-13"), ("bwm", "2.5e-9")):
+        scheme_config = str(_scenario(tmp_path, f"{scheme}.json", scheme=scheme))
+        assert cli_main(
+            [
+                "estimate", "--config", scheme_config, "--delta-lambda-m", observed,
+                "--method", "numeric",
+            ]
+        ) == 0
+        (tmp_path / f"estimate_{scheme}.stdout").write_text(
+            capsys.readouterr().out, encoding="utf-8"
+        )
     assert cli_main(["figure3", "--config", config, "--out", str(tmp_path)]) == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in FROZEN_SHA256
     }
     assert digests == FROZEN_SHA256
+
+
+def test_figure3_probabilities_match_per_rate_spectra(tmp_path):
+    # panel D's numeric columns against one spectrum per rate and scheme
+    from sagnac_wva.config import load_scenario
+    from sagnac_wva.engine import SchemeKind, postselection_probability, scheme_spectrum
+
+    config_path = _scenario(tmp_path, bias_order_m=2)
+    out_dir = tmp_path / "fig3"
+    assert cli_main(["figure3", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    lines = (out_dir / FIGURE3_FILES[3]).read_text(encoding="utf-8").splitlines()[1:]
+    rows = [[float(x) for x in line.split(",")] for line in lines]
+    config = load_scenario(config_path)
+    probe = config.probe()
+    for row in rows:
+        expected = [
+            postselection_probability(scheme_spectrum(config, scheme, probe, row[0]))
+            for scheme in (SchemeKind.SWM, SchemeKind.BWM)
+        ]
+        assert row[1:3] == expected
+
+
+def test_zero_intensity_rate_in_a_numeric_sweep_is_numeric_error(tmp_path, capsys):
+    # paper-literal bwm survival scales as (area*omega)^2: with this area it
+    # underflows the zero-intensity floor at 1e-10 rad/s but not at 1e-8
+    config = _scenario(tmp_path, scheme="bwm", paper_literal=True, area_m2=1e-140)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(config), "--omega-max", "1e-8", "--points", "5",
+            "--mode", "numeric", "--out", str(out)]
+    assert cli_main(argv + ["--omega-min", "1e-9"]) == 0
+    capsys.readouterr()
+    assert cli_main(argv + ["--omega-min", "1e-10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: intensity integrates to zero on this grid\n"
+    assert captured.out == ""
+
+
+def test_parser_is_built_once_and_calls_do_not_interfere(tmp_path, capsys):
+    config = str(_scenario(tmp_path, scheme="swm"))
+    calls = [
+        ["estimate", "--config", config, "--method"],  # usage error
+        ["--version"],
+        ["estimate", "--config", config, "--delta-lambda-m", "-1.2e-13", "--method", "numeric"],
+        [
+            "sweep", "--config", config, "--omega-min", "1e-10", "--omega-max", "1e-8",
+            "--points", "4", "--mode", "analytic", "--out", str(tmp_path / "sweep.csv"),
+        ],
+    ]
+
+    def run(argv):
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 0]
+    assert build_parser() is build_parser()
+    assert [run(argv) for argv in calls + calls[::-1]] == fresh + fresh[::-1]
+
+
+def test_compare_with_overflowing_result_is_numeric_error(tmp_path, capsys):
+    # at 1e300 rad/s the closed-form delta_p overflows to inf
+    config = _scenario(tmp_path, omega_rad_per_s=1e300, grid={"points": 101})
+    out = tmp_path / "run.json"
+    code = cli_main(["compare", "--config", str(config), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: swm delta_p_analytic is inf; no record written\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_analytic_overflow_prints_no_warning(tmp_path, capsys, recwarn):
+    # 2*g*sigma_p^2*cot(phi) overflows for cot(1e-307) at the larger rates;
+    # `recwarn` records every warning, which pytest would otherwise keep off stderr
+    config = _scenario(tmp_path, phi_rad=1e-307, scheme="swm", grid={"points": 101})
+    out = tmp_path / "sweep.csv"
+    code = cli_main(
+        [
+            "sweep", "--config", str(config), "--omega-min", "1e-10", "--omega-max", "1e3",
+            "--points", "50", "--mode", "analytic", "--out", str(out),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert [str(w.message) for w in recwarn] == []
+    # only the unpublished delta_p overflowed; the delta_lambda column is finite
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 50
+    assert all(np.isfinite(float(x)) for row in rows for x in row.split(","))
+
+
+@pytest.mark.parametrize("abbreviation", ["--delta", "--delta-l", "--d"])
+def test_abbreviated_float_flag_takes_a_negative_exponent_value(tmp_path, capsys, abbreviation):
+    config = str(_scenario(tmp_path, scheme="swm"))
+    rest = ["--method", "analytic", "--config", config]
+    separate = cli_main(["estimate", abbreviation, "-1.2e-09"] + rest), capsys.readouterr()
+    joined = cli_main(["estimate", "--delta-lambda-m=-1.2e-09"] + rest), capsys.readouterr()
+    assert separate == joined
+    assert separate[0] == 0
+
+
+def test_ambiguous_float_flag_prefix_stays_a_usage_error(tmp_path, capsys):
+    config = str(_scenario(tmp_path, scheme="swm"))
+    code = cli_main(
+        ["estimate", "--config", config, "--delta-lambda-m", "1e-13", "--method", "numeric",
+         "--omega", "1e-9"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "ambiguous option: --omega" in captured.err
+    assert captured.out == ""

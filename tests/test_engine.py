@@ -2,19 +2,23 @@ import numpy as np
 import pytest
 
 from sagnac_wva.engine import (
+    NUMERIC_CHUNK_ELEMENTS,
     SchemeKind,
     amplification_factor,
     compare_schemes,
     discrepancy_from_results,
     discrepancy_report,
+    forward_delta_lambda,
     mean_shift_analytic,
     mean_shift_numeric,
+    numeric_forward,
     postselected_spectrum,
     postselection_probability,
+    scheme_spectrum,
     transfer_matrix_intensity,
 )
 from sagnac_wva.config import ExperimentConfig
-from sagnac_wva.errors import PhiOutOfRange
+from sagnac_wva.errors import PhiOutOfRange, ZeroTotalIntensity
 from sagnac_wva.sagnac import BiasConfig, bias_phase
 from sagnac_wva.spectrum import GridSpec, gaussian_probe
 
@@ -271,3 +275,53 @@ def test_discrepancy_biased_shift_row_reports_large_gap():
     assert row.relative_difference > 0.5
     swm_row = by_key[(SchemeKind.SWM, "delta_p")]
     assert swm_row.relative_difference < 1.1e-3
+
+
+@pytest.mark.parametrize(
+    "scheme_name,paper_literal",
+    [("swm", False), ("bwm", False), ("bwm", True)],
+    ids=["swm", "bwm", "bwm-literal"],
+)
+@pytest.mark.parametrize("points,n_rates", [(16001, 7), (1001, 100)])
+def test_numeric_forward_matches_per_rate_loop(scheme_name, paper_literal, points, n_rates):
+    # the batched kernel against one spectrum and one mean shift per rate
+    config = _config(
+        scheme=scheme_name, paper_literal=paper_literal, bias_order_m=1,
+        grid=GridSpec(points=points),
+    )
+    scheme = SchemeKind(scheme_name)
+    probe = config.probe()
+    omegas = np.geomspace(1e-10, 1e-8, n_rates)
+    assert n_rates > 2 * (NUMERIC_CHUNK_ELEMENTS // points)  # three blocks or more
+    spectra = [scheme_spectrum(config, scheme, probe, omega) for omega in omegas]
+    loop_shift = [mean_shift_numeric(spec, probe).delta_lambda for spec in spectra]
+    loop_prob = [postselection_probability(spec) for spec in spectra]
+    batched = forward_delta_lambda(config, scheme, probe, omegas, "numeric")
+    assert np.array_equal(batched, loop_shift)
+    assert np.array_equal(numeric_forward(config, scheme, probe)(omegas).probability, loop_prob)
+    # one rate at a time, as the bisection calls it
+    assert float(numeric_forward(config, scheme, probe)(omegas[3]).delta_lambda[0]) == loop_shift[3]
+
+
+def test_forward_delta_lambda_keeps_the_rate_array_shape():
+    config = _config(grid=GridSpec(points=401))
+    probe = config.probe()
+    omegas = np.geomspace(1e-10, 1e-8, 6).reshape(2, 3)
+    numeric = forward_delta_lambda(config, SchemeKind.SWM, probe, omegas, "numeric")
+    assert numeric.shape == (2, 3)
+    flat = forward_delta_lambda(config, SchemeKind.SWM, probe, omegas.ravel(), "numeric")
+    assert np.array_equal(numeric.ravel(), flat)
+
+
+def test_zero_intensity_rate_inside_a_block_raises():
+    # at zero rotation the paper-literal biased density sin^2(p*g) vanishes
+    config = _config(scheme="bwm", paper_literal=True, grid=GridSpec(points=1001))
+    probe = config.probe()
+    omegas = np.array([1e-9, 2e-9, 0.0, 3e-9])
+    assert NUMERIC_CHUNK_ELEMENTS // 1001 > omegas.size  # one block
+    forward = numeric_forward(config, SchemeKind.BWM, probe)
+    assert np.all(forward(np.delete(omegas, 2)).probability > 0.0)
+    with pytest.raises(ZeroTotalIntensity):
+        forward(omegas)
+    with pytest.raises(ZeroTotalIntensity):
+        forward_delta_lambda(config, SchemeKind.BWM, probe, omegas, "numeric")
