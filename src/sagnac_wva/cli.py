@@ -194,7 +194,7 @@ def _cmd_estimate(args) -> int:
         "residual_m": estimate.residual,
         "scheme": scheme.value,
     }
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 

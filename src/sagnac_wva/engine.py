@@ -12,19 +12,23 @@ mean-shift and probability expressions are always labelled analytic and
 never replace the numeric values.
 
 `scheme_spectrum`, `analytic_shift`, `pointform_probability`,
-`numeric_forward` and `forward_delta_lambda` are the only code that turns
-(scenario, scheme, rotation rate) into a spectrum, a shift or a survival
-probability; `compare_schemes`, the estimators and the CLI all use them.
+`numeric_forward` and `bind_delta_lambda` (with its one-call form
+`forward_delta_lambda`) are the only code that turns (scenario, scheme,
+rotation rate) into a spectrum, a shift or a survival probability;
+`compare_schemes`, the estimators and the CLI all use them.
 
-`numeric_forward` is the batched numeric forward model behind the
-calibration ladder, the bisection, numeric sweeps and the figure3
-probability panel.  It works out the probe mean, lambda0 and the bias once,
-then evaluates the sin^2 law on a (rates, nodes) block of at most
-NUMERIC_CHUNK_ELEMENTS elements at a time (128 KiB per float64 temporary;
-one rate per block on a grid with more nodes than that) and takes two
-trapezoid sums per rate: the total and the first moment.
-Every rate gets the bits a one-rate spectrum and `mean_shift_numeric` would
-give it.
+`numeric_forward` is the batched numeric forward model behind `compare`,
+the calibration ladder, the bisection, numeric sweeps and the figure3
+probability panel.  Binding it works out, once, everything that does not
+depend on Omega: the loop constants (validated through `config.sagnac()`),
+the bias, the trapezoid widths np.diff(p), the probe mean and lambda0.  Each
+evaluation then computes only a column of coupling lengths, the sin^2 law on
+a (rates, nodes) block of at most NUMERIC_CHUNK_ELEMENTS elements at a time
+(128 KiB per float64 temporary; one rate per block on a grid with more
+nodes than that) and two trapezoid sums per rate: the total and the first
+moment.  Every rate gets the bits a one-rate spectrum and
+`mean_shift_numeric` / `postselection_probability` would give it; those two
+stay as the per-spectrum reference that tests compare against.
 
 Scheme conventions:
 
@@ -51,7 +55,7 @@ import numpy as np
 
 from .errors import PhiOutOfRange
 from .jones import coupling_unitaries, postselection_state, preselection_state, sigma_z
-from .sagnac import BiasConfig, coupling_chain
+from .sagnac import BiasConfig, coupling_length
 from .spectrum import FWHM_PER_SIGMA, ProbeSpectrum, integrals, moments, momentum_to_wavelength
 
 #: rates x grid nodes evaluated per block by `numeric_forward`; bounds each
@@ -72,7 +76,8 @@ class MeanShift(NamedTuple):
 class NumericForward(NamedTuple):
     """Numeric forward results, one entry per rotation rate."""
 
-    delta_lambda: np.ndarray  # m, mean shift of the gridded spectrum
+    delta_p: np.ndarray  # 1/m, mean momentum shift of the gridded spectrum
+    delta_lambda: np.ndarray  # m, the same shift as a wavelength
     probability: np.ndarray  # trapezoidal survival probability
 
 
@@ -142,15 +147,25 @@ def postselected_spectrum(
     PostselectedSpectrum
         Unnormalized closed-form intensity on the probe grid.
     """
-    if paper_literal and bias is not None:
-        closed_phase = probe.p_grid * g
-    else:
-        psi = bias.psi_pre if bias is not None else 0.0
-        closed_phase = probe.p_grid * (g + psi) + phi
-    intensity = np.sin(closed_phase) ** 2 * probe.intensity
+    intensity = _postselected_intensity(
+        probe.p_grid, probe.intensity, g, phi, bias, paper_literal
+    )
     return PostselectedSpectrum(
         p_grid=probe.p_grid, intensity=intensity, p0=probe.p0, sigma_p=probe.sigma_p
     )
+
+
+def _postselected_intensity(p, intensity, g, phi, bias, paper_literal):
+    """The sin^2 law times the probe intensity; the law's one home.
+
+    `g` is a coupling length or a column of them (one spectrum per row).
+    """
+    if paper_literal and bias is not None:
+        phase = p * g
+    else:
+        psi = bias.psi_pre if bias is not None else 0.0
+        phase = p * (g + psi) + phi
+    return np.sin(phase) ** 2 * intensity
 
 
 def transfer_matrix_intensity(
@@ -251,31 +266,22 @@ def mean_shift_analytic(
 
 def _coupling_length(config, omega=None):
     """Coupling length g at `omega` (scalar or array; None: the scenario's rate)."""
-    return coupling_chain(config.sagnac(omega=omega)).g
+    sagnac = config.sagnac(omega=omega)
+    return coupling_length(sagnac.omega, sagnac.area, sagnac.lambda0, sagnac.c)
 
 
-def _spectrum_at(config, scheme: SchemeKind, probe: ProbeSpectrum):
-    """`omega -> PostselectedSpectrum` for one scheme, the bias worked out once.
-
-    `omega` is a rate, a column of rates (one spectrum per row) or None for
-    the scenario's rate.
-    """
-    bias = config.bias() if scheme is SchemeKind.BWM else None
-
-    def spectrum(omega=None) -> PostselectedSpectrum:
-        return postselected_spectrum(
-            probe, _coupling_length(config, omega), config.phi_rad, bias,
-            paper_literal=config.paper_literal,
-        )
-
-    return spectrum
+def _bias(config, scheme: SchemeKind) -> BiasConfig | None:
+    return config.bias() if scheme is SchemeKind.BWM else None
 
 
 def scheme_spectrum(
     config, scheme: SchemeKind, probe: ProbeSpectrum, omega=None
 ) -> PostselectedSpectrum:
     """Post-selected spectrum of one scheme of a scenario at one rotation rate."""
-    return _spectrum_at(config, scheme, probe)(omega)
+    return postselected_spectrum(
+        probe, _coupling_length(config, omega), config.phi_rad, _bias(config, scheme),
+        paper_literal=config.paper_literal,
+    )
 
 
 def analytic_shift(config, scheme: SchemeKind, probe: ProbeSpectrum, omega=None) -> MeanShift:
@@ -301,17 +307,23 @@ def numeric_forward(config, scheme: SchemeKind, probe: ProbeSpectrum):
     """Bind the numeric forward model of one scheme to a scenario and probe.
 
     Returns `evaluate(omegas) -> NumericForward`, flat arrays with one entry
-    per rate of `omegas` (a scalar or any array).  The probe mean, lambda0
-    and the bias are worked out here, once; `evaluate` builds the spectra
-    of at most NUMERIC_CHUNK_ELEMENTS // nodes rates at a time (at least
-    one) and integrates each row once for its total and first moment.
+    per rate of `omegas` (a scalar or any array).  Everything that does not
+    depend on Omega is worked out here, once: the loop constants (validated
+    by `config.sagnac()`), the bias, the trapezoid widths, the probe mean
+    and lambda0.  `evaluate` computes the coupling lengths and spectra of at
+    most NUMERIC_CHUNK_ELEMENTS // nodes rates at a time (at least one) and
+    integrates each row once for its total and first moment.
 
     Raises ZeroTotalIntensity, from `evaluate`, for the first block that
     holds a rate whose spectrum integrates to zero.
     """
-    spectrum = _spectrum_at(config, scheme, probe)
-    p = probe.p_grid
-    probe_mean = moments(probe).mean
+    sagnac = config.sagnac()
+    area, loop_lambda0, c = sagnac.area, sagnac.lambda0, sagnac.c
+    bias, phi, paper_literal = _bias(config, scheme), config.phi_rad, config.paper_literal
+    p, probe_intensity = probe.p_grid, probe.intensity
+    widths = np.diff(p)
+    probe_total, probe_first = integrals(p, probe_intensity, widths)
+    probe_mean = float(probe_first / probe_total)
     lambda0 = momentum_to_wavelength(probe.p0)
     rows = max(1, NUMERIC_CHUNK_ELEMENTS // p.size)
 
@@ -321,14 +333,35 @@ def numeric_forward(config, scheme: SchemeKind, probe: ProbeSpectrum):
         firsts = np.empty(omegas.size)
         for start in range(0, omegas.size, rows):
             block = slice(start, start + rows)
-            totals[block], firsts[block] = integrals(p, spectrum(omegas[block, None]).intensity)
+            g = coupling_length(omegas[block, None], area, loop_lambda0, c)
+            intensity = _postselected_intensity(p, probe_intensity, g, phi, bias, paper_literal)
+            totals[block], firsts[block] = integrals(p, intensity, widths)
         # the operation order of mean_shift_numeric, rate by rate
         delta_p = firsts / totals - probe_mean
         return NumericForward(
-            delta_lambda=-delta_p * lambda0**2 / (2.0 * np.pi), probability=totals
+            delta_p=delta_p,
+            delta_lambda=-delta_p * lambda0**2 / (2.0 * np.pi),
+            probability=totals,
         )
 
     return evaluate
+
+
+def bind_delta_lambda(config, scheme: SchemeKind, probe: ProbeSpectrum, mode: str):
+    """Bind `omegas -> delta_lambda` (m; flat, one entry per rate) for one scheme.
+
+    "analytic" evaluates the closed form on the whole array at once and
+    builds no spectrum; "numeric" is `numeric_forward`, bound here once.
+    """
+    if mode == "analytic":
+
+        def analytic(omegas) -> np.ndarray:
+            omegas = np.asarray(omegas, dtype=float)
+            return np.asarray(analytic_shift(config, scheme, probe, omegas).delta_lambda).reshape(-1)
+
+        return analytic
+    evaluate = numeric_forward(config, scheme, probe)
+    return lambda omegas: evaluate(omegas).delta_lambda
 
 
 def forward_delta_lambda(
@@ -336,15 +369,11 @@ def forward_delta_lambda(
 ) -> np.ndarray:
     """Predicted wavelength shift (m) at each rotation rate in `omegas`.
 
-    "analytic" evaluates the closed form on the whole array at once and
-    builds no spectrum; "numeric" takes the mean shift of the gridded
-    spectrum at each rate through `numeric_forward`.  Returns an array
-    shaped like `omegas`.
+    One call of the `bind_delta_lambda` model; returns an array shaped
+    like `omegas`.
     """
     omegas = np.asarray(omegas, dtype=float)
-    if mode == "analytic":
-        return np.asarray(analytic_shift(config, scheme, probe, omegas).delta_lambda)
-    return numeric_forward(config, scheme, probe)(omegas).delta_lambda.reshape(omegas.shape)
+    return bind_delta_lambda(config, scheme, probe, mode)(omegas).reshape(omegas.shape)
 
 
 def compare_schemes(config) -> tuple[MeasurementResult, MeasurementResult]:
@@ -357,17 +386,16 @@ def compare_schemes(config) -> tuple[MeasurementResult, MeasurementResult]:
     amp = amplification_factor(probe, config.delta_lambda_means)
     results = []
     for scheme in (SchemeKind.SWM, SchemeKind.BWM):
-        spec = scheme_spectrum(config, scheme, probe)
-        numeric = mean_shift_numeric(spec, probe)
+        numeric = numeric_forward(config, scheme, probe)(config.omega_rad_per_s)
         analytic = analytic_shift(config, scheme, probe)
         results.append(
             MeasurementResult(
                 scheme=scheme,
-                delta_p_numeric=numeric.delta_p,
-                delta_lambda_numeric=numeric.delta_lambda,
+                delta_p_numeric=float(numeric.delta_p[0]),
+                delta_lambda_numeric=float(numeric.delta_lambda[0]),
                 delta_p_analytic=analytic.delta_p,
                 delta_lambda_analytic=analytic.delta_lambda,
-                postselect_prob_numeric=postselection_probability(spec),
+                postselect_prob_numeric=float(numeric.probability[0]),
                 postselect_prob_pointform=pointform_probability(config, scheme, probe),
                 amplification_factor=amp,
             )

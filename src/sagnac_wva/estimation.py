@@ -14,12 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .engine import SchemeKind, analytic_shift, forward_delta_lambda, numeric_forward
-from .errors import NonMonotonicCalibration, OutOfRangeObservation, ValidationError
-from .spectrum import ProbeSpectrum
+from .engine import SchemeKind, analytic_shift, bind_delta_lambda
+from .errors import (
+    NonFiniteResult,
+    NonMonotonicCalibration,
+    OutOfRangeObservation,
+    ValidationError,
+)
 
 #: bisection stops when the bracket shrinks below this relative width in Omega
 BISECTION_REL_TOL = 1e-6
@@ -44,8 +49,9 @@ class CalibrationCurve:
     scheme: SchemeKind
     mode: str  # "numeric" | "analytic"
     monotone_flag: bool
-    config: object  # scenario the curve was built from; reused by the inverter
-    probe: ProbeSpectrum  # probe the curve was sampled on; reused by the inverter
+    #: the bound forward model the curve was sampled with, `omegas -> delta_lambda`
+    #: (flat array); the inverter reuses it, so an estimate binds the model once
+    forward: Callable[[object], np.ndarray]
 
 
 def _single_scheme(config) -> SchemeKind:
@@ -87,8 +93,8 @@ def calibration_curve(
         omegas = np.linspace(omega_min, omega_max, n_points)
 
     scheme = _single_scheme(config)
-    probe = config.probe()
-    values = forward_delta_lambda(config, scheme, probe, omegas, mode)
+    forward = bind_delta_lambda(config, scheme, config.probe(), mode)
+    values = forward(omegas)
     diffs = np.diff(values)
     monotone = bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
     return CalibrationCurve(
@@ -97,8 +103,7 @@ def calibration_curve(
         scheme=scheme,
         mode=mode,
         monotone_flag=monotone,
-        config=config,
-        probe=probe,
+        forward=forward,
     )
 
 
@@ -108,10 +113,26 @@ def estimate_omega_analytic(delta_lambda_obs: float, scheme: SchemeKind, config)
     The coefficient is taken from the forward analytic model itself, so the
     inversion matches whatever cot-vs-1/phi and width-reading conventions
     the scenario selects, and forward-then-invert round-trips to rounding.
+
+    Raises
+    ------
+    NonFiniteResult
+        If the coefficient is zero or not finite (an underflowed or
+        overflowed loop), or the estimate or its residual is not finite.
     """
     coefficient = float(analytic_shift(config, scheme, config.probe(), 1.0).delta_lambda)
+    if coefficient == 0.0 or not math.isfinite(coefficient):
+        raise NonFiniteResult(
+            f"{scheme.value} closed-form shift per unit rate is {coefficient} m s/rad; "
+            f"no rate can be inverted"
+        )
     omega_hat = delta_lambda_obs / coefficient
     residual = abs(coefficient * omega_hat - delta_lambda_obs)
+    if not (math.isfinite(omega_hat) and math.isfinite(residual)):
+        raise NonFiniteResult(
+            f"{scheme.value} estimate is {omega_hat} rad/s with residual {residual} m; "
+            f"no estimate printed"
+        )
     return OmegaEstimate(omega_hat=omega_hat, method="analytic-closed-form", residual=residual)
 
 
@@ -144,19 +165,11 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
             f"[{vmin:.6e}, {vmax:.6e}] m"
         )
 
-    config, scheme, probe = curve.config, curve.scheme, curve.probe
     increasing = hi_val > lo_val
-    if curve.mode == "numeric":
-        # bound once per curve: each bisection step is a one-rate evaluation
-        evaluate = numeric_forward(config, scheme, probe)
 
-        def forward(om: float) -> float:
-            return float(evaluate(om).delta_lambda[0])
-
-    else:
-
-        def forward(om: float) -> float:
-            return float(forward_delta_lambda(config, scheme, probe, om, "analytic"))
+    def forward(om: float) -> float:
+        # each bisection step is a one-rate evaluation of the curve's model
+        return float(curve.forward(om)[0])
 
     a = float(curve.omega_values[0])
     b = float(curve.omega_values[-1])

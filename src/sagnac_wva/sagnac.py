@@ -63,13 +63,21 @@ def fringe_shift(cfg: SagnacConfig) -> float:
     return 4.0 * cfg.omega * cfg.area / (cfg.lambda0 * cfg.c)
 
 
+def coupling_length(omega, area: float, lambda0: float, c: float = SPEED_OF_LIGHT):
+    """Coupling length g = 2*pi*(4*Omega*S/(lambda0*c))/p0 = 4*S*Omega/c, m.
+
+    Broadcasts over an array of rates.  The operation order is that of the
+    fringe shift -> phase -> length chain, so every route to g gets the
+    same bits; the arguments are taken as valid (see SagnacConfig).
+    """
+    return 2.0 * np.pi * (4.0 * omega * area / (lambda0 * c)) / wavelength_to_momentum(lambda0)
+
+
 def coupling_chain(cfg: SagnacConfig) -> CouplingResult:
     """Fringe shift -> differential phase -> coupling length -> delay."""
     dz = fringe_shift(cfg)
-    dphi = 2.0 * np.pi * dz
-    p0 = wavelength_to_momentum(cfg.lambda0)
-    g = dphi / p0
-    return CouplingResult(delta_z=dz, delta_phi=dphi, tau=g / cfg.c, g=g)
+    g = coupling_length(cfg.omega, cfg.area, cfg.lambda0, cfg.c)
+    return CouplingResult(delta_z=dz, delta_phi=2.0 * np.pi * dz, tau=g / cfg.c, g=g)
 
 
 def bias_phase(phi: float, lambda0: float, order_m: int = 0) -> BiasConfig:

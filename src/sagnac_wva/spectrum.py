@@ -10,6 +10,7 @@ count so the centre lands exactly on a node.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -198,22 +199,33 @@ def moments(s, intensity=None) -> Moments:
     return Moments(mean=mean, variance=variance)
 
 
-def integrals(p_grid: np.ndarray, intensity: np.ndarray):
+def integrals(p_grid: np.ndarray, intensity: np.ndarray, widths: np.ndarray | None = None):
     """Trapezoidal total and first moment of each row of `intensity`.
 
     `intensity` is one spectrum on `p_grid` or a (rows, nodes) stack of
     them; both sums run along the last axis, so each row gets the bits a
-    1-d call on that row would.
+    1-d call on that row would.  `widths` is `np.diff(p_grid)`, passed in by
+    callers that integrate many spectra on one grid.  The sums are
+    `np.trapezoid`'s own arithmetic, so they equal it bit for bit.
 
     Raises
     ------
     ZeroTotalIntensity
         If any row integrates to zero, underflows or is not finite.
     """
-    total = np.trapezoid(intensity, p_grid)
-    if not np.all(np.isfinite(total) & (total > _UNDERFLOW)):
+    if widths is None:
+        widths = np.diff(p_grid)
+    total = _trapezoid(intensity, widths)
+    # a Python pass over the row totals: a block holds few rows, and this is
+    # several times cheaper than numpy reductions on so small an array
+    if not all(_UNDERFLOW < t < math.inf for t in np.ravel(total).tolist()):
         raise ZeroTotalIntensity("intensity integrates to zero on this grid")
-    return total, np.trapezoid(p_grid * intensity, p_grid)
+    return total, _trapezoid(p_grid * intensity, widths)
+
+
+def _trapezoid(y: np.ndarray, widths: np.ndarray):
+    """`np.trapezoid(y, p)` along the last axis, given widths = np.diff(p)."""
+    return np.add.reduce(widths * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
 
 
 def normalize(s: ProbeSpectrum) -> ProbeSpectrum:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -385,6 +386,7 @@ FROZEN_SHA256 = {
     FIGURE3_FILES[1]: "977509f44e0ec949af6453f28abeeadd1483401873ab9dcd2a41f34d051bae41",
     FIGURE3_FILES[2]: "49205daa2a1b82a3c01898c76b0e86757d817221ee94eee9bb94901756d42cd7",
     FIGURE3_FILES[3]: "751be0c409eb221808671a6bcb4cb6dfdc1838e88b96ac99e6d9ec151c17a687",
+    "compare.json": "be08a5ccc3b8d80a18c9db3bc3715b2447b09a85708659fc3bdd517403f589ac",
 }
 
 
@@ -419,6 +421,14 @@ def test_cli_outputs_match_frozen_digests(tmp_path, capsys):
             capsys.readouterr().out, encoding="utf-8"
         )
     assert cli_main(["figure3", "--config", config, "--out", str(tmp_path)]) == 0
+    record = tmp_path / "compare.json"
+    assert cli_main(["compare", "--config", config, "--out", str(record)]) == 0
+    # the timestamp is the record's one nondeterministic field
+    masked, count = re.subn(
+        r'"timestamp": "[^"]*"', '"timestamp": "MASKED"', record.read_text(encoding="utf-8")
+    )
+    assert count == 1
+    record.write_text(masked, encoding="utf-8")
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in FROZEN_SHA256
@@ -540,3 +550,53 @@ def test_ambiguous_float_flag_prefix_stays_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert "ambiguous option: --omega" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "area,observed,message",
+    [
+        # the coefficient is tiny but finite: the estimate overflows to inf
+        (1e-300, "1e10", "bwm estimate is inf rad/s with residual inf m; no estimate printed"),
+        # the coefficient underflows to zero (was a ZeroDivisionError traceback)
+        (5e-324, "1e-9", "bwm closed-form shift per unit rate is 0.0 m s/rad; "
+         "no rate can be inverted"),
+        # the coefficient overflows to inf (was omega 0.0 with a NaN residual)
+        (1.7e308, "1e-9", "bwm closed-form shift per unit rate is inf m s/rad; "
+         "no rate can be inverted"),
+    ],
+    ids=["overflowing-estimate", "zero-coefficient", "infinite-coefficient"],
+)
+def test_analytic_estimate_with_non_finite_result_is_numeric_error(
+    tmp_path, capsys, area, observed, message
+):
+    config = _scenario(tmp_path, scheme="bwm", area_m2=area, grid={"points": 101})
+    code = cli_main(
+        ["estimate", "--config", str(config), "--delta-lambda-m", observed, "--method", "analytic"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_numeric_estimate_binds_the_forward_model_once(tmp_path, capsys, monkeypatch):
+    # the calibration ladder and every bisection step share one bound kernel
+    from sagnac_wva import engine, estimation
+
+    binds = []
+    original = engine.numeric_forward
+
+    def counting(*args, **kwargs):
+        binds.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "numeric_forward", counting)
+    monkeypatch.setattr(estimation, "numeric_forward", counting, raising=False)
+    config = _scenario(tmp_path, scheme="swm", grid={"points": 401})
+    code = cli_main(
+        ["estimate", "--config", str(config), "--delta-lambda-m", "-1.2e-13", "--method", "numeric"]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["method"] == "numeric-bisection"
+    assert binds == [engine.SchemeKind.SWM]

@@ -249,6 +249,29 @@ def test_compare_schemes_fills_both_results():
     )
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"omega_rad_per_s": -1.9e-8, "bias_order_m": 2},
+        {"omega_rad_per_s": 3e-9, "paper_literal": True, "grid": GridSpec(points=1001)},
+        {"omega_rad_per_s": 0.0, "phi_rad": 0.3, "grid": GridSpec(points=16001)},
+    ],
+    ids=["default", "negative-rate-order-2", "paper-literal", "zero-rate-16001"],
+)
+def test_compare_schemes_numeric_fields_match_per_spectrum_reference(overrides):
+    # compare reads the bound kernel; the one-spectrum route is its reference
+    config = _config(**overrides)
+    probe = config.probe()
+    for res in compare_schemes(config):
+        spec = scheme_spectrum(config, res.scheme, probe)
+        shift = mean_shift_numeric(spec, probe)
+        assert res.delta_p_numeric == shift.delta_p
+        assert res.delta_lambda_numeric == shift.delta_lambda
+        assert res.postselect_prob_numeric == postselection_probability(spec)
+        assert type(res.delta_p_numeric) is float
+
+
 def test_compare_schemes_zero_rotation():
     swm, bwm = compare_schemes(_config(omega_rad_per_s=0.0))
     p0 = 2.0 * np.pi / LAMBDA0

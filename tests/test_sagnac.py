@@ -6,6 +6,7 @@ from sagnac_wva.sagnac import (
     SagnacConfig,
     bias_phase,
     coupling_chain,
+    coupling_length,
     fringe_shift,
 )
 from sagnac_wva.spectrum import wavelength_to_momentum
@@ -95,3 +96,23 @@ def test_config_rejects_nonpositive_geometry():
         SagnacConfig(omega=1e-9, area=AREA, lambda0=-1.0)
     with pytest.raises(ValueError):
         SagnacConfig(omega=1e-9, area=AREA, lambda0=LAMBDA0, c=0.0)
+
+
+OMEGAS = [1e-9, -1e-9, 0.0, -0.0, 1.9e-8, 7.29e-5, -3.5, 1e300, -1e300, 5e-324]
+
+
+@pytest.mark.parametrize("area,lam", [(AREA, LAMBDA0), (1.0, 1.55e-6), (1e-300, 633e-9)])
+def test_coupling_length_equals_the_chain_bitwise(area, lam):
+    # scalar and array rates against coupling_chain and against the chain's
+    # operation order written out: fringe shift, times 2*pi, over p0
+    with np.errstate(over="ignore"):
+        omegas = np.array(OMEGAS)
+        for omega in OMEGAS + [omegas, omegas.reshape(2, 5)]:
+            g = coupling_length(omega, area, lam)
+            chain = coupling_chain(SagnacConfig(omega=omega, area=area, lambda0=lam)).g
+            dz = 4.0 * np.asarray(omega) * area / (lam * SPEED_OF_LIGHT)
+            written_out = 2.0 * np.pi * dz / wavelength_to_momentum(lam)
+            assert np.array_equal(g, chain)
+            assert np.array_equal(g, written_out)
+            assert np.array_equal(np.signbit(g), np.signbit(written_out))
+            assert np.shape(g) == np.shape(omega)

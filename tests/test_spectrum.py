@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from sagnac_wva.errors import (
     GridPointsInvalid,
@@ -16,6 +18,7 @@ from sagnac_wva.spectrum import (
     ProbeSpectrum,
     fwhm_to_sigma,
     gaussian_probe,
+    integrals,
     moments,
     momentum_to_wavelength,
     normalize,
@@ -203,3 +206,49 @@ def test_probe_spectrum_rejects_malformed_arrays():
     bad[2] = -1.0
     with pytest.raises(ValueError):
         ProbeSpectrum(p, bad, 1.5, 0.1)
+
+
+#: intensities from ordinary through tiny to subnormal
+_INTENSITY = (
+    st.floats(0.0, 1e3)
+    | st.floats(0.0, 1e-290)
+    | st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300])
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    start=st.floats(-1e8, 1e8),
+    steps=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30),
+    rows=st.sampled_from([0, 1, 2, 5]),
+    bind_widths=st.booleans(),
+    data=st.data(),
+)
+@example(start=7.5e6, steps=[1.0] * 8, rows=2, bind_widths=True, data=None)
+@example(start=7.5e6, steps=[0.5, 2.0, 1e-3, 7.0], rows=0, bind_widths=True, data=None)
+def test_integrals_equal_numpy_trapezoid(start, steps, rows, bind_widths, data):
+    # 1-d and (rows, nodes) intensities on uniform and non-uniform grids,
+    # with tiny and subnormal values: numpy's own trapezoid, bit for bit
+    p = start + np.cumsum([0.0] + steps)
+    assume(np.all(np.diff(p) > 0.0))
+    shape = (p.size,) if rows == 0 else (rows, p.size)
+    n = int(np.prod(shape))
+    if data is None:
+        # explicit examples: subnormals beside normal values, and one row
+        # (the last) made only of subnormals
+        y = np.resize([3.0, 5e-324, 1e-310, 0.0, 2.0], n).reshape(shape)
+        if rows:
+            y[-1] = 5e-324
+    else:
+        y = np.array(data.draw(st.lists(_INTENSITY, min_size=n, max_size=n))).reshape(shape)
+    widths = np.diff(p) if bind_widths else None
+    total = np.trapezoid(y, p)
+    first = np.trapezoid(p * y, p)
+    if np.all(np.isfinite(total) & (total > 1e-300)):
+        got_total, got_first = integrals(p, y, widths)
+        assert np.array_equal(got_total, total)
+        assert np.array_equal(got_first, first)
+        assert np.shape(got_total) == np.shape(total)
+    else:
+        with pytest.raises(ZeroTotalIntensity):
+            integrals(p, y, widths)
