@@ -557,10 +557,10 @@ def test_ambiguous_float_flag_prefix_stays_a_usage_error(tmp_path, capsys):
     [
         # the coefficient is tiny but finite: the estimate overflows to inf
         (1e-300, "1e10", "bwm estimate is inf rad/s with residual inf m; no estimate printed"),
-        # the coefficient underflows to zero (was a ZeroDivisionError traceback)
+        # the coefficient underflows to zero
         (5e-324, "1e-9", "bwm closed-form shift per unit rate is 0.0 m s/rad; "
          "no rate can be inverted"),
-        # the coefficient overflows to inf (was omega 0.0 with a NaN residual)
+        # the coefficient overflows to inf
         (1.7e308, "1e-9", "bwm closed-form shift per unit rate is inf m s/rad; "
          "no rate can be inverted"),
     ],
@@ -591,6 +591,7 @@ def test_numeric_estimate_binds_the_forward_model_once(tmp_path, capsys, monkeyp
         return original(*args, **kwargs)
 
     monkeypatch.setattr(engine, "numeric_forward", counting)
+    # also counts a bind made through a name imported into estimation
     monkeypatch.setattr(estimation, "numeric_forward", counting, raising=False)
     config = _scenario(tmp_path, scheme="swm", grid={"points": 401})
     code = cli_main(
