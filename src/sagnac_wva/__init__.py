@@ -4,144 +4,43 @@ Weak-value amplified rotation sensing in a polarization Sagnac loop.
 Simulates the post-selected spectra of the standard and biased weak-
 measurement readout schemes, compares them against the closed-form shift
 expressions, and inverts observed wavelength shifts back to rotation rates.
+
+The top level exports the library surface shown in the README and the
+errors the CLI maps to exit codes; everything else is importable from its
+own module.
 """
 
 from ._version import __version__
-from .config import ExperimentConfig, config_from_dict, load_scenario
-from .engine import (
-    DiscrepancyRow,
-    MeanShift,
-    MeasurementResult,
-    PostselectedSpectrum,
-    SchemeKind,
-    amplification_factor,
-    compare_schemes,
-    discrepancy_from_results,
-    discrepancy_report,
-    mean_shift_analytic,
-    mean_shift_numeric,
-    postselected_spectrum,
-    postselection_probability,
-)
+from .config import ExperimentConfig, load_scenario
+from .engine import SchemeKind, compare_schemes, discrepancy_report
 from .errors import (
-    GridTooNarrow,
     IoError,
-    NearOrthogonalPostselection,
     NonFiniteResult,
     NonMonotonicCalibration,
-    NonPositiveInput,
-    NonPositiveWavelength,
-    NonPositiveWidth,
     OutOfRangeObservation,
     ParseError,
     PhiOutOfRange,
-    SagnacWvaError,
     ValidationError,
     ZeroTotalIntensity,
 )
-from .estimation import (
-    CalibrationCurve,
-    OmegaEstimate,
-    calibration_curve,
-    estimate_omega_analytic,
-    estimate_omega_numeric,
-)
-from .jones import (
-    PolarizationState,
-    SystemOperator,
-    postselection_state,
-    preselection_state,
-    sigma_z,
-    weak_value,
-)
-from .sagnac import (
-    SPEED_OF_LIGHT,
-    BiasConfig,
-    CouplingResult,
-    SagnacConfig,
-    bias_phase,
-    coupling_chain,
-    fringe_shift,
-)
-from .spectrum import (
-    DEFAULT_GRID,
-    FWHM_PER_SIGMA,
-    GridSpec,
-    Moments,
-    ProbeSpectrum,
-    fwhm_to_sigma,
-    gaussian_probe,
-    moments,
-    momentum_to_wavelength,
-    normalize,
-    sigma_lambda_to_sigma_p,
-    sigma_p_to_sigma_lambda,
-    sigma_to_fwhm,
-    wavelength_to_momentum,
-)
+from .estimation import calibration_curve, estimate_omega_analytic, estimate_omega_numeric
 
 __all__ = [
     "__version__",
-    "BiasConfig",
-    "CalibrationCurve",
-    "CouplingResult",
-    "DEFAULT_GRID",
-    "DiscrepancyRow",
     "ExperimentConfig",
-    "FWHM_PER_SIGMA",
-    "GridSpec",
-    "GridTooNarrow",
     "IoError",
-    "MeanShift",
-    "MeasurementResult",
-    "Moments",
-    "NearOrthogonalPostselection",
     "NonFiniteResult",
     "NonMonotonicCalibration",
-    "NonPositiveInput",
-    "NonPositiveWavelength",
-    "NonPositiveWidth",
-    "OmegaEstimate",
     "OutOfRangeObservation",
     "ParseError",
     "PhiOutOfRange",
-    "PolarizationState",
-    "PostselectedSpectrum",
-    "ProbeSpectrum",
-    "SPEED_OF_LIGHT",
-    "SagnacConfig",
-    "SagnacWvaError",
     "SchemeKind",
-    "SystemOperator",
     "ValidationError",
     "ZeroTotalIntensity",
-    "amplification_factor",
-    "bias_phase",
     "calibration_curve",
     "compare_schemes",
-    "config_from_dict",
-    "coupling_chain",
-    "discrepancy_from_results",
     "discrepancy_report",
     "estimate_omega_analytic",
     "estimate_omega_numeric",
-    "fringe_shift",
-    "fwhm_to_sigma",
-    "gaussian_probe",
     "load_scenario",
-    "mean_shift_analytic",
-    "mean_shift_numeric",
-    "moments",
-    "momentum_to_wavelength",
-    "normalize",
-    "postselected_spectrum",
-    "postselection_probability",
-    "postselection_state",
-    "preselection_state",
-    "sigma_lambda_to_sigma_p",
-    "sigma_p_to_sigma_lambda",
-    "sigma_to_fwhm",
-    "sigma_z",
-    "wavelength_to_momentum",
-    "weak_value",
 ]

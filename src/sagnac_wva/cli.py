@@ -33,7 +33,6 @@ from .engine import (
 )
 from .errors import (
     IoError,
-    NearOrthogonalPostselection,
     NonFiniteResult,
     NonMonotonicCalibration,
     OutOfRangeObservation,
@@ -308,7 +307,6 @@ def cli_main(argv=None) -> int:
         NonFiniteResult,
         NonMonotonicCalibration,
         OutOfRangeObservation,
-        NearOrthogonalPostselection,
         PhiOutOfRange,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

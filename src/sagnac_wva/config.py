@@ -1,6 +1,6 @@
 """
 Scenario configuration: JSON loading, strict validation, and construction of
-the derived physics objects (probe, rotation scenario, bias delay).
+the probe spectrum.
 
 A scenario file is a single JSON object.  Units are encoded in the key
 names; unknown keys anywhere are rejected so typos cannot silently fall
@@ -21,8 +21,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .sagnac import SagnacConfig, BiasConfig, bias_phase
-from .spectrum import GridSpec, ProbeSpectrum, gaussian_probe
+from .spectrum import FWHM_PER_SIGMA, GridSpec, ProbeSpectrum, gaussian_probe
 
 SCHEMES = ("swm", "bwm", "both")
 WIDTH_READINGS = ("fwhm", "sigma")
@@ -47,6 +46,19 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """A real number that a float holds and that is finite (no huge JSON integer)."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_float_int(value) -> bool:
+    """An integer (not a bool) that a float holds."""
+    return isinstance(value, int) and _is_finite(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One validated scenario.  Field names carry the units."""
@@ -65,21 +77,33 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("lambda0_nm", "fwhm_nm", "area_m2"):
             value = getattr(self, name)
-            if not _is_real(value) or not math.isfinite(value) or value <= 0.0:
+            if not _is_finite(value) or value <= 0.0:
                 raise ValidationError(name, f"must be a finite number > 0, got {value!r}")
+        # the SI probe needs a finite, nonzero lambda0^2 and momentum width;
+        # sigma_p as spectrum.sigma_lambda_to_sigma_p has it, minus its warning
+        lambda0 = self.lambda0_m()
+        if not 0.0 < lambda0 * lambda0 < math.inf:
+            raise ValidationError(
+                "lambda0_nm", f"gives lambda0 = {lambda0!r} m, whose square underflows or overflows"
+            )
+        sigma_p = 2.0 * math.pi * (self.fwhm_m() / float(FWHM_PER_SIGMA)) / (lambda0 * lambda0)
+        if not 0.0 < sigma_p < math.inf:
+            raise ValidationError(
+                "fwhm_nm", f"gives sigma_p = {sigma_p!r} 1/m, which underflows or overflows"
+            )
         if not _is_real(self.phi_rad) or not 0.0 < self.phi_rad < math.pi / 2.0:
             raise ValidationError(
                 "phi_rad", f"must lie strictly inside (0, pi/2), got {self.phi_rad!r}"
             )
-        if not _is_real(self.omega_rad_per_s) or not math.isfinite(self.omega_rad_per_s):
+        if not _is_finite(self.omega_rad_per_s):
             raise ValidationError(
                 "omega_rad_per_s", f"must be a finite number, got {self.omega_rad_per_s!r}"
             )
         if self.scheme not in SCHEMES:
             raise ValidationError("scheme", f"must be one of {SCHEMES}, got {self.scheme!r}")
-        if isinstance(self.bias_order_m, bool) or not isinstance(self.bias_order_m, int):
+        if not _is_float_int(self.bias_order_m):
             raise ValidationError(
-                "bias_order_m", f"must be an integer, got {self.bias_order_m!r}"
+                "bias_order_m", f"must be an integer a float holds, got {self.bias_order_m!r}"
             )
         if self.delta_lambda_means not in WIDTH_READINGS:
             raise ValidationError(
@@ -103,19 +127,6 @@ class ExperimentConfig:
 
     def probe(self) -> ProbeSpectrum:
         return gaussian_probe(self.lambda0_m(), self.fwhm_m(), self.grid)
-
-    def sagnac(self, omega: float | None = None) -> SagnacConfig:
-        return SagnacConfig(
-            omega=self.omega_rad_per_s if omega is None else omega,
-            area=self.area_m2,
-            lambda0=self.lambda0_m(),
-        )
-
-    def bias(self) -> BiasConfig:
-        return bias_phase(self.phi_rad, self.lambda0_m(), self.bias_order_m)
-
-    def with_omega(self, omega: float) -> "ExperimentConfig":
-        return replace(self, omega_rad_per_s=omega)
 
     def with_scheme(self, scheme: str) -> "ExperimentConfig":
         return replace(self, scheme=scheme)
@@ -146,12 +157,14 @@ def _grid_from_dict(raw: dict) -> GridSpec:
     spec = {}
     if "points" in raw:
         points = raw["points"]
-        if isinstance(points, bool) or not isinstance(points, int):
-            raise ValidationError("grid.points", f"must be an integer, got {points!r}")
+        if not _is_float_int(points):
+            raise ValidationError(
+                "grid.points", f"must be an integer a float holds, got {points!r}"
+            )
         spec["points"] = points
     if "half_width_sigmas" in raw:
         hw = raw["half_width_sigmas"]
-        if not _is_real(hw) or not math.isfinite(hw):
+        if not _is_finite(hw):
             raise ValidationError(
                 "grid.half_width_sigmas", f"must be a finite number, got {hw!r}"
             )

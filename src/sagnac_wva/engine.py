@@ -12,23 +12,22 @@ mean-shift and probability expressions are always labelled analytic and
 never replace the numeric values.
 
 `scheme_spectrum`, `analytic_shift`, `pointform_probability`,
-`numeric_forward` and `bind_delta_lambda` (with its one-call form
-`forward_delta_lambda`) are the only code that turns (scenario, scheme,
-rotation rate) into a spectrum, a shift or a survival probability;
-`compare_schemes`, the estimators and the CLI all use them.
+`numeric_forward` and `bind_delta_lambda` are the only code that turns
+(scenario, scheme, rotation rate) into a spectrum, a shift or a survival
+probability; `compare_schemes`, the estimators and the CLI all use them.
 
 `numeric_forward` is the batched numeric forward model behind `compare`,
 the calibration ladder, the bisection, numeric sweeps and the figure3
 probability panel.  Binding it works out, once, everything that does not
-depend on Omega: the loop constants (validated through `config.sagnac()`),
-the bias, the trapezoid widths np.diff(p), the probe mean and lambda0.  Each
-evaluation then computes only a column of coupling lengths, the sin^2 law on
-a (rates, nodes) block of at most NUMERIC_CHUNK_ELEMENTS elements at a time
-(128 KiB per float64 temporary; one rate per block on a grid with more
-nodes than that) and two trapezoid sums per rate: the total and the first
-moment.  Every rate gets the bits a one-rate spectrum and
-`mean_shift_numeric` / `postselection_probability` would give it; those two
-stay as the per-spectrum reference that tests compare against.
+depend on Omega: the loop constants, the bias, the trapezoid widths
+np.diff(p), the probe mean and lambda0.  Each evaluation then computes only
+a column of coupling lengths, the sin^2 law on a (rates, nodes) block of at
+most NUMERIC_CHUNK_ELEMENTS elements at a time (128 KiB per float64
+temporary; one rate per block on a grid with more nodes than that) and two
+trapezoid sums per rate: the total and the first moment.  Every rate gets
+the bits a one-rate spectrum and `mean_shift_numeric` /
+`postselection_probability` would give it; those two stay as the
+per-spectrum reference that tests compare against.
 
 Scheme conventions:
 
@@ -55,7 +54,7 @@ import numpy as np
 
 from .errors import PhiOutOfRange
 from .jones import coupling_unitaries, postselection_state, preselection_state, sigma_z
-from .sagnac import BiasConfig, coupling_length
+from .sagnac import bias_delay, coupling_length
 from .spectrum import FWHM_PER_SIGMA, ProbeSpectrum, integrals, moments, momentum_to_wavelength
 
 #: rates x grid nodes evaluated per block by `numeric_forward`; bounds each
@@ -122,7 +121,7 @@ def postselected_spectrum(
     probe: ProbeSpectrum,
     g: float,
     phi: float,
-    bias: BiasConfig | None = None,
+    psi_pre: float | None = None,
     *,
     paper_literal: bool = False,
 ) -> PostselectedSpectrum:
@@ -136,8 +135,8 @@ def postselected_spectrum(
         Coupling length from the rotation, m.
     phi : float
         Analyzer offset angle, rad.
-    bias : BiasConfig or None
-        None for the standard scheme; a bias delay for the biased scheme.
+    psi_pre : float or None
+        None for the standard scheme; the bias delay (m) for the biased scheme.
     paper_literal : bool
         With a bias, use the simplified sin^2(p*g) law for `intensity`
         instead of the full sin^2(p*(g+psi_pre) + phi).
@@ -148,28 +147,27 @@ def postselected_spectrum(
         Unnormalized closed-form intensity on the probe grid.
     """
     intensity = _postselected_intensity(
-        probe.p_grid, probe.intensity, g, phi, bias, paper_literal
+        probe.p_grid, probe.intensity, g, phi, psi_pre, paper_literal
     )
     return PostselectedSpectrum(
         p_grid=probe.p_grid, intensity=intensity, p0=probe.p0, sigma_p=probe.sigma_p
     )
 
 
-def _postselected_intensity(p, intensity, g, phi, bias, paper_literal):
+def _postselected_intensity(p, intensity, g, phi, psi_pre, paper_literal):
     """The sin^2 law times the probe intensity; the law's one home.
 
     `g` is a coupling length or a column of them (one spectrum per row).
     """
-    if paper_literal and bias is not None:
+    if paper_literal and psi_pre is not None:
         phase = p * g
     else:
-        psi = bias.psi_pre if bias is not None else 0.0
-        phase = p * (g + psi) + phi
+        phase = p * (g + (psi_pre if psi_pre is not None else 0.0)) + phi
     return np.sin(phase) ** 2 * intensity
 
 
 def transfer_matrix_intensity(
-    probe: ProbeSpectrum, g: float, phi: float, bias: BiasConfig | None = None
+    probe: ProbeSpectrum, g: float, phi: float, psi_pre: float | None = None
 ) -> np.ndarray:
     """The full post-selected law rebuilt from transfer matrices, for cross-checks.
 
@@ -179,11 +177,9 @@ def transfer_matrix_intensity(
     |<post| U_k |pre>|^2 * I(p_k).  No sin^2 law is used, so agreement with
     `postselected_spectrum` (full law) checks the closed form independently.
     """
-    psi = bias.psi_pre if bias is not None else 0.0
+    psi = psi_pre if psi_pre is not None else 0.0
     unitaries = coupling_unitaries(sigma_z(), probe.p_grid * (g + psi))
-    post = postselection_state(phi).as_array()
-    pre = preselection_state().as_array()
-    amps = np.einsum("i,kij,j->k", post.conj(), unitaries, pre)
+    amps = np.einsum("i,kij,j->k", postselection_state(phi).conj(), unitaries, preselection_state())
     return np.abs(amps) ** 2 * probe.intensity
 
 
@@ -266,12 +262,15 @@ def mean_shift_analytic(
 
 def _coupling_length(config, omega=None):
     """Coupling length g at `omega` (scalar or array; None: the scenario's rate)."""
-    sagnac = config.sagnac(omega=omega)
-    return coupling_length(sagnac.omega, sagnac.area, sagnac.lambda0, sagnac.c)
+    omega = config.omega_rad_per_s if omega is None else omega
+    return coupling_length(omega, config.area_m2, config.lambda0_m())
 
 
-def _bias(config, scheme: SchemeKind) -> BiasConfig | None:
-    return config.bias() if scheme is SchemeKind.BWM else None
+def _bias(config, scheme: SchemeKind) -> float | None:
+    """The bias delay psi_pre (m) of the biased scheme; None for the standard one."""
+    if scheme is SchemeKind.SWM:
+        return None
+    return bias_delay(config.phi_rad, config.lambda0_m(), config.bias_order_m)
 
 
 def scheme_spectrum(
@@ -308,18 +307,17 @@ def numeric_forward(config, scheme: SchemeKind, probe: ProbeSpectrum):
 
     Returns `evaluate(omegas) -> NumericForward`, flat arrays with one entry
     per rate of `omegas` (a scalar or any array).  Everything that does not
-    depend on Omega is worked out here, once: the loop constants (validated
-    by `config.sagnac()`), the bias, the trapezoid widths, the probe mean
-    and lambda0.  `evaluate` computes the coupling lengths and spectra of at
-    most NUMERIC_CHUNK_ELEMENTS // nodes rates at a time (at least one) and
-    integrates each row once for its total and first moment.
+    depend on Omega is worked out here, once: the loop constants, the bias,
+    the trapezoid widths, the probe mean and lambda0.  `evaluate` computes
+    the coupling lengths and spectra of at most NUMERIC_CHUNK_ELEMENTS //
+    nodes rates at a time (at least one) and integrates each row once for its
+    total and first moment.
 
     Raises ZeroTotalIntensity, from `evaluate`, for the first block that
     holds a rate whose spectrum integrates to zero.
     """
-    sagnac = config.sagnac()
-    area, loop_lambda0, c = sagnac.area, sagnac.lambda0, sagnac.c
-    bias, phi, paper_literal = _bias(config, scheme), config.phi_rad, config.paper_literal
+    area, loop_lambda0 = config.area_m2, config.lambda0_m()
+    psi_pre, phi, paper_literal = _bias(config, scheme), config.phi_rad, config.paper_literal
     p, probe_intensity = probe.p_grid, probe.intensity
     widths = np.diff(p)
     probe_total, probe_first = integrals(p, probe_intensity, widths)
@@ -333,8 +331,8 @@ def numeric_forward(config, scheme: SchemeKind, probe: ProbeSpectrum):
         firsts = np.empty(omegas.size)
         for start in range(0, omegas.size, rows):
             block = slice(start, start + rows)
-            g = coupling_length(omegas[block, None], area, loop_lambda0, c)
-            intensity = _postselected_intensity(p, probe_intensity, g, phi, bias, paper_literal)
+            g = coupling_length(omegas[block, None], area, loop_lambda0)
+            intensity = _postselected_intensity(p, probe_intensity, g, phi, psi_pre, paper_literal)
             totals[block], firsts[block] = integrals(p, intensity, widths)
         # the operation order of mean_shift_numeric, rate by rate
         delta_p = firsts / totals - probe_mean
@@ -362,18 +360,6 @@ def bind_delta_lambda(config, scheme: SchemeKind, probe: ProbeSpectrum, mode: st
         return analytic
     evaluate = numeric_forward(config, scheme, probe)
     return lambda omegas: evaluate(omegas).delta_lambda
-
-
-def forward_delta_lambda(
-    config, scheme: SchemeKind, probe: ProbeSpectrum, omegas, mode: str
-) -> np.ndarray:
-    """Predicted wavelength shift (m) at each rotation rate in `omegas`.
-
-    One call of the `bind_delta_lambda` model; returns an array shaped
-    like `omegas`.
-    """
-    omegas = np.asarray(omegas, dtype=float)
-    return bind_delta_lambda(config, scheme, probe, mode)(omegas).reshape(omegas.shape)
 
 
 def compare_schemes(config) -> tuple[MeasurementResult, MeasurementResult]:

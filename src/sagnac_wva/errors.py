@@ -5,20 +5,8 @@ class SagnacWvaError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class NearOrthogonalPostselection(SagnacWvaError):
-    """Pre- and post-selection overlap too small for a finite weak value."""
-
-
-class NonPositiveWavelength(SagnacWvaError, ValueError):
-    """A wavelength (or momentum) that must be strictly positive is not."""
-
-
-class NonPositiveWidth(SagnacWvaError, ValueError):
-    """A spectral width that must be strictly positive is not."""
-
-
 class NonPositiveInput(SagnacWvaError, ValueError):
-    """A generic numeric input violated a positivity requirement."""
+    """A wavelength, momentum or spectral width that must be positive is not."""
 
 
 class GridPointsInvalid(SagnacWvaError, ValueError):

@@ -22,8 +22,6 @@ from .errors import (
     GridTooNarrow,
     GridTooWide,
     NonPositiveInput,
-    NonPositiveWavelength,
-    NonPositiveWidth,
     ZeroTotalIntensity,
 )
 
@@ -92,28 +90,21 @@ class Moments(NamedTuple):
 def fwhm_to_sigma(fwhm: float) -> float:
     """Standard deviation of a Gaussian with the given full width at half max."""
     if fwhm <= 0.0:
-        raise NonPositiveWidth(f"fwhm must be > 0, got {fwhm}")
+        raise NonPositiveInput(f"fwhm must be > 0, got {fwhm}")
     return fwhm / FWHM_PER_SIGMA
-
-
-def sigma_to_fwhm(sigma: float) -> float:
-    """Inverse of fwhm_to_sigma."""
-    if sigma <= 0.0:
-        raise NonPositiveWidth(f"sigma must be > 0, got {sigma}")
-    return sigma * FWHM_PER_SIGMA
 
 
 def wavelength_to_momentum(lam: float) -> float:
     """p = 2*pi/lambda."""
     if lam <= 0.0:
-        raise NonPositiveWavelength(f"wavelength must be > 0, got {lam}")
+        raise NonPositiveInput(f"wavelength must be > 0, got {lam}")
     return 2.0 * np.pi / lam
 
 
 def momentum_to_wavelength(p: float) -> float:
     """lambda = 2*pi/p."""
     if p <= 0.0:
-        raise NonPositiveWavelength(f"momentum must be > 0, got {p}")
+        raise NonPositiveInput(f"momentum must be > 0, got {p}")
     return 2.0 * np.pi / p
 
 
@@ -134,15 +125,6 @@ def sigma_lambda_to_sigma_p(sigma_lambda: float, lambda0: float) -> float:
             stacklevel=2,
         )
     return 2.0 * np.pi * sigma_lambda / lambda0**2
-
-
-def sigma_p_to_sigma_lambda(sigma_p: float, lambda0: float) -> float:
-    """Inverse of sigma_lambda_to_sigma_p."""
-    if lambda0 <= 0.0:
-        raise NonPositiveInput(f"lambda0 must be > 0, got {lambda0}")
-    if sigma_p < 0.0:
-        raise NonPositiveInput(f"sigma_p must be >= 0, got {sigma_p}")
-    return sigma_p * lambda0**2 / (2.0 * np.pi)
 
 
 def gaussian_probe(

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -311,7 +313,7 @@ def test_figure3_rows_match_compare_schemes(tmp_path):
     config = load_scenario(config_path)
     for k, omega in ((0, 1e-10), (24, 1.9e-8)):
         assert shifts[k][0] == probs[k][0] == omega
-        swm, bwm = compare_schemes(config.with_omega(omega))
+        swm, bwm = compare_schemes(dataclasses.replace(config, omega_rad_per_s=omega))
         assert shifts[k][1:3] == [swm.delta_lambda_analytic, bwm.delta_lambda_analytic]
         assert probs[k][1:] == [
             swm.postselect_prob_numeric,
@@ -601,3 +603,77 @@ def test_numeric_estimate_binds_the_forward_model_once(tmp_path, capsys, monkeyp
     assert code == 0
     assert payload["method"] == "numeric-bisection"
     assert binds == [engine.SchemeKind.SWM]
+
+
+#: a JSON integer with 401 digits, odd so that grid.points fails only on size
+HUGE_INTEGER = 10**400 + 1
+
+
+@pytest.mark.parametrize("command", ["compare", "estimate"])
+@pytest.mark.parametrize(
+    "field",
+    ["omega_rad_per_s", "area_m2", "lambda0_nm", "fwhm_nm",
+     "grid.half_width_sigmas", "grid.points", "bias_order_m"],
+)
+def test_huge_json_integer_is_config_error(tmp_path, capsys, command, field):
+    # an integer no float holds is refused by name, not raised as OverflowError
+    if field.startswith("grid."):
+        overrides = {"grid": {**BASE["grid"], field[5:]: HUGE_INTEGER}}
+    else:
+        overrides = {field: HUGE_INTEGER}
+    config = str(_scenario(tmp_path, scheme="bwm", **overrides))
+    argv = {
+        "compare": ["compare", "--config", config, "--out", str(tmp_path / "r.json")],
+        "estimate": ["estimate", "--config", config, "--delta-lambda-m", "1e-12",
+                     "--method", "analytic"],
+    }[command]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {field}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["spectrum", "compare", "estimate"])
+@pytest.mark.parametrize(
+    "field,value",
+    [("lambda0_nm", 1e-320), ("lambda0_nm", 1e-300), ("lambda0_nm", 1e300), ("fwhm_nm", 1e-320)],
+)
+def test_finite_value_without_an_si_probe_is_config_error(tmp_path, capsys, command, field, value):
+    # the SI wavelength or momentum width underflows or overflows: refused
+    # by the config, never NonPositiveInput, a grid error or OverflowError
+    config = str(_scenario(tmp_path, scheme="swm", **{field: value}))
+    argv = {
+        "spectrum": ["spectrum", "--config", config, "--out", str(tmp_path / "s.csv")],
+        "compare": ["compare", "--config", config, "--out", str(tmp_path / "r.json")],
+        "estimate": ["estimate", "--config", config, "--delta-lambda-m", "1e-12",
+                     "--method", "analytic"],
+    }[command]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not any(tmp_path.glob("[sr].*"))
+
+
+def test_cli_import_loads_every_traced_layer():
+    # the benchmark's tracer indexes sys.modules for each of its LAYERS after
+    # importing sagnac_wva.cli; read the tuple from its source, not a copy
+    import ast
+
+    repo = Path(__file__).resolve().parents[1]
+    tree = ast.parse((repo / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]
+    )
+    assert "jones" in layers and "sagnac" in layers
+    # a fresh interpreter: this one has imported every module already
+    probe = (
+        "import sys, sagnac_wva.cli; "
+        "print(' '.join(n for n in sys.modules if n.startswith('sagnac_wva.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(repo / "src")},
+    )
+    loaded = set(result.stdout.split())
+    assert {f"sagnac_wva.{layer}" for layer in layers} <= loaded

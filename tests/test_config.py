@@ -41,18 +41,14 @@ def test_derived_helpers():
     cfg = config_from_dict(_raw())
     assert cfg.lambda0_m() == pytest.approx(833e-9, rel=1e-15)
     assert cfg.fwhm_m() == pytest.approx(20e-9, rel=1e-15)
-    assert cfg.sagnac().omega == 1e-9
-    assert cfg.sagnac(omega=5e-9).omega == 5e-9
-    assert cfg.bias().psi_pre == pytest.approx(-1e-4 * 833e-9 / (2 * math.pi), rel=1e-12)
     probe = cfg.probe()
     assert probe.p_grid.size == 4001
 
 
 def test_replacement_helpers():
     cfg = config_from_dict(_raw())
-    assert cfg.with_omega(2e-9).omega_rad_per_s == 2e-9
     assert cfg.with_scheme("swm").scheme == "swm"
-    assert cfg.omega_rad_per_s == 1e-9  # original untouched
+    assert cfg.scheme == "both"  # original untouched
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,10 @@ from sagnac_wva.engine import (
     NUMERIC_CHUNK_ELEMENTS,
     SchemeKind,
     amplification_factor,
+    bind_delta_lambda,
     compare_schemes,
     discrepancy_from_results,
     discrepancy_report,
-    forward_delta_lambda,
     mean_shift_analytic,
     mean_shift_numeric,
     numeric_forward,
@@ -19,7 +19,7 @@ from sagnac_wva.engine import (
 )
 from sagnac_wva.config import ExperimentConfig
 from sagnac_wva.errors import PhiOutOfRange, ZeroTotalIntensity
-from sagnac_wva.sagnac import BiasConfig, bias_phase
+from sagnac_wva.sagnac import bias_delay
 from sagnac_wva.spectrum import GridSpec, gaussian_probe
 
 LAMBDA0 = 833e-9
@@ -74,9 +74,8 @@ def test_dual_route_agreement_random_tuples():
         phi = rng.uniform(1e-2, 1.4)
         g = rng.uniform(-1e-13, 1e-13)
         psi = rng.uniform(-1e-12, 1e-12)
-        bias = BiasConfig(phi=phi, order_m=0, psi_pre=psi, lambda0=LAMBDA0)
-        spec = postselected_spectrum(probe, g, phi, bias)
-        matrix = transfer_matrix_intensity(probe, g, phi, bias)
+        spec = postselected_spectrum(probe, g, phi, psi)
+        matrix = transfer_matrix_intensity(probe, g, phi, psi)
         rel = np.abs(matrix - spec.intensity) / np.abs(spec.intensity)
         assert float(rel.max()) < 1e-12
 
@@ -93,7 +92,7 @@ def test_no_rotation_is_uniform_scaling():
 
 def test_biased_no_rotation_destructive_at_center():
     probe = _probe()
-    spec = postselected_spectrum(probe, 0.0, PHI, bias_phase(PHI, LAMBDA0, 0))
+    spec = postselected_spectrum(probe, 0.0, PHI, bias_delay(PHI, LAMBDA0, 0))
     mid = probe.p_grid.size // 2
     assert spec.intensity[mid] < 1e-20 * probe.intensity.max()
     # full-law closed form reduces to sin^2(phi*(1 - p/p0)) at g=0
@@ -127,7 +126,7 @@ def test_standard_scheme_analytic_deviation_is_pinned():
 
 def test_biased_scheme_frozen_values():
     probe = _probe()
-    bias = bias_phase(PHI, LAMBDA0, 0)
+    bias = bias_delay(PHI, LAMBDA0, 0)
     spec = postselected_spectrum(probe, G_SLOW, PHI, bias)
     shift = mean_shift_numeric(spec, probe)
     assert shift.delta_p == pytest.approx(BWM_DP, rel=1e-9)
@@ -138,7 +137,7 @@ def test_biased_scheme_frozen_values():
 
 def test_biased_literal_frozen_values():
     probe = _probe()
-    bias = bias_phase(PHI, LAMBDA0, 0)
+    bias = bias_delay(PHI, LAMBDA0, 0)
     spec = postselected_spectrum(probe, G_SLOW, PHI, bias, paper_literal=True)
     shift = mean_shift_numeric(spec, probe)
     assert shift.delta_p == pytest.approx(BWM_LIT_DP, rel=1e-9)
@@ -319,21 +318,22 @@ def test_numeric_forward_matches_per_rate_loop(scheme_name, paper_literal, point
     spectra = [scheme_spectrum(config, scheme, probe, omega) for omega in omegas]
     loop_shift = [mean_shift_numeric(spec, probe).delta_lambda for spec in spectra]
     loop_prob = [postselection_probability(spec) for spec in spectra]
-    batched = forward_delta_lambda(config, scheme, probe, omegas, "numeric")
+    batched = bind_delta_lambda(config, scheme, probe, "numeric")(omegas)
     assert np.array_equal(batched, loop_shift)
     assert np.array_equal(numeric_forward(config, scheme, probe)(omegas).probability, loop_prob)
     # one rate at a time, as the bisection calls it
     assert float(numeric_forward(config, scheme, probe)(omegas[3]).delta_lambda[0]) == loop_shift[3]
 
 
-def test_forward_delta_lambda_keeps_the_rate_array_shape():
+@pytest.mark.parametrize("mode", ["numeric", "analytic"])
+def test_bound_delta_lambda_flattens_a_rate_array(mode):
     config = _config(grid=GridSpec(points=401))
     probe = config.probe()
     omegas = np.geomspace(1e-10, 1e-8, 6).reshape(2, 3)
-    numeric = forward_delta_lambda(config, SchemeKind.SWM, probe, omegas, "numeric")
-    assert numeric.shape == (2, 3)
-    flat = forward_delta_lambda(config, SchemeKind.SWM, probe, omegas.ravel(), "numeric")
-    assert np.array_equal(numeric.ravel(), flat)
+    forward = bind_delta_lambda(config, SchemeKind.SWM, probe, mode)
+    shifts = forward(omegas)
+    assert shifts.shape == (6,)
+    assert np.array_equal(shifts, forward(omegas.ravel()))
 
 
 def test_zero_intensity_rate_inside_a_block_raises():
@@ -347,4 +347,4 @@ def test_zero_intensity_rate_inside_a_block_raises():
     with pytest.raises(ZeroTotalIntensity):
         forward(omegas)
     with pytest.raises(ZeroTotalIntensity):
-        forward_delta_lambda(config, SchemeKind.BWM, probe, omegas, "numeric")
+        bind_delta_lambda(config, SchemeKind.BWM, probe, "numeric")(omegas)

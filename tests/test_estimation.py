@@ -13,7 +13,7 @@ from sagnac_wva.estimation import (
     estimate_omega_analytic,
     estimate_omega_numeric,
 )
-from sagnac_wva.sagnac import coupling_chain
+from sagnac_wva.sagnac import coupling_length
 from sagnac_wva.spectrum import GridSpec
 
 
@@ -31,7 +31,7 @@ def _config(**overrides):
 
 
 def _forward_analytic(config, scheme, omega):
-    g = coupling_chain(config.sagnac(omega=omega)).g
+    g = coupling_length(omega, config.area_m2, config.lambda0_m())
     return mean_shift_analytic(
         scheme, g, config.probe(), config.phi_rad,
         config.delta_lambda_means, config.paper_literal,

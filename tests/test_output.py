@@ -24,7 +24,7 @@ from sagnac_wva.output import (
     write_spectrum_csv,
     write_table_csv,
 )
-from sagnac_wva.sagnac import coupling_chain
+from sagnac_wva.sagnac import coupling_length
 from sagnac_wva.spectrum import GridSpec, gaussian_probe
 
 
@@ -44,7 +44,7 @@ def _config():
 
 def _spectra(config):
     probe = config.probe()
-    g = coupling_chain(config.sagnac()).g
+    g = coupling_length(config.omega_rad_per_s, config.area_m2, config.lambda0_m())
     return probe, postselected_spectrum(probe, g, config.phi_rad)
 
 

@@ -10,7 +10,7 @@ process through `sagnac_wva.cli.cli_main` over a fixed scenario matrix:
 swm/bwm/both x paper_literal off/on x grids of 1001/4001/16001 nodes, each
 once with the README parameters and once with seeded random ones (width
 reading, bias order 0-2, grid half-width), plus a few edge scenarios that
-take the refusal and overflow paths.  Per scenario it runs `spectrum` for
+take the refusal and overflow paths or that the config refuses.  Per scenario it runs `spectrum` for
 both schemes, `compare`, analytic and numeric `sweep`s (one of them up to
 1e308 rad/s, where `4*Omega` overflows), analytic and numeric `estimate`s
 per scheme, `figure3` and two usage errors.
@@ -26,7 +26,7 @@ identical trees.  Compare two checkouts with::
     diff -r /tmp/golden-parent /tmp/golden-change
 
 Needs only the package's own dependencies.  The full matrix runs about
-1100 commands, writes about 110 MB and takes 10-20 s on one core.
+1150 commands, writes about 110 MB and takes 10-20 s on one core.
 """
 
 from __future__ import annotations
@@ -56,6 +56,10 @@ EDGES = [
     ("edge-underflow-literal", {"area_m2": 1e-140, "scheme": "bwm", "paper_literal": True}),
     ("edge-tiny-area-literal", {"area_m2": 1e-160, "scheme": "bwm", "paper_literal": True}),
     ("edge-wide-phi", {"phi_rad": 1.5, "scheme": "both", "bias_order_m": 2}),
+    # scenario values the config must refuse: an integer no float holds and
+    # a wavelength that underflows to 0 m
+    ("edge-huge-integer", {"area_m2": 10**400, "scheme": "both"}),
+    ("edge-subnormal-lambda", {"lambda0_nm": 1e-320, "scheme": "both"}),
 ]
 
 TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
