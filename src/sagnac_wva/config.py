@@ -116,6 +116,18 @@ class ExperimentConfig:
             )
         if not isinstance(self.grid, GridSpec):
             raise ValidationError("grid", f"must be a GridSpec, got {self.grid!r}")
+        # the nodes p0 + k*step (spectrum.gaussian_probe) must be distinct,
+        # increasing floats: the step has to clear two ulps of the largest
+        half_nodes = self.grid.points // 2
+        step = self.grid.half_width_sigmas * sigma_p / half_nodes
+        p0 = 2.0 * math.pi / lambda0
+        if not step > 2.0 * math.ulp(p0 + step * half_nodes):
+            raise ValidationError(
+                "fwhm_nm",
+                f"gives a momentum grid step of {step!r} 1/m at lambda0_nm = "
+                f"{self.lambda0_nm!r}, which does not separate the grid nodes near "
+                f"p0 = {p0!r} 1/m",
+            )
 
     # -- derived quantities ------------------------------------------------
 

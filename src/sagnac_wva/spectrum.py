@@ -34,6 +34,10 @@ WIDE_SPECTRUM_RATIO = 0.2
 
 _UNDERFLOW = 1e-300
 
+#: most nodes a grid may have: far above any grid the results need (the
+#: README's finest is 16001) and small enough to allocate
+MAX_GRID_POINTS = 10**6 + 1
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -45,6 +49,10 @@ class GridSpec:
     def __post_init__(self):
         if int(self.points) != self.points or self.points < 3 or self.points % 2 == 0:
             raise GridPointsInvalid(f"points must be an odd integer >= 3, got {self.points}")
+        if self.points > MAX_GRID_POINTS:
+            raise GridPointsInvalid(
+                f"points must be at most {MAX_GRID_POINTS}, got {self.points}"
+            )
         if self.half_width_sigmas < 3.0:
             raise GridTooNarrow(
                 f"half_width_sigmas = {self.half_width_sigmas} clips too much "

@@ -653,6 +653,34 @@ def test_finite_value_without_an_si_probe_is_config_error(tmp_path, capsys, comm
     assert not any(tmp_path.glob("[sr].*"))
 
 
+@pytest.mark.parametrize("command", ["spectrum", "compare", "estimate"])
+@pytest.mark.parametrize("field,value", [("fwhm_nm", 1e-12), ("lambda0_nm", 1e150)])
+def test_probe_grid_below_float_resolution_is_config_error(tmp_path, capsys, command, field, value):
+    # a line so narrow against lambda0 that neighbouring grid nodes round to
+    # the same momentum: refused as too narrow, not a p_grid ValueError
+    config = str(_scenario(tmp_path, scheme="swm", **{field: value}))
+    argv = {
+        "spectrum": ["spectrum", "--config", config, "--out", str(tmp_path / "s.csv")],
+        "compare": ["compare", "--config", config, "--out", str(tmp_path / "r.json")],
+        "estimate": ["estimate", "--config", config, "--delta-lambda-m", "1e-12",
+                     "--method", "analytic"],
+    }[command]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fwhm_nm: gives a momentum grid step of ")
+    assert "which does not separate the grid nodes" in err
+    assert not any(tmp_path.glob("[sr].*"))
+
+
+@pytest.mark.parametrize("points", [10**12 + 1, 10**300 + 1])
+def test_grid_points_above_the_cap_is_config_error(tmp_path, capsys, points):
+    # counts no machine could allocate; refused before any grid is built
+    config = str(_scenario(tmp_path, scheme="swm", grid={"points": points}))
+    argv = ["estimate", "--config", config, "--delta-lambda-m", "1e-12", "--method", "analytic"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: grid.points: points must be at most ")
+
+
 def test_cli_import_loads_every_traced_layer():
     # the benchmark's tracer indexes sys.modules for each of its LAYERS after
     # importing sagnac_wva.cli; read the tuple from its source, not a copy

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sagnac_wva.config import ExperimentConfig, config_from_dict, load_scenario
 from sagnac_wva.errors import (
@@ -11,7 +13,7 @@ from sagnac_wva.errors import (
     ParseError,
     ValidationError,
 )
-from sagnac_wva.spectrum import GridSpec
+from sagnac_wva.spectrum import MAX_GRID_POINTS, GridSpec
 
 BASE = {
     "lambda0_nm": 833.0,
@@ -107,6 +109,7 @@ def test_rejects_non_object_scenario():
         ({"points": 4000}, "grid.points"),
         ({"points": 3.5}, "grid.points"),
         ({"points": True}, "grid.points"),
+        ({"points": MAX_GRID_POINTS + 2}, "grid.points"),
         ({"half_width_sigmas": 2.0}, "grid.half_width_sigmas"),
         ({"half_width_sigmas": 20.0}, "grid.half_width_sigmas"),
         ({"half_width_sigmas": "wide"}, "grid.half_width_sigmas"),
@@ -192,3 +195,27 @@ def test_validation_error_message_names_field():
     with pytest.raises(ValidationError) as exc:
         ExperimentConfig(**dict(BASE, phi_rad=0.0))
     assert "phi_rad" in str(exc.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    relative_width=st.floats(1e-17, 1e-11),
+    lambda0_nm=st.sampled_from([833.0, 1e-3, 1e150]),
+    points=st.sampled_from([3, 101, 4001]),
+    half_width=st.sampled_from([3.0, 6.0, 12.0]),
+)
+@example(relative_width=1e-12 / 833.0, lambda0_nm=833.0, points=4001, half_width=6.0)
+def test_every_accepted_line_width_builds_a_probe(relative_width, lambda0_nm, points, half_width):
+    # the resolution check is sufficient: whatever width it lets through,
+    # the grid nodes come out strictly increasing
+    raw = _raw(
+        lambda0_nm=lambda0_nm,
+        fwhm_nm=relative_width * lambda0_nm,
+        grid={"points": points, "half_width_sigmas": half_width},
+    )
+    try:
+        cfg = config_from_dict(raw)
+    except ValidationError as exc:
+        assert exc.field == "fwhm_nm"
+        return
+    assert cfg.probe().p_grid.size == points

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +138,71 @@ def test_table_csv_matches_per_value_format(tmp_path_factory, n_rows, n_cols, po
     out = tmp_path_factory.mktemp("csv") / "t.csv"
     write_table_csv(out, header, columns)
     assert out.read_bytes() == _per_value_csv(header, columns).encode("utf-8")
+
+
+#: spellings the vectorised encoder could get wrong: every power of ten and
+#: both its neighbours (a decade guessed one too high prints
+#: 9.9999999999999995e-08 as 1e-07), so the 1e-5/1e-4 and 1e16/1e17
+#: notation switches too; the extremes; the exact ties (%.17g rounds them
+#: half-even); signed zero and the non-finite values
+TRAP_VALUES = [
+    v
+    for p in (float(f"1e{k}") for k in range(-323, 309))
+    for v in (float(np.nextafter(p, 0.0)), p, float(np.nextafter(p, math.inf)))
+] + [
+    9.9999999999999995e-08, 99999999999999999.0, 5e-324, 2.2250738585072009e-308,
+    sys.float_info.max, 2251799813685247.75, 2251799813685246.25,
+    -0.0, math.nan, -math.nan, math.inf, -math.inf,
+]
+
+
+@pytest.mark.parametrize("n_cols", [1, 3])
+def test_trap_values_match_per_value_format(tmp_path, n_cols):
+    values = np.array(TRAP_VALUES + [-v for v in TRAP_VALUES])
+    values = np.resize(values, -(-values.size // n_cols) * n_cols)
+    columns = list(values.reshape(n_cols, -1))
+    header = ",".join(f"c{k}" for k in range(n_cols))
+    out = tmp_path / "t.csv"
+    write_table_csv(out, header, columns)
+    assert out.read_bytes() == _per_value_csv(header, columns).encode("utf-8")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_rows=st.sampled_from([1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1]),
+    n_cols=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    bits=st.lists(st.integers(0, 2**64 - 1), max_size=8),
+)
+def test_table_csv_matches_per_value_format_on_raw_bits(
+    tmp_path_factory, n_rows, n_cols, seed, bits
+):
+    # uniform 64-bit patterns: every exponent, both signs, subnormals, inf
+    # and NaN payloads; hypothesis's own patterns lead the table
+    raw = np.random.default_rng(seed).integers(0, 2**64, n_rows * n_cols, dtype=np.uint64)
+    raw[: len(bits)] = bits[: raw.size]
+    columns = list(raw.view(np.float64).reshape(n_cols, n_rows))
+    header = ",".join(f"c{k}" for k in range(n_cols))
+    out = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_table_csv(out, header, columns)
+    assert out.read_bytes() == _per_value_csv(header, columns).encode("utf-8")
+
+
+def test_only_zero_non_finite_and_tie_values_are_formatted_one_by_one(tmp_path, monkeypatch):
+    formatted = []
+
+    def recording(x):
+        formatted.append(x)
+        return format_float(x)
+
+    monkeypatch.setattr(output, "format_float", recording)
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 2251799813685247.75, 2251799813685246.25]
+    values = np.concatenate([np.random.default_rng(5).normal(size=3000) * 1e-7, special])
+    out = tmp_path / "t.csv"
+    write_table_csv(out, "a", [values])
+    assert sorted(map(repr, formatted)) == sorted(map(repr, special))
+    assert out.read_bytes() == _per_value_csv("a", [values]).encode("utf-8")
+    assert "2251799813685247.8\n2251799813685246.2\n" in out.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("error", [RuntimeError, OSError])

@@ -10,10 +10,12 @@ process through `sagnac_wva.cli.cli_main` over a fixed scenario matrix:
 swm/bwm/both x paper_literal off/on x grids of 1001/4001/16001 nodes, each
 once with the README parameters and once with seeded random ones (width
 reading, bias order 0-2, grid half-width), plus a few edge scenarios that
-take the refusal and overflow paths or that the config refuses.  Per scenario it runs `spectrum` for
-both schemes, `compare`, analytic and numeric `sweep`s (one of them up to
-1e308 rad/s, where `4*Omega` overflows), analytic and numeric `estimate`s
-per scheme, `figure3` and two usage errors.
+take the refusal and overflow paths or that the config refuses.  Per
+scenario it runs `spectrum` for both schemes, `compare`, analytic and
+numeric `sweep`s (a numeric one up to 1e308 rad/s, where `4*Omega`
+overflows, and an analytic one over every decade from 5e-324 to the
+largest double), analytic and numeric `estimate`s per scheme, `figure3`
+and two usage errors.
 
 For every command it writes the files the command wrote plus a `.run` file
 with the exit code, stdout and stderr.  The `compare` record's `timestamp`
@@ -26,7 +28,7 @@ identical trees.  Compare two checkouts with::
     diff -r /tmp/golden-parent /tmp/golden-change
 
 Needs only the package's own dependencies.  The full matrix runs about
-1150 commands, writes about 110 MB and takes 10-20 s on one core.
+1270 commands, writes about 120 MB and takes 8-13 s on one core.
 """
 
 from __future__ import annotations
@@ -56,10 +58,13 @@ EDGES = [
     ("edge-underflow-literal", {"area_m2": 1e-140, "scheme": "bwm", "paper_literal": True}),
     ("edge-tiny-area-literal", {"area_m2": 1e-160, "scheme": "bwm", "paper_literal": True}),
     ("edge-wide-phi", {"phi_rad": 1.5, "scheme": "both", "bias_order_m": 2}),
-    # scenario values the config must refuse: an integer no float holds and
-    # a wavelength that underflows to 0 m
+    # scenario values the config must refuse: an integer no float holds, a
+    # wavelength that underflows to 0 m, a line too narrow for the grid to
+    # resolve and a node count no machine could allocate
     ("edge-huge-integer", {"area_m2": 10**400, "scheme": "both"}),
     ("edge-subnormal-lambda", {"lambda0_nm": 1e-320, "scheme": "both"}),
+    ("edge-narrow-line", {"fwhm_nm": 1e-12, "scheme": "both"}),
+    ("edge-huge-grid", {"grid": {"points": 10**300 + 1}, "scheme": "both"}),
 ]
 
 TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
@@ -137,6 +142,9 @@ def record_scenario(cli_main, directory: Path, raw: dict) -> None:
     numeric_rates = "300" if raw["grid"]["points"] < 16001 else "60"
     for name, lo, hi, points, mode in (
         ("sweep-analytic", "1e-10", "1e-8", "2100", "analytic"),
+        # every decade of the doubles: subnormal rates, both %.17g notation
+        # switches and, where 4*Omega overflows, inf rows
+        ("sweep-analytic-full-range", "5e-324", "1.7976931348623157e308", "4001", "analytic"),
         ("sweep-numeric", "1e-10", "1e-8", numeric_rates, "numeric"),
         ("sweep-numeric-wide", "1e-12", "1e308", "50", "numeric"),
     ):
