@@ -109,11 +109,11 @@ def test_rejects_non_object_scenario():
         ({"points": 4000}, "grid.points"),
         ({"points": 3.5}, "grid.points"),
         ({"points": True}, "grid.points"),
-        ({"points": MAX_GRID_POINTS + 2}, "grid.points"),
         ({"half_width_sigmas": 2.0}, "grid.half_width_sigmas"),
         ({"half_width_sigmas": 20.0}, "grid.half_width_sigmas"),
         ({"half_width_sigmas": "wide"}, "grid.half_width_sigmas"),
         ({"nodes": 101}, "grid.nodes"),
+        ({"points": MAX_GRID_POINTS + 2}, "grid.points"),
     ],
 )
 def test_rejects_bad_grid(grid, field):
