@@ -19,7 +19,6 @@ from .errors import (
     NonMonotonicCalibration,
     OutOfRangeObservation,
     ParseError,
-    PhiOutOfRange,
     ValidationError,
     ZeroTotalIntensity,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "NonMonotonicCalibration",
     "OutOfRangeObservation",
     "ParseError",
-    "PhiOutOfRange",
     "SchemeKind",
     "ValidationError",
     "ZeroTotalIntensity",

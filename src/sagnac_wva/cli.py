@@ -30,6 +30,7 @@ from .engine import (
     numeric_forward,
     pointform_probability,
     scheme_spectrum,
+    single_scheme,
 )
 from .errors import (
     IoError,
@@ -37,7 +38,6 @@ from .errors import (
     NonMonotonicCalibration,
     OutOfRangeObservation,
     ParseError,
-    PhiOutOfRange,
     ValidationError,
     ZeroTotalIntensity,
 )
@@ -119,18 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolved_scheme(config, override: str | None) -> SchemeKind:
-    name = override or config.scheme
-    if name == "both":
-        raise ValidationError(
-            "scheme", "this subcommand needs a single scheme; pass --scheme swm|bwm"
-        )
-    return SchemeKind(name)
-
-
 def _cmd_spectrum(args) -> int:
     config = load_scenario(args.config)
-    scheme = _resolved_scheme(config, args.scheme)
+    scheme = single_scheme(config, args.scheme)
     probe = config.probe()
     write_spectrum_csv(args.out, probe, scheme_spectrum(config, scheme, probe))
     return EXIT_OK
@@ -179,7 +170,7 @@ def _cmd_estimate(args) -> int:
             "delta_lambda_m", f"must be a finite number, got {args.delta_lambda_m}"
         )
     config = load_scenario(args.config)
-    scheme = _resolved_scheme(config, None)
+    scheme = single_scheme(config)
     if args.method == "analytic":
         estimate = estimate_omega_analytic(args.delta_lambda_m, scheme, config)
     else:
@@ -199,44 +190,46 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_figure3(args) -> int:
     config = load_scenario(args.config)
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {out_dir}: {exc}") from exc
-
     probe = config.probe()
     schemes = (SchemeKind.SWM, SchemeKind.BWM)
+    tables = []  # (header, columns), one per FIGURE3_FILES entry
 
     # panels A and B: probe plus normalized post-selected spectra, both schemes
-    for omega, name in zip(FIGURE3_OMEGAS, FIGURE3_FILES[:2]):
+    for omega in FIGURE3_OMEGAS:
         posts = [normalize(scheme_spectrum(config, s, probe, omega)) for s in schemes]
-        write_table_csv(
-            out_dir / name,
+        tables.append((
             "p_inv_m,lambda_m,intensity_probe,intensity_post_swm,intensity_post_bwm",
             [probe.p_grid, 2.0 * np.pi / probe.p_grid, probe.intensity]
             + [post.intensity for post in posts],
-        )
+        ))
 
     # panel C: analytic shifts of both schemes and their ratio across Omega
     omegas = np.geomspace(*FIGURE3_SWEEP)
     swm_shift, bwm_shift = (analytic_shift(config, s, probe, omegas).delta_lambda for s in schemes)
-    write_table_csv(
-        out_dir / FIGURE3_FILES[2],
+    tables.append((
         "omega_rad_per_s,delta_lambda_swm_analytic_m,delta_lambda_bwm_analytic_m,bwm_to_swm_ratio",
         [omegas, swm_shift, bwm_shift, bwm_shift / swm_shift],
-    )
+    ))
 
     # panel D: survival probabilities across the same sweep
     numeric = [numeric_forward(config, s, probe)(omegas).probability for s in schemes]
     pointform = [
         [pointform_probability(config, s, probe, omega) for omega in omegas] for s in schemes
     ]
-    write_table_csv(
-        out_dir / FIGURE3_FILES[3],
+    tables.append((
         "omega_rad_per_s,prob_swm_numeric,prob_bwm_numeric,prob_swm_pointform,prob_bwm_pointform",
         [omegas, *numeric, *pointform],
-    )
+    ))
+
+    # nothing is created until every table is computed, so a numerical
+    # failure leaves neither a partial set nor an empty directory behind
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {out_dir}: {exc}") from exc
+    for name, (header, columns) in zip(FIGURE3_FILES, tables):
+        write_table_csv(out_dir / name, header, columns)
     return EXIT_OK
 
 
@@ -296,25 +289,15 @@ def cli_main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ValidationError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (
-        ZeroTotalIntensity,
-        NonFiniteResult,
-        NonMonotonicCalibration,
-        OutOfRangeObservation,
-        PhiOutOfRange,
+        ZeroTotalIntensity, NonFiniteResult, NonMonotonicCalibration, OutOfRangeObservation
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except OSError as exc:  # IoError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -11,35 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
-from .errors import (
-    GridPointsInvalid,
-    GridTooNarrow,
-    GridTooWide,
-    ParseError,
-    ValidationError,
-)
+from .errors import ParseError, ValidationError
 from .spectrum import FWHM_PER_SIGMA, GridSpec, ProbeSpectrum, gaussian_probe
 
 SCHEMES = ("swm", "bwm", "both")
 WIDTH_READINGS = ("fwhm", "sigma")
-
-_TOP_LEVEL_KEYS = {
-    "lambda0_nm",
-    "fwhm_nm",
-    "area_m2",
-    "phi_rad",
-    "omega_rad_per_s",
-    "scheme",
-    "bias_order_m",
-    "delta_lambda_means",
-    "paper_literal",
-    "grid",
-}
-_GRID_KEYS = {"half_width_sigmas", "points"}
-_REQUIRED_KEYS = ("lambda0_nm", "fwhm_nm", "area_m2", "phi_rad", "omega_rad_per_s", "scheme")
 
 
 def _is_real(value) -> bool:
@@ -162,6 +141,16 @@ class ExperimentConfig:
         }
 
 
+# scenario keys are the dataclass fields; required ones, in field order, have no default
+_TOP_LEVEL_KEYS = {f.name for f in fields(ExperimentConfig)}
+_REQUIRED_KEYS = tuple(
+    f.name
+    for f in fields(ExperimentConfig)
+    if f.default is MISSING and f.default_factory is MISSING
+)
+_GRID_KEYS = {f.name for f in fields(GridSpec)}
+
+
 def _grid_from_dict(raw: dict) -> GridSpec:
     unknown = sorted(set(raw) - _GRID_KEYS)
     if unknown:
@@ -181,12 +170,7 @@ def _grid_from_dict(raw: dict) -> GridSpec:
                 "grid.half_width_sigmas", f"must be a finite number, got {hw!r}"
             )
         spec["half_width_sigmas"] = float(hw)
-    try:
-        return GridSpec(**spec)
-    except GridPointsInvalid as exc:
-        raise ValidationError("grid.points", str(exc)) from exc
-    except (GridTooNarrow, GridTooWide) as exc:
-        raise ValidationError("grid.half_width_sigmas", str(exc)) from exc
+    return GridSpec(**spec)
 
 
 def config_from_dict(raw) -> ExperimentConfig:

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PhiOutOfRange
+from .errors import NonFiniteResult, ValidationError
 from .jones import coupling_unitaries, postselection_state, preselection_state, sigma_z
 from .sagnac import bias_delay, coupling_length
 from .spectrum import FWHM_PER_SIGMA, ProbeSpectrum, integrals, moments, momentum_to_wavelength
@@ -65,6 +65,16 @@ NUMERIC_CHUNK_ELEMENTS = 16384
 class SchemeKind(Enum):
     SWM = "swm"
     BWM = "bwm"
+
+
+def single_scheme(config, override: str | None = None) -> SchemeKind:
+    """The one scheme a command runs: `override`, else the scenario's; never 'both'."""
+    name = override or config.scheme
+    if name == "both":
+        raise ValidationError(
+            "scheme", "this subcommand needs a single scheme; pass --scheme swm|bwm"
+        )
+    return SchemeKind(name)
 
 
 class MeanShift(NamedTuple):
@@ -240,12 +250,12 @@ def mean_shift_analytic(
     opposite sign through -lambda0^2/(2*pi).
     """
     if not 0.0 < phi < np.pi / 2.0:
-        raise PhiOutOfRange(f"phi must lie in (0, pi/2), got {phi}")
+        raise ValidationError("phi_rad", f"phi must lie in (0, pi/2), got {phi}")
     with np.errstate(over="ignore"):
         cot = 1.0 / phi if paper_literal else 1.0 / np.tan(phi)
     if not np.isfinite(cot):
         # a valid but tiny phi (e.g. 1e-310) overflows 1/tan(phi)
-        raise PhiOutOfRange(f"cot(phi) is not finite for phi = {phi}")
+        raise NonFiniteResult(f"cot(phi) is not finite for phi = {phi}")
     # a huge g*cot overflows to inf silently; callers that publish a single
     # record refuse non-finite values, tables carry them as `inf`
     with np.errstate(over="ignore"):

@@ -9,28 +9,12 @@ class NonPositiveInput(SagnacWvaError, ValueError):
     """A wavelength, momentum or spectral width that must be positive is not."""
 
 
-class GridPointsInvalid(SagnacWvaError, ValueError):
-    """Momentum grid node count is not an odd integer >= 3."""
-
-
-class GridTooNarrow(SagnacWvaError, ValueError):
-    """Momentum grid clips too much spectral mass to be trustworthy."""
-
-
-class GridTooWide(SagnacWvaError, ValueError):
-    """Momentum grid reaches so far into the tails that they carry no weight."""
-
-
 class ZeroTotalIntensity(SagnacWvaError):
     """Spectrum integrates to zero (or underflows); moments are undefined."""
 
 
 class NonFiniteResult(SagnacWvaError):
     """A forward result overflowed to inf or NaN; it is not published."""
-
-
-class PhiOutOfRange(SagnacWvaError, ValueError):
-    """Analyzer offset angle outside the open interval (0, pi/2)."""
 
 
 class NonMonotonicCalibration(SagnacWvaError):

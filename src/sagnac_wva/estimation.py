@@ -18,13 +18,14 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import SchemeKind, analytic_shift, bind_delta_lambda
+from .engine import SchemeKind, analytic_shift, bind_delta_lambda, single_scheme
 from .errors import (
     NonFiniteResult,
     NonMonotonicCalibration,
     OutOfRangeObservation,
     ValidationError,
 )
+from .spectrum import MAX_GRID_POINTS
 
 #: bisection stops when the bracket shrinks below this relative width in Omega
 BISECTION_REL_TOL = 1e-6
@@ -54,12 +55,6 @@ class CalibrationCurve:
     forward: Callable[[object], np.ndarray]
 
 
-def _single_scheme(config) -> SchemeKind:
-    if config.scheme not in ("swm", "bwm"):
-        raise ValidationError("scheme", "estimation needs a single scheme, not 'both'")
-    return SchemeKind(config.scheme)
-
-
 def calibration_curve(
     config,
     omega_min: float,
@@ -71,7 +66,9 @@ def calibration_curve(
     """Sample the forward model on a log- (default) or linearly-spaced ladder.
 
     The monotone flag records whether the sampled shifts are strictly
-    monotone (either direction); the numeric inverter requires it.
+    monotone (either direction); the numeric inverter requires it.  At most
+    MAX_GRID_POINTS rates are sampled; a larger count is refused before
+    anything is allocated.
     """
     if mode not in MODES:
         raise ValidationError("mode", f"must be one of {MODES}, got {mode!r}")
@@ -85,6 +82,8 @@ def calibration_curve(
         )
     if n_points < 2:
         raise ValidationError("points", f"must be >= 2, got {n_points!r}")
+    if n_points > MAX_GRID_POINTS:
+        raise ValidationError("points", f"must be at most {MAX_GRID_POINTS}, got {n_points!r}")
     if spacing == "log":
         if omega_min <= 0.0:
             raise ValidationError("omega_min", "log spacing requires omega_min > 0")
@@ -92,7 +91,7 @@ def calibration_curve(
     else:
         omegas = np.linspace(omega_min, omega_max, n_points)
 
-    scheme = _single_scheme(config)
+    scheme = single_scheme(config)
     forward = bind_delta_lambda(config, scheme, config.probe(), mode)
     values = forward(omegas)
     diffs = np.diff(values)

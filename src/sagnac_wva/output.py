@@ -11,11 +11,11 @@ timestamp key in the JSON record.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,6 +35,7 @@ def format_float(x: float) -> str:
 def _atomic_write_text(path, chunks) -> None:
     """Write an iterable of text chunks in one temp-then-rename step.
 
+    The file gets the mode `open()` would give it, 0o666 less the umask.
     Any OS-level failure (missing directory, permissions, full disk) comes
     back as IoError.  On any failure, an exception raised by `chunks`
     included, the temp file is removed and the target is left as it was.
@@ -47,6 +48,9 @@ def _atomic_write_text(path, chunks) -> None:
         )
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
+        umask = os.umask(0)  # the only way to read it; set straight back
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, target)
         tmp_name = None
     except OSError as exc:
@@ -328,34 +332,21 @@ def write_table_csv(path, header: str, columns) -> None:
     _atomic_write_text(path, _csv_chunks(header, columns))
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """Everything one `compare` run produced, ready for canonical JSON."""
-
-    config: dict
-    results: dict
-    discrepancy: list
-    tool_version: str
-    timestamp: str
-
-
 def utc_timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def build_run_record(config, results, discrepancy_rows) -> RunRecord:
-    """Flatten engine results into plain JSON-ready values."""
+def build_run_record(config, results, discrepancy_rows) -> dict:
+    """Everything one `compare` run produced, as the plain dict of its JSON record.
+
+    Keys: `config`, `results` (each scheme's result fields but `scheme`,
+    under the scheme's name), `discrepancy`, `tool_version` and `timestamp`.
+    """
     results_dict = {}
     for res in results:
-        results_dict[res.scheme.value] = {
-            "delta_p_numeric": res.delta_p_numeric,
-            "delta_lambda_numeric": res.delta_lambda_numeric,
-            "delta_p_analytic": res.delta_p_analytic,
-            "delta_lambda_analytic": res.delta_lambda_analytic,
-            "postselect_prob_numeric": res.postselect_prob_numeric,
-            "postselect_prob_pointform": res.postselect_prob_pointform,
-            "amplification_factor": res.amplification_factor,
-        }
+        block = dataclasses.asdict(res)
+        del block["scheme"]
+        results_dict[res.scheme.value] = block
     discrepancy = [
         {
             "scheme": row.scheme.value,
@@ -370,30 +361,23 @@ def build_run_record(config, results, discrepancy_rows) -> RunRecord:
         }
         for row in discrepancy_rows
     ]
-    return RunRecord(
-        config=config.to_dict(),
-        results=results_dict,
-        discrepancy=discrepancy,
-        tool_version=__version__,
-        timestamp=utc_timestamp(),
-    )
-
-
-def record_to_json(record: RunRecord) -> str:
-    """Canonical JSON: sorted keys, two-space indent, LF, trailing newline."""
-    payload = {
-        "config": record.config,
-        "results": record.results,
-        "discrepancy": record.discrepancy,
-        "tool_version": record.tool_version,
-        "timestamp": record.timestamp,
+    return {
+        "config": config.to_dict(),
+        "results": results_dict,
+        "discrepancy": discrepancy,
+        "tool_version": __version__,
+        "timestamp": utc_timestamp(),
     }
+
+
+def record_to_json(record: dict) -> str:
+    """Canonical JSON: sorted keys, two-space indent, LF, trailing newline."""
     return (
-        json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
+        json.dumps(record, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
         + "\n"
     )
 
 
-def write_results_json(path, record: RunRecord) -> None:
+def write_results_json(path, record: dict) -> None:
     """Write a run record as canonical JSON (atomic, UTF-8, LF)."""
     _atomic_write_text(path, [record_to_json(record)])

@@ -17,13 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    GridPointsInvalid,
-    GridTooNarrow,
-    GridTooWide,
-    NonPositiveInput,
-    ZeroTotalIntensity,
-)
+from .errors import NonPositiveInput, ValidationError, ZeroTotalIntensity
 
 #: FWHM of a Gaussian divided by its standard deviation: 2*sqrt(2*ln 2)
 FWHM_PER_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
@@ -48,20 +42,24 @@ class GridSpec:
 
     def __post_init__(self):
         if int(self.points) != self.points or self.points < 3 or self.points % 2 == 0:
-            raise GridPointsInvalid(f"points must be an odd integer >= 3, got {self.points}")
+            raise ValidationError(
+                "grid.points", f"points must be an odd integer >= 3, got {self.points}"
+            )
         if self.points > MAX_GRID_POINTS:
-            raise GridPointsInvalid(
-                f"points must be at most {MAX_GRID_POINTS}, got {self.points}"
+            raise ValidationError(
+                "grid.points", f"points must be at most {MAX_GRID_POINTS}, got {self.points}"
             )
         if self.half_width_sigmas < 3.0:
-            raise GridTooNarrow(
+            raise ValidationError(
+                "grid.half_width_sigmas",
                 f"half_width_sigmas = {self.half_width_sigmas} clips too much "
-                f"spectral mass; need >= 3"
+                f"spectral mass; need >= 3",
             )
         if self.half_width_sigmas > 12.0:
-            raise GridTooWide(
+            raise ValidationError(
+                "grid.half_width_sigmas",
                 f"half_width_sigmas = {self.half_width_sigmas} exceeds 12; the "
-                f"far tails carry no usable weight"
+                f"far tails carry no usable weight",
             )
 
 

@@ -11,7 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sagnac_wva.cli
 from sagnac_wva.cli import FIGURE3_FILES, build_parser, cli_main, main
+from sagnac_wva.errors import (
+    IoError,
+    NonFiniteResult,
+    NonMonotonicCalibration,
+    OutOfRangeObservation,
+    ParseError,
+    ValidationError,
+    ZeroTotalIntensity,
+)
 
 BASE = {
     "lambda0_nm": 833.0,
@@ -259,10 +269,13 @@ def test_entry_point_declaration_runs_main(monkeypatch, capsys):
         ["--omega-min", "0", "--omega-max", "1e-8", "--points", "4"],
         ["--omega-min", "1e-10", "--omega-max", "inf", "--points", "4"],
         ["--omega-min", "1e-10", "--omega-max", "nan", "--points", "4"],
+        # counts numpy refuses before it allocates anything
+        ["--omega-min", "1e-10", "--omega-max", "1e-8", "--points", str(10**30)],
+        ["--omega-min", "1e-10", "--omega-max", "1e-8", "--points", str(10**300)],
     ],
     ids=[
         "min-above-max", "min-equals-max", "one-point", "zero-points", "zero-min-log",
-        "inf-max", "nan-max",
+        "inf-max", "nan-max", "1e30-points", "1e300-points",
     ],
 )
 def test_bad_calibration_range_is_config_error(tmp_path, capsys, command, bounds):
@@ -705,3 +718,61 @@ def test_cli_import_loads_every_traced_layer():
     )
     loaded = set(result.stdout.split())
     assert {f"sagnac_wva.{layer}" for layer in layers} <= loaded
+
+
+@pytest.mark.parametrize(
+    "area,message",
+    [
+        (1e-140, "intensity integrates to zero on this grid"),
+        (1e-160, "cannot normalize: intensity integrates to zero"),
+    ],
+    ids=["panel-d", "panel-a"],
+)
+def test_figure3_numeric_failure_writes_nothing(tmp_path, capsys, area, message):
+    # paper-literal bwm survival underflows the zero-intensity floor: at
+    # 1e-140 m^2 only in panel D, at 1e-160 m^2 already in panel A
+    config = _scenario(
+        tmp_path, scheme="bwm", paper_literal=True, area_m2=area, grid={"points": 1001}
+    )
+    out_dir = tmp_path / "fig3"
+    assert cli_main(["figure3", "--config", str(config), "--out", str(out_dir)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [
+        (ValidationError("grid.points", "must be odd"), 2),
+        (ParseError("invalid JSON at line 1, column 2: Expecting value"), 2),
+        (FileNotFoundError(2, "No such file or directory", "scenario.json"), 2),
+        (ZeroTotalIntensity("intensity integrates to zero on this grid"), 3),
+        (NonFiniteResult("swm delta_p_numeric is inf; no record written"), 3),
+        (NonMonotonicCalibration("not strictly monotone; refusing to invert"), 3),
+        (OutOfRangeObservation("observed shift outside calibrated range"), 3),
+        (IoError("cannot write out.json: disk full"), 4),
+        (PermissionError(13, "Permission denied", "out.json"), 4),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
+)
+def test_exit_code_of_each_mapped_error(capsys, monkeypatch, error, code):
+    def command(args):
+        raise error
+
+    monkeypatch.setitem(sagnac_wva.cli._COMMANDS, "compare", command)
+    assert cli_main(["compare", "--config", "scenario.json", "--out", "out.json"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+def test_unmapped_error_propagates(capsys, monkeypatch):
+    def command(args):
+        raise RuntimeError("a bug, not a refusal")
+
+    monkeypatch.setitem(sagnac_wva.cli._COMMANDS, "compare", command)
+    with pytest.raises(RuntimeError, match="a bug, not a refusal"):
+        cli_main(["compare", "--config", "scenario.json", "--out", "out.json"])
+    assert capsys.readouterr().out == ""

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -218,13 +220,30 @@ def test_error_during_write_leaves_no_file(tmp_path, error):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_output_files_get_the_mode_open_gives(tmp_path, umask, mode):
+    config = _config()
+    results = compare_schemes(config)
+    record = build_run_record(config, results, discrepancy_from_results(results))
+    previous = os.umask(umask)
+    try:
+        write_table_csv(tmp_path / "t.csv", "a", [np.ones(3)])
+        write_results_json(tmp_path / "r.json", record)
+    finally:
+        os.umask(previous)
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()} == {
+        "t.csv": mode,
+        "r.json": mode,
+    }
+
+
 def test_run_record_layout():
     config = _config()
     results = compare_schemes(config)
     record = build_run_record(config, results, discrepancy_from_results(results))
-    assert record.config == config.to_dict()
-    assert set(record.results) == {"swm", "bwm"}
-    for block in record.results.values():
+    assert record["config"] == config.to_dict()
+    assert set(record["results"]) == {"swm", "bwm"}
+    for block in record["results"].values():
         assert set(block) == {
             "delta_p_numeric",
             "delta_lambda_numeric",
@@ -234,10 +253,10 @@ def test_run_record_layout():
             "postselect_prob_pointform",
             "amplification_factor",
         }
-    assert len(record.discrepancy) == 6
-    assert record.tool_version
+    assert len(record["discrepancy"]) == 6
+    assert record["tool_version"]
     # ISO-8601 UTC with a trailing Z
-    assert record.timestamp.endswith("Z") and "T" in record.timestamp
+    assert record["timestamp"].endswith("Z") and "T" in record["timestamp"]
 
 
 def test_record_json_is_canonical(tmp_path):

@@ -3,13 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sagnac_wva.errors import (
-    GridPointsInvalid,
-    GridTooNarrow,
-    GridTooWide,
-    NonPositiveInput,
-    ZeroTotalIntensity,
-)
+from sagnac_wva.errors import NonPositiveInput, ValidationError, ZeroTotalIntensity
 from sagnac_wva.spectrum import (
     DEFAULT_GRID,
     FWHM_PER_SIGMA,
@@ -179,15 +173,16 @@ def test_normalize_zero_intensity_raises():
 
 @pytest.mark.parametrize("points", [4000, 2, 1, -5])
 def test_gridspec_rejects_bad_point_counts(points):
-    with pytest.raises(GridPointsInvalid):
+    with pytest.raises(ValidationError) as exc:
         GridSpec(points=points)
+    assert exc.value.field == "grid.points"
 
 
 def test_gridspec_rejects_narrow_and_absurd_widths():
-    with pytest.raises(GridTooNarrow):
-        GridSpec(half_width_sigmas=2.0)
-    with pytest.raises(GridTooWide):
-        GridSpec(half_width_sigmas=20.0)
+    for half_width in (2.0, 20.0):
+        with pytest.raises(ValidationError) as exc:
+            GridSpec(half_width_sigmas=half_width)
+        assert exc.value.field == "grid.half_width_sigmas"
 
 
 def test_probe_spectrum_rejects_malformed_arrays():

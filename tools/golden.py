@@ -15,7 +15,8 @@ scenario it runs `spectrum` for both schemes, `compare`, analytic and
 numeric `sweep`s (a numeric one up to 1e308 rad/s, where `4*Omega`
 overflows, and an analytic one over every decade from 5e-324 to the
 largest double), analytic and numeric `estimate`s per scheme, `figure3`
-and two usage errors.
+and three usage errors (one a `sweep` of 10**30 rates, more than any
+machine could allocate).
 
 For every command it writes the files the command wrote plus a `.run` file
 with the exit code, stdout and stderr.  The `compare` record's `timestamp`
@@ -28,7 +29,7 @@ identical trees.  Compare two checkouts with::
     diff -r /tmp/golden-parent /tmp/golden-change
 
 Needs only the package's own dependencies.  The full matrix runs about
-1270 commands, writes about 120 MB and takes 8-13 s on one core.
+1320 commands, writes about 120 MB and takes 8-13 s on one core.
 """
 
 from __future__ import annotations
@@ -178,6 +179,9 @@ def record_scenario(cli_main, directory: Path, raw: dict) -> None:
     run(cli_main, directory, "usage-missing-value", ["estimate", *cfg, "--method"])
     run(cli_main, directory, "usage-bad-range",
         ["sweep", *cfg, "--omega-min", "1e-8", "--omega-max", "1e-10", "--points", "5",
+         "--mode", "numeric", "--out", "never.csv"])
+    run(cli_main, directory, "usage-huge-points",
+        ["sweep", *cfg, "--omega-min", "1e-10", "--omega-max", "1e-8", "--points", str(10**30),
          "--mode", "numeric", "--out", "never.csv"])
 
 
