@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -44,6 +43,7 @@ from .errors import (
 from .estimation import calibration_curve, estimate_omega_analytic, estimate_omega_numeric
 from .output import (
     build_run_record,
+    record_to_json,
     write_results_json,
     write_spectrum_csv,
     write_table_csv,
@@ -123,7 +123,10 @@ def _cmd_spectrum(args) -> int:
     config = load_scenario(args.config)
     scheme = single_scheme(config, args.scheme)
     probe = config.probe()
-    write_spectrum_csv(args.out, probe, scheme_spectrum(config, scheme, probe))
+    intensity = scheme_spectrum(config, scheme, probe)
+    if not np.isfinite(intensity).all():
+        raise NonFiniteResult(f"{scheme.value} intensity_post is not finite; no file written")
+    write_spectrum_csv(args.out, probe, intensity)
     return EXIT_OK
 
 
@@ -184,7 +187,7 @@ def _cmd_estimate(args) -> int:
         "residual_m": estimate.residual,
         "scheme": scheme.value,
     }
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    sys.stdout.write(record_to_json(payload))
     return EXIT_OK
 
 
@@ -196,11 +199,10 @@ def _cmd_figure3(args) -> int:
 
     # panels A and B: probe plus normalized post-selected spectra, both schemes
     for omega in FIGURE3_OMEGAS:
-        posts = [normalize(scheme_spectrum(config, s, probe, omega)) for s in schemes]
+        posts = [normalize(probe.p_grid, scheme_spectrum(config, s, probe, omega)) for s in schemes]
         tables.append((
             "p_inv_m,lambda_m,intensity_probe,intensity_post_swm,intensity_post_bwm",
-            [probe.p_grid, 2.0 * np.pi / probe.p_grid, probe.intensity]
-            + [post.intensity for post in posts],
+            [probe.p_grid, 2.0 * np.pi / probe.p_grid, probe.intensity, *posts],
         ))
 
     # panel C: analytic shifts of both schemes and their ratio across Omega

@@ -91,20 +91,6 @@ class NumericForward(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PostselectedSpectrum:
-    """Unnormalized post-selected intensity; its integral is the survival probability.
-
-    `intensity` is the closed-form sin^2 evaluation on the probe grid; in
-    paper-literal biased mode it is the simplified sin^2(p*g) form.
-    """
-
-    p_grid: np.ndarray
-    intensity: np.ndarray
-    p0: float
-    sigma_p: float
-
-
-@dataclass(frozen=True)
 class MeasurementResult:
     """One scheme's numeric and analytic outputs on a common probe/rotation."""
 
@@ -129,51 +115,39 @@ class DiscrepancyRow:
 
 def postselected_spectrum(
     probe: ProbeSpectrum,
-    g: float,
+    g: float | np.ndarray,
     phi: float,
     psi_pre: float | None = None,
     *,
     paper_literal: bool = False,
-) -> PostselectedSpectrum:
-    """Post-selected momentum spectrum for one scheme.
+) -> np.ndarray:
+    """Post-selected momentum spectrum for one scheme; the sin^2 law's one home.
 
     Parameters
     ----------
     probe : ProbeSpectrum
         Input spectrum (normalized or not; passed through unrescaled).
-    g : float
-        Coupling length from the rotation, m.
+    g : float or ndarray
+        Coupling length from the rotation, m, or a (rows, 1) column of them.
     phi : float
         Analyzer offset angle, rad.
     psi_pre : float or None
         None for the standard scheme; the bias delay (m) for the biased scheme.
     paper_literal : bool
-        With a bias, use the simplified sin^2(p*g) law for `intensity`
-        instead of the full sin^2(p*(g+psi_pre) + phi).
+        With a bias, use the simplified sin^2(p*g) law instead of the full
+        sin^2(p*(g+psi_pre) + phi).
 
     Returns
     -------
-    PostselectedSpectrum
-        Unnormalized closed-form intensity on the probe grid.
+    ndarray
+        Unnormalized closed-form intensity on `probe.p_grid`, one row per g.
     """
-    intensity = _postselected_intensity(
-        probe.p_grid, probe.intensity, g, phi, psi_pre, paper_literal
-    )
-    return PostselectedSpectrum(
-        p_grid=probe.p_grid, intensity=intensity, p0=probe.p0, sigma_p=probe.sigma_p
-    )
-
-
-def _postselected_intensity(p, intensity, g, phi, psi_pre, paper_literal):
-    """The sin^2 law times the probe intensity; the law's one home.
-
-    `g` is a coupling length or a column of them (one spectrum per row).
-    """
+    p = probe.p_grid
     if paper_literal and psi_pre is not None:
         phase = p * g
     else:
         phase = p * (g + (psi_pre if psi_pre is not None else 0.0)) + phi
-    return np.sin(phase) ** 2 * intensity
+    return np.sin(phase) ** 2 * probe.intensity
 
 
 def transfer_matrix_intensity(
@@ -193,19 +167,19 @@ def transfer_matrix_intensity(
     return np.abs(amps) ** 2 * probe.intensity
 
 
-def postselection_probability(post_spectrum) -> float:
-    """Trapezoidal integral of the unnormalized post-selected intensity."""
-    return float(np.trapezoid(post_spectrum.intensity, post_spectrum.p_grid))
+def postselection_probability(probe: ProbeSpectrum, intensity: np.ndarray) -> float:
+    """Trapezoidal integral of an unnormalized post-selected intensity on the probe grid."""
+    return float(np.trapezoid(intensity, probe.p_grid))
 
 
-def mean_shift_numeric(post_spectrum, probe: ProbeSpectrum) -> MeanShift:
-    """Shift of the intensity-weighted mean momentum relative to the probe.
+def mean_shift_numeric(probe: ProbeSpectrum, intensity: np.ndarray) -> MeanShift:
+    """Shift of the mean momentum of `intensity`, on the probe grid, from the probe's.
 
     delta_lambda converts the momentum shift at the probe centre:
     delta_lambda = -delta_p * lambda0^2 / (2*pi).
     """
-    post_mean = moments(post_spectrum.p_grid, post_spectrum.intensity).mean
-    probe_mean = moments(probe).mean
+    post_mean = moments(probe.p_grid, intensity).mean
+    probe_mean = moments(probe.p_grid, probe.intensity).mean
     delta_p = post_mean - probe_mean
     lambda0 = momentum_to_wavelength(probe.p0)
     delta_lambda = -delta_p * lambda0**2 / (2.0 * np.pi)
@@ -283,10 +257,8 @@ def _bias(config, scheme: SchemeKind) -> float | None:
     return bias_delay(config.phi_rad, config.lambda0_m(), config.bias_order_m)
 
 
-def scheme_spectrum(
-    config, scheme: SchemeKind, probe: ProbeSpectrum, omega=None
-) -> PostselectedSpectrum:
-    """Post-selected spectrum of one scheme of a scenario at one rotation rate."""
+def scheme_spectrum(config, scheme: SchemeKind, probe: ProbeSpectrum, omega=None) -> np.ndarray:
+    """Post-selected intensity of one scheme of a scenario at one rotation rate."""
     return postselected_spectrum(
         probe, _coupling_length(config, omega), config.phi_rad, _bias(config, scheme),
         paper_literal=config.paper_literal,
@@ -328,9 +300,9 @@ def numeric_forward(config, scheme: SchemeKind, probe: ProbeSpectrum):
     """
     area, loop_lambda0 = config.area_m2, config.lambda0_m()
     psi_pre, phi, paper_literal = _bias(config, scheme), config.phi_rad, config.paper_literal
-    p, probe_intensity = probe.p_grid, probe.intensity
+    p = probe.p_grid
     widths = np.diff(p)
-    probe_total, probe_first = integrals(p, probe_intensity, widths)
+    probe_total, probe_first = integrals(p, probe.intensity, widths)
     probe_mean = float(probe_first / probe_total)
     lambda0 = momentum_to_wavelength(probe.p0)
     rows = max(1, NUMERIC_CHUNK_ELEMENTS // p.size)
@@ -342,7 +314,7 @@ def numeric_forward(config, scheme: SchemeKind, probe: ProbeSpectrum):
         for start in range(0, omegas.size, rows):
             block = slice(start, start + rows)
             g = coupling_length(omegas[block, None], area, loop_lambda0)
-            intensity = _postselected_intensity(p, probe_intensity, g, phi, psi_pre, paper_literal)
+            intensity = postselected_spectrum(probe, g, phi, psi_pre, paper_literal=paper_literal)
             totals[block], firsts[block] = integrals(p, intensity, widths)
         # the operation order of mean_shift_numeric, rate by rate
         delta_p = firsts / totals - probe_mean

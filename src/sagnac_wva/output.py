@@ -308,18 +308,12 @@ def _csv_chunks(header: str, columns):
         )
 
 
-def write_spectrum_csv(path, probe, post_spectrum) -> None:
-    """Write probe and post-selected intensities that share one grid.
+def write_spectrum_csv(path, probe, intensity) -> None:
+    """Write the probe and a post-selected intensity on the probe's grid.
 
     Columns: p_inv_m, lambda_m (= 2*pi/p), intensity_probe, intensity_post.
     """
-    if probe.p_grid.shape != post_spectrum.p_grid.shape or not np.array_equal(
-        probe.p_grid, post_spectrum.p_grid
-    ):
-        raise ValueError("probe and post-selected spectra must share a grid")
-    columns = [
-        probe.p_grid, 2.0 * np.pi / probe.p_grid, probe.intensity, post_spectrum.intensity
-    ]
+    columns = [probe.p_grid, 2.0 * np.pi / probe.p_grid, probe.intensity, intensity]
     _atomic_write_text(path, _csv_chunks(CSV_SPECTRUM_HEADER, columns))
 
 

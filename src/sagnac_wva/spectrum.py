@@ -162,28 +162,20 @@ def gaussian_probe(
     intensity = np.exp(-0.5 * ((p - p0) / sigma_p) ** 2) / (
         sigma_p * np.sqrt(2.0 * np.pi)
     )
-    return normalize(ProbeSpectrum(p, intensity, p0, sigma_p))
+    return ProbeSpectrum(p, normalize(p, intensity), p0, sigma_p)
 
 
-def moments(s, intensity=None) -> Moments:
-    """Trapezoidal mean and variance of a gridded intensity.
-
-    Accepts a ProbeSpectrum (or anything with p_grid/intensity attributes),
-    or a (p_grid, intensity) pair of arrays.
+def moments(p: np.ndarray, intensity: np.ndarray) -> Moments:
+    """Trapezoidal mean and variance of an intensity on the grid `p`.
 
     Raises
     ------
     ZeroTotalIntensity
         If the intensity integrates to zero or underflows.
     """
-    if intensity is None:
-        p, i = s.p_grid, s.intensity
-    else:
-        p = np.asarray(s, dtype=float)
-        i = np.asarray(intensity, dtype=float)
-    total, first = integrals(p, i)
+    total, first = integrals(p, intensity)
     mean = float(first / total)
-    variance = float(np.trapezoid((p - mean) ** 2 * i, p) / total)
+    variance = float(np.trapezoid((p - mean) ** 2 * intensity, p) / total)
     return Moments(mean=mean, variance=variance)
 
 
@@ -216,9 +208,9 @@ def _trapezoid(y: np.ndarray, widths: np.ndarray):
     return np.add.reduce(widths * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
 
 
-def normalize(s: ProbeSpectrum) -> ProbeSpectrum:
-    """Rescale the intensity so its trapezoidal integral is 1 (idempotent)."""
-    total = float(np.trapezoid(s.intensity, s.p_grid))
+def normalize(p_grid: np.ndarray, intensity: np.ndarray) -> np.ndarray:
+    """`intensity` rescaled so its trapezoidal integral over `p_grid` is 1 (idempotent)."""
+    total = float(np.trapezoid(intensity, p_grid))
     if not np.isfinite(total) or total <= _UNDERFLOW:
         raise ZeroTotalIntensity("cannot normalize: intensity integrates to zero")
-    return ProbeSpectrum(s.p_grid, s.intensity / total, s.p0, s.sigma_p)
+    return intensity / total

@@ -465,7 +465,7 @@ def test_figure3_probabilities_match_per_rate_spectra(tmp_path):
     probe = config.probe()
     for row in rows:
         expected = [
-            postselection_probability(scheme_spectrum(config, scheme, probe, row[0]))
+            postselection_probability(probe, scheme_spectrum(config, scheme, probe, row[0]))
             for scheme in (SchemeKind.SWM, SchemeKind.BWM)
         ]
         assert row[1:3] == expected
@@ -522,6 +522,19 @@ def test_compare_with_overflowing_result_is_numeric_error(tmp_path, capsys):
     assert captured.err == "error: swm delta_p_analytic is inf; no record written\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", ["swm", "bwm"])
+def test_spectrum_with_overflowing_coupling_is_numeric_error(tmp_path, capsys, scheme):
+    # 4*Omega*S overflows, so g = inf and every post-selected intensity is nan
+    config = _scenario(tmp_path, area_m2=1e10, omega_rad_per_s=1e300, grid={"points": 101})
+    out = tmp_path / "spec.csv"
+    code = cli_main(["spectrum", "--config", str(config), "--out", str(out), "--scheme", scheme])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {scheme} intensity_post is not finite; no file written\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_analytic_overflow_prints_no_warning(tmp_path, capsys, recwarn):
@@ -685,7 +698,7 @@ def test_probe_grid_below_float_resolution_is_config_error(tmp_path, capsys, com
     assert not any(tmp_path.glob("[sr].*"))
 
 
-@pytest.mark.parametrize("points", [10**12 + 1, 10**300 + 1])
+@pytest.mark.parametrize("points", [10**12 + 1, 10**300 + 1], ids=["1e12", "1e300"])
 def test_grid_points_above_the_cap_is_config_error(tmp_path, capsys, points):
     # counts no machine could allocate; refused before any grid is built
     config = str(_scenario(tmp_path, scheme="swm", grid={"points": points}))

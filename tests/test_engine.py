@@ -76,7 +76,7 @@ def test_dual_route_agreement_random_tuples():
         psi = rng.uniform(-1e-12, 1e-12)
         spec = postselected_spectrum(probe, g, phi, psi)
         matrix = transfer_matrix_intensity(probe, g, phi, psi)
-        rel = np.abs(matrix - spec.intensity) / np.abs(spec.intensity)
+        rel = np.abs(matrix - spec) / np.abs(spec)
         assert float(rel.max()) < 1e-12
 
 
@@ -84,9 +84,9 @@ def test_no_rotation_is_uniform_scaling():
     probe = _probe()
     spec = postselected_spectrum(probe, 0.0, PHI)
     expected = np.sin(PHI) ** 2 * probe.intensity
-    assert np.allclose(spec.intensity, expected, rtol=1e-12)
-    assert postselection_probability(spec) == pytest.approx(np.sin(PHI) ** 2, rel=1e-12)
-    shift = mean_shift_numeric(spec, probe)
+    assert np.allclose(spec, expected, rtol=1e-12)
+    assert postselection_probability(probe, spec) == pytest.approx(np.sin(PHI) ** 2, rel=1e-12)
+    shift = mean_shift_numeric(probe, spec)
     assert abs(shift.delta_p) < 1e-12 * probe.p0
 
 
@@ -94,24 +94,24 @@ def test_biased_no_rotation_destructive_at_center():
     probe = _probe()
     spec = postselected_spectrum(probe, 0.0, PHI, bias_delay(PHI, LAMBDA0, 0))
     mid = probe.p_grid.size // 2
-    assert spec.intensity[mid] < 1e-20 * probe.intensity.max()
+    assert spec[mid] < 1e-20 * probe.intensity.max()
     # full-law closed form reduces to sin^2(phi*(1 - p/p0)) at g=0
     oracle = np.sin(PHI * (1.0 - probe.p_grid / probe.p0)) ** 2 * probe.intensity
-    assert np.allclose(spec.intensity, oracle, rtol=1e-9, atol=1e-40)
+    assert np.allclose(spec, oracle, rtol=1e-9, atol=1e-40)
 
 
 def test_standard_scheme_frozen_values():
     probe = _probe()
     spec = postselected_spectrum(probe, G_SLOW, PHI)
-    shift = mean_shift_numeric(spec, probe)
+    shift = mean_shift_numeric(probe, spec)
     assert shift.delta_p == pytest.approx(SWM_DP, rel=1e-9)
     assert shift.delta_lambda == pytest.approx(SWM_DL, rel=1e-9)
-    assert postselection_probability(spec) == pytest.approx(SWM_PROB, rel=1e-9)
+    assert postselection_probability(probe, spec) == pytest.approx(SWM_PROB, rel=1e-9)
 
 
 def test_standard_scheme_matches_dense_quadrature():
     probe = _probe()
-    shift = mean_shift_numeric(postselected_spectrum(probe, G_SLOW, PHI), probe)
+    shift = mean_shift_numeric(probe, postselected_spectrum(probe, G_SLOW, PHI))
     assert shift.delta_p == pytest.approx(SWM_DP_DENSE, rel=1e-6)
 
 
@@ -119,7 +119,7 @@ def test_standard_scheme_analytic_deviation_is_pinned():
     # the exact mean shift differs from 2*g*sigma_p^2*cot(phi) by close to
     # (but measurably more than) 1e-3 at these parameters; keep the gap honest
     probe = _probe()
-    shift = mean_shift_numeric(postselected_spectrum(probe, G_SLOW, PHI), probe)
+    shift = mean_shift_numeric(probe, postselected_spectrum(probe, G_SLOW, PHI))
     dev = abs(shift.delta_p - SWM_DP_ANALYTIC) / SWM_DP_ANALYTIC
     assert 1.0045e-3 < dev < 1.0065e-3
 
@@ -128,10 +128,10 @@ def test_biased_scheme_frozen_values():
     probe = _probe()
     bias = bias_delay(PHI, LAMBDA0, 0)
     spec = postselected_spectrum(probe, G_SLOW, PHI, bias)
-    shift = mean_shift_numeric(spec, probe)
+    shift = mean_shift_numeric(probe, spec)
     assert shift.delta_p == pytest.approx(BWM_DP, rel=1e-9)
     assert shift.delta_lambda == pytest.approx(BWM_DL, rel=1e-9)
-    assert postselection_probability(spec) == pytest.approx(BWM_PROB, rel=1e-9)
+    assert postselection_probability(probe, spec) == pytest.approx(BWM_PROB, rel=1e-9)
     assert shift.delta_p == pytest.approx(BWM_DP_DENSE, rel=1e-6)
 
 
@@ -139,15 +139,15 @@ def test_biased_literal_frozen_values():
     probe = _probe()
     bias = bias_delay(PHI, LAMBDA0, 0)
     spec = postselected_spectrum(probe, G_SLOW, PHI, bias, paper_literal=True)
-    shift = mean_shift_numeric(spec, probe)
+    shift = mean_shift_numeric(probe, spec)
     assert shift.delta_p == pytest.approx(BWM_LIT_DP, rel=1e-9)
-    prob = postselection_probability(spec)
+    prob = postselection_probability(probe, spec)
     assert prob == pytest.approx(BWM_LIT_PROB, rel=1e-9)
     # small-angle oracle for the simplified density: g^2*(p0^2 + sigma_p^2)
     assert prob == pytest.approx(G_SLOW**2 * (probe.p0**2 + probe.sigma_p**2), rel=1e-9)
     # the matrix route always carries the full law, so the two differ here
     matrix = transfer_matrix_intensity(probe, G_SLOW, PHI, bias)
-    assert not np.allclose(spec.intensity, matrix, rtol=1e-3, atol=0.0)
+    assert not np.allclose(spec, matrix, rtol=1e-3, atol=0.0)
 
 
 def test_analytic_shifts_frozen_values():
@@ -210,24 +210,24 @@ def test_small_coupling_law():
     for _ in range(5):
         phi = rng.uniform(5e-4, 0.5)
         g = 1e-3 * phi / probe.p0 * rng.uniform(0.05, 1.0)
-        shift = mean_shift_numeric(postselected_spectrum(probe, g, phi), probe)
+        shift = mean_shift_numeric(probe, postselected_spectrum(probe, g, phi))
         expected = 2.0 * g * probe.sigma_p**2 / np.tan(phi)
         assert shift.delta_p == pytest.approx(expected, rel=1e-3)
 
 
 def test_sign_flip_with_rotation_direction():
     probe = _probe()
-    fwd = mean_shift_numeric(postselected_spectrum(probe, G_SLOW, PHI), probe)
-    rev = mean_shift_numeric(postselected_spectrum(probe, -G_SLOW, PHI), probe)
+    fwd = mean_shift_numeric(probe, postselected_spectrum(probe, G_SLOW, PHI))
+    rev = mean_shift_numeric(probe, postselected_spectrum(probe, -G_SLOW, PHI))
     assert rev.delta_p == pytest.approx(-fwd.delta_p, rel=1e-2)
 
 
 def test_shift_scales_with_width_squared():
     probe = _probe()
     narrow = gaussian_probe(LAMBDA0, FWHM / 2.0)
-    wide_dp = mean_shift_numeric(postselected_spectrum(probe, G_SLOW, PHI), probe).delta_p
+    wide_dp = mean_shift_numeric(probe, postselected_spectrum(probe, G_SLOW, PHI)).delta_p
     narrow_dp = mean_shift_numeric(
-        postselected_spectrum(narrow, G_SLOW, PHI), narrow
+        narrow, postselected_spectrum(narrow, G_SLOW, PHI)
     ).delta_p
     assert wide_dp / narrow_dp == pytest.approx(4.0, rel=1e-6)
 
@@ -265,10 +265,10 @@ def test_compare_schemes_numeric_fields_match_per_spectrum_reference(overrides):
     probe = config.probe()
     for res in compare_schemes(config):
         spec = scheme_spectrum(config, res.scheme, probe)
-        shift = mean_shift_numeric(spec, probe)
+        shift = mean_shift_numeric(probe, spec)
         assert res.delta_p_numeric == shift.delta_p
         assert res.delta_lambda_numeric == shift.delta_lambda
-        assert res.postselect_prob_numeric == postselection_probability(spec)
+        assert res.postselect_prob_numeric == postselection_probability(probe, spec)
         assert type(res.delta_p_numeric) is float
 
 
@@ -317,8 +317,8 @@ def test_numeric_forward_matches_per_rate_loop(scheme_name, paper_literal, point
     omegas = np.geomspace(1e-10, 1e-8, n_rates)
     assert n_rates > 2 * (NUMERIC_CHUNK_ELEMENTS // points)  # three blocks or more
     spectra = [scheme_spectrum(config, scheme, probe, omega) for omega in omegas]
-    loop_shift = [mean_shift_numeric(spec, probe).delta_lambda for spec in spectra]
-    loop_prob = [postselection_probability(spec) for spec in spectra]
+    loop_shift = [mean_shift_numeric(probe, spec).delta_lambda for spec in spectra]
+    loop_prob = [postselection_probability(probe, spec) for spec in spectra]
     batched = bind_delta_lambda(config, scheme, probe, "numeric")(omegas)
     assert np.array_equal(batched, loop_shift)
     assert np.array_equal(numeric_forward(config, scheme, probe)(omegas).probability, loop_prob)

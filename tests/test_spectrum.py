@@ -119,14 +119,17 @@ def test_gaussian_probe_span():
 
 
 def test_gaussian_probe_moments():
-    m = moments(gaussian_probe(LAMBDA0, FWHM))
+    probe = gaussian_probe(LAMBDA0, FWHM)
+    m = moments(probe.p_grid, probe.intensity)
     assert m.mean == pytest.approx(P0, rel=1e-9)
     assert m.variance == pytest.approx(SIGMA_P**2, rel=1e-6)
 
 
 def test_moments_converge_under_grid_refinement():
-    coarse = moments(gaussian_probe(LAMBDA0, FWHM, GridSpec(points=4001)))
-    fine = moments(gaussian_probe(LAMBDA0, FWHM, GridSpec(points=8001)))
+    coarse_probe = gaussian_probe(LAMBDA0, FWHM, GridSpec(points=4001))
+    fine_probe = gaussian_probe(LAMBDA0, FWHM, GridSpec(points=8001))
+    coarse = moments(coarse_probe.p_grid, coarse_probe.intensity)
+    fine = moments(fine_probe.p_grid, fine_probe.intensity)
     assert abs(fine.mean - coarse.mean) / coarse.mean < 1e-8
     assert abs(fine.variance - coarse.variance) / coarse.variance < 1e-8
 
@@ -152,23 +155,17 @@ def test_moments_zero_intensity_raises():
 
 def test_normalize_idempotent_and_scale_free():
     probe = gaussian_probe(LAMBDA0, FWHM)
-    once = normalize(probe)
-    twice = normalize(once)
-    assert np.max(np.abs(twice.intensity - once.intensity)) < 1e-12 * once.intensity.max()
-    scaled = normalize(
-        ProbeSpectrum(probe.p_grid, 7.0 * probe.intensity, probe.p0, probe.sigma_p)
-    )
-    assert np.max(np.abs(scaled.intensity - once.intensity)) < 1e-12 * once.intensity.max()
+    once = normalize(probe.p_grid, probe.intensity)
+    twice = normalize(probe.p_grid, once)
+    assert np.max(np.abs(twice - once)) < 1e-12 * once.max()
+    scaled = normalize(probe.p_grid, 7.0 * probe.intensity)
+    assert np.max(np.abs(scaled - once)) < 1e-12 * once.max()
 
 
 def test_normalize_zero_intensity_raises():
     probe = gaussian_probe(LAMBDA0, FWHM)
     with pytest.raises(ZeroTotalIntensity):
-        normalize(
-            ProbeSpectrum(
-                probe.p_grid, np.zeros_like(probe.intensity), probe.p0, probe.sigma_p
-            )
-        )
+        normalize(probe.p_grid, np.zeros_like(probe.intensity))
 
 
 @pytest.mark.parametrize("points", [4000, 2, 1, -5])

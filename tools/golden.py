@@ -29,7 +29,7 @@ identical trees.  Compare two checkouts with::
     diff -r /tmp/golden-parent /tmp/golden-change
 
 Needs only the package's own dependencies.  The full matrix runs about
-1320 commands, writes about 120 MB and takes 8-13 s on one core.
+1360 commands, writes about 120 MB and takes 8-13 s on one core.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ EDGES = [
     ("edge-underflow-literal", {"area_m2": 1e-140, "scheme": "bwm", "paper_literal": True}),
     ("edge-tiny-area-literal", {"area_m2": 1e-160, "scheme": "bwm", "paper_literal": True}),
     ("edge-wide-phi", {"phi_rad": 1.5, "scheme": "both", "bias_order_m": 2}),
+    ("edge-inf-coupling", {"area_m2": 1e10, "omega_rad_per_s": 1e300, "scheme": "both"}),
     # scenario values the config must refuse: an integer no float holds, a
     # wavelength that underflows to 0 m, a line too narrow for the grid to
     # resolve and a node count no machine could allocate
