@@ -295,8 +295,10 @@ def numeric_forward(config, scheme: SchemeKind, probe: ProbeSpectrum):
     nodes rates at a time (at least one) and integrates each row once for its
     total and first moment.
 
-    Raises ZeroTotalIntensity, from `evaluate`, for the first block that
-    holds a rate whose spectrum integrates to zero.
+    Raises, from `evaluate`, for the first block that holds a rate whose
+    spectrum does not integrate to a positive finite total: NonFiniteResult
+    for a NaN or infinite total (an overflowed coupling), else
+    ZeroTotalIntensity.
     """
     area, loop_lambda0 = config.area_m2, config.lambda0_m()
     psi_pre, phi, paper_literal = _bias(config, scheme), config.phi_rad, config.paper_literal

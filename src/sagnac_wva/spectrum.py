@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonPositiveInput, ValidationError, ZeroTotalIntensity
+from .errors import NonFiniteResult, NonPositiveInput, ValidationError, ZeroTotalIntensity
 
 #: FWHM of a Gaussian divided by its standard deviation: 2*sqrt(2*ln 2)
 FWHM_PER_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
@@ -190,8 +190,10 @@ def integrals(p_grid: np.ndarray, intensity: np.ndarray, widths: np.ndarray | No
 
     Raises
     ------
+    NonFiniteResult
+        If any row's total is NaN or infinite (an overflowed intensity).
     ZeroTotalIntensity
-        If any row integrates to zero, underflows or is not finite.
+        Otherwise, if any row integrates to zero or underflows.
     """
     if widths is None:
         widths = np.diff(p_grid)
@@ -199,6 +201,8 @@ def integrals(p_grid: np.ndarray, intensity: np.ndarray, widths: np.ndarray | No
     # a Python pass over the row totals: a block holds few rows, and this is
     # several times cheaper than numpy reductions on so small an array
     if not all(_UNDERFLOW < t < math.inf for t in np.ravel(total).tolist()):
+        if not np.isfinite(total).all():
+            raise NonFiniteResult("intensity is not finite on this grid")
         raise ZeroTotalIntensity("intensity integrates to zero on this grid")
     return total, _trapezoid(p_grid * intensity, widths)
 
@@ -209,8 +213,14 @@ def _trapezoid(y: np.ndarray, widths: np.ndarray):
 
 
 def normalize(p_grid: np.ndarray, intensity: np.ndarray) -> np.ndarray:
-    """`intensity` rescaled so its trapezoidal integral over `p_grid` is 1 (idempotent)."""
+    """`intensity` rescaled so its trapezoidal integral over `p_grid` is 1 (idempotent).
+
+    Raises NonFiniteResult for a NaN or infinite total and ZeroTotalIntensity
+    for one that is zero or underflows.
+    """
     total = float(np.trapezoid(intensity, p_grid))
-    if not np.isfinite(total) or total <= _UNDERFLOW:
+    if not np.isfinite(total):
+        raise NonFiniteResult("cannot normalize: intensity is not finite")
+    if total <= _UNDERFLOW:
         raise ZeroTotalIntensity("cannot normalize: intensity integrates to zero")
     return intensity / total

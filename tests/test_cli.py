@@ -388,15 +388,15 @@ def test_negative_exponent_value_reaches_the_command(
 
 
 #: SHA-256 of CLI outputs for the BASE scenario, frozen from the per-value
-#: writer and, for the numeric sweep and estimates, from the per-rate
-#: numeric forward loop; a change to the writer or the forward path must
-#: keep every byte
+#: writer and, for the numeric sweep, from the per-rate numeric forward loop;
+#: the numeric estimates are frozen from the ITP inversion.  A change to the
+#: writer or the forward path must keep every byte
 FROZEN_SHA256 = {
     "spectrum.csv": "0a5162b9682ab66b7a95dcc88f52d158235c5cbcb8d3801bd62c240d64c020c0",
     "sweep.csv": "70bcf1da849868dd4f44c48dedac6638a1fd932ed797fa819403ac45a9f63c5a",
     "sweep_numeric.csv": "fcdeef17a6ab63f98c75832e52a8e0d825ce6d3c1d3ec982eb211364309af932",
-    "estimate_swm.stdout": "f8e6bf73875d6298ebc95a37d25eb05cfb989c8a46cb05db3f086cc4006a03bd",
-    "estimate_bwm.stdout": "1efa86e1d3951c05ab3417bfcfaedf6770d5cb9481354077fc0e3aa4b46edf19",
+    "estimate_swm.stdout": "51395e4b0da274ca636430ecd0782077e6ed19d344853ad2a4b568218a09e8d9",
+    "estimate_bwm.stdout": "240447f01b20a277723280e71f1336e81faa9a780c6aa8d2eaddde0b48380628",
     FIGURE3_FILES[0]: "c8e28c681f3a8a8f5e5c8edc5a73d6f55e16f2114226d70a2ca1ed4592293013",
     FIGURE3_FILES[1]: "977509f44e0ec949af6453f28abeeadd1483401873ab9dcd2a41f34d051bae41",
     FIGURE3_FILES[2]: "49205daa2a1b82a3c01898c76b0e86757d817221ee94eee9bb94901756d42cd7",
@@ -533,6 +533,26 @@ def test_spectrum_with_overflowing_coupling_is_numeric_error(tmp_path, capsys, s
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err == f"error: {scheme} intensity_post is not finite; no file written\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["compare"],
+        ["sweep", "--omega-min", "1e-10", "--omega-max", "1e300", "--points", "5",
+         "--mode", "numeric"],
+    ],
+    ids=["compare", "sweep-numeric"],
+)
+def test_overflowing_coupling_is_reported_as_non_finite(tmp_path, capsys, command):
+    # g = inf makes every intensity and so every total nan, not zero
+    config = _scenario(tmp_path, area_m2=1e10, omega_rad_per_s=1e300, grid={"points": 101})
+    code = cli_main(command + ["--config", str(config), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: intensity is not finite on this grid\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == [config]
 

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,9 @@ from sagnac_wva.errors import (
     ValidationError,
 )
 from sagnac_wva.estimation import (
+    BISECTION_MAX_ITER,
+    BISECTION_REL_TOL,
+    CalibrationCurve,
     calibration_curve,
     estimate_omega_analytic,
     estimate_omega_numeric,
@@ -154,3 +160,163 @@ def test_bisection_is_deterministic():
     second = estimate_omega_numeric(obs, curve)
     assert first.omega_hat == second.omega_hat
     assert first.residual == second.residual
+
+
+def _recording(curve):
+    """`curve` with its forward model wrapped to log every (rate, shift) it evaluates."""
+    calls = []
+
+    def forward(omegas):
+        values = curve.forward(omegas)
+        calls.extend(zip(np.ravel(omegas).tolist(), values.tolist()))
+        return values
+
+    return dataclasses.replace(curve, forward=forward), calls
+
+
+def _straddling_interval(curve, obs):
+    """The calibration interval whose sample shifts straddle `obs`."""
+    omegas, values = curve.omega_values.tolist(), curve.delta_lambda_values.tolist()
+    for k in range(len(values) - 1):
+        if min(values[k], values[k + 1]) <= obs <= max(values[k], values[k + 1]):
+            return omegas[k], omegas[k + 1]
+    raise AssertionError(f"no calibration interval straddles {obs}")
+
+
+def _final_bracket(curve, obs, calls, omega_hat):
+    """The solver's last bracket, rebuilt from the samples and the rates it evaluated.
+
+    Every evaluated rate becomes a bracket end, and brackets nest, so the
+    final ends are the nearest known rates on either side of the midpoint.
+    The last call is at the midpoint itself: the residual evaluation, or a
+    step that hit the observation exactly, which closes the bracket there.
+    """
+    known = list(zip(curve.omega_values.tolist(), curve.delta_lambda_values.tolist())) + calls
+    if calls[-1] == (omega_hat, obs):
+        return calls[-1], calls[-1]
+    lo = max(point for point in known if point[0] < omega_hat)
+    hi = min(point for point in known if point[0] > omega_hat)
+    return lo, hi
+
+
+def _full_ladder_bisection_evals(curve, obs):
+    """Forward evaluations of plain bisection over the whole calibration ladder."""
+    increasing = curve.delta_lambda_values[-1] > curve.delta_lambda_values[0]
+    a, b = float(curve.omega_values[0]), float(curve.omega_values[-1])
+    evals = 1  # the residual at the final midpoint
+    for _ in range(BISECTION_MAX_ITER):
+        mid = 0.5 * (a + b)
+        if b - a <= BISECTION_REL_TOL * abs(mid):
+            break
+        evals += 1
+        if (float(curve.forward(mid)[0]) < obs) == increasing:
+            a = mid
+        else:
+            b = mid
+    return evals
+
+
+@pytest.mark.parametrize("bias_order", [0, 1, 2])
+@pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
+def test_numeric_inversion_keeps_its_bracket_contract(scheme_name, bias_order):
+    config = _config(scheme=scheme_name, bias_order_m=bias_order, grid=GridSpec(points=801))
+    curve = calibration_curve(config, 1e-10, 1e-8, 10, mode="numeric")
+    assert curve.monotone_flag
+    for omega in (1.3e-10, 7.1e-10, 3.3e-9, 9.1e-9):
+        obs = float(curve.forward(omega)[0])
+        recorded, calls = _recording(curve)
+        est = estimate_omega_numeric(obs, recorded)
+        assert est.method == "numeric-bisection"
+        # the search never leaves the calibration interval that straddles obs
+        a0, b0 = _straddling_interval(curve, obs)
+        assert all(a0 < rate < b0 for rate, _ in calls)
+        (a, value_a), (b, value_b) = _final_bracket(curve, obs, calls, est.omega_hat)
+        assert min(value_a, value_b) <= obs <= max(value_a, value_b)
+        assert est.omega_hat == 0.5 * (a + b)
+        assert b - a <= BISECTION_REL_TOL * est.omega_hat
+        assert calls[-1] == (est.omega_hat, calls[-1][1])
+        assert est.residual == abs(calls[-1][1] - obs)
+        assert len(calls) <= _full_ladder_bisection_evals(curve, obs) + 1
+
+
+@pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
+def test_observation_on_a_sample_returns_its_rate(scheme_name):
+    config = _config(scheme=scheme_name, grid=GridSpec(points=801))
+    curve = calibration_curve(config, 1e-10, 1e-8, 10, mode="numeric")
+    for k in (0, 4, curve.omega_values.size - 1):
+        recorded, calls = _recording(curve)
+        est = estimate_omega_numeric(float(curve.delta_lambda_values[k]), recorded)
+        assert est.omega_hat == curve.omega_values[k]
+        assert est.residual == 0.0
+        assert calls == []
+
+
+def test_noise_floor_inversion_keeps_its_bracket():
+    # swm at the bottom of the default bracket: the final bracket spans a
+    # shift change of ~2e-20 m, within a few hundred rounding steps (~1e-22 m)
+    # of post_mean - probe_mean, so the curve is ragged at the scale the stop
+    # rule resolves
+    config = _config(scheme="swm", grid=GridSpec(points=801))
+    curve = calibration_curve(config, 1e-10, 1e-8, 10, mode="numeric")
+    obs = float(curve.forward(1.05e-10)[0])
+    recorded, calls = _recording(curve)
+    est = estimate_omega_numeric(obs, recorded)
+    a0, b0 = _straddling_interval(curve, obs)
+    assert all(a0 < rate < b0 for rate, _ in calls)
+    (a, value_a), (b, value_b) = _final_bracket(curve, obs, calls, est.omega_hat)
+    assert min(value_a, value_b) <= obs <= max(value_a, value_b)
+    assert b - a <= BISECTION_REL_TOL * est.omega_hat
+    assert len(calls) <= _full_ladder_bisection_evals(curve, obs) + 1
+
+
+def test_linear_ladder_from_zero_stops_at_the_iteration_cap():
+    # the straddling interval starts at 0, so no width bounds the search: an
+    # observation a 1e-12 step above the zero-rate sample sits below the
+    # shift noise floor and only BISECTION_MAX_ITER ends it
+    config = _config(scheme="swm", grid=GridSpec(points=801))
+    curve = calibration_curve(config, 0.0, 1e-8, 5, mode="numeric", spacing="linear")
+    values = curve.delta_lambda_values
+    obs = float(values[0] + 1e-12 * (values[1] - values[0]))
+    recorded, calls = _recording(curve)
+    est = estimate_omega_numeric(obs, recorded)
+    assert len(calls) == BISECTION_MAX_ITER + 1
+    assert all(0.0 < rate < curve.omega_values[1] for rate, _ in calls)
+    (a, value_a), (b, value_b) = _final_bracket(curve, obs, calls, est.omega_hat)
+    assert min(value_a, value_b) <= obs <= max(value_a, value_b)
+    assert est.omega_hat == 0.5 * (a + b)
+
+
+def test_itp_keeps_the_bisection_bound_where_interpolation_crawls():
+    # on a steep convex curve regula falsi creeps in from one end; the ITP
+    # projection still closes the interval within bisection's step count + 1
+    # (n0 = 1), plus the residual evaluation
+    def shift(omegas):
+        return np.atleast_1d(np.exp(30.0 * np.asarray(omegas, dtype=float)))
+
+    omegas = np.array([1.0, 2.0])
+    n_half = math.ceil(math.log2((omegas[1] - omegas[0]) / (BISECTION_REL_TOL * omegas[0])))
+    for target in (1.5, 1.9):
+        curve = CalibrationCurve(
+            omega_values=omegas, delta_lambda_values=shift(omegas), scheme=SchemeKind.SWM,
+            mode="numeric", monotone_flag=True, forward=shift,
+        )
+        recorded, calls = _recording(curve)
+        est = estimate_omega_numeric(float(shift(target)[0]), recorded)
+        assert est.omega_hat == pytest.approx(target, rel=BISECTION_REL_TOL)
+        assert len(calls) <= n_half + 1 + 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP direction 1: the monotone flag reads only the ladder samples, "
+    "and this curve turns between them",
+)
+@pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
+def test_curve_turning_between_samples_is_refused(scheme_name):
+    # the sampled shifts are monotone, yet a dense ladder over the same
+    # bracket has 12 turning points; an estimate here returns a wrong rate
+    config = _config(scheme=scheme_name)
+    curve = calibration_curve(config, 6.2e-3, 0.19, 7, mode="numeric", spacing="linear")
+    obs = float(curve.forward(4.06e-2)[0])
+    with pytest.raises(NonMonotonicCalibration):
+        estimate_omega_numeric(obs, curve)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sagnac_wva.errors import NonPositiveInput, ValidationError, ZeroTotalIntensity
+from sagnac_wva.errors import NonFiniteResult, NonPositiveInput, ValidationError, ZeroTotalIntensity
 from sagnac_wva.spectrum import (
     DEFAULT_GRID,
     FWHM_PER_SIGMA,
@@ -166,6 +166,18 @@ def test_normalize_zero_intensity_raises():
     probe = gaussian_probe(LAMBDA0, FWHM)
     with pytest.raises(ZeroTotalIntensity):
         normalize(probe.p_grid, np.zeros_like(probe.intensity))
+
+
+def test_non_finite_total_is_not_reported_as_zero():
+    # a nan row next to a zero row: the nan names the cause
+    p = np.linspace(1.0, 2.0, 11)
+    rows = np.stack([np.zeros(11), np.full(11, np.nan), np.ones(11)])
+    with pytest.raises(NonFiniteResult, match="not finite"):
+        integrals(p, rows)
+    with pytest.raises(NonFiniteResult, match="not finite"):
+        integrals(p, np.full(11, np.inf))
+    with pytest.raises(NonFiniteResult, match="not finite"):
+        normalize(p, np.full(11, np.nan))
 
 
 @pytest.mark.parametrize("points", [4000, 2, 1, -5])

@@ -14,7 +14,8 @@ take the refusal and overflow paths or that the config refuses.  Per
 scenario it runs `spectrum` for both schemes, `compare`, analytic and
 numeric `sweep`s (a numeric one up to 1e308 rad/s, where `4*Omega`
 overflows, and an analytic one over every decade from 5e-324 to the
-largest double), analytic and numeric `estimate`s per scheme, `figure3`
+largest double), analytic and numeric `estimate`s per scheme (numeric ones
+also on an interior ladder sample and on a 2-point ladder), `figure3`
 and three usage errors (one a `sweep` of 10**30 rates, more than any
 machine could allocate).
 
@@ -29,7 +30,7 @@ identical trees.  Compare two checkouts with::
     diff -r /tmp/golden-parent /tmp/golden-change
 
 Needs only the package's own dependencies.  The full matrix runs about
-1360 commands, writes about 120 MB and takes 8-13 s on one core.
+1470 commands, writes about 120 MB and takes 8-13 s on one core.
 """
 
 from __future__ import annotations
@@ -175,6 +176,15 @@ def record_scenario(cli_main, directory: Path, raw: dict) -> None:
         run(cli_main, directory, f"estimate-{scheme}-3-point",
             ["estimate", "--config", single, "--delta-lambda-m", repr(observations[-1]),
              "--method", "numeric", "--points", "3"])
+        if values:
+            # an interior ladder sample, which the inversion returns without a
+            # search, and a ladder of one calibration interval
+            run(cli_main, directory, f"estimate-{scheme}-sample",
+                ["estimate", "--config", single, "--delta-lambda-m", repr(values[4]),
+                 "--method", "numeric"])
+            run(cli_main, directory, f"estimate-{scheme}-2-point",
+                ["estimate", "--config", single, "--delta-lambda-m", repr(observations[3]),
+                 "--method", "numeric", "--points", "2"])
 
     run(cli_main, directory, "figure3", ["figure3", *cfg, "--out", "figure3"])
     run(cli_main, directory, "usage-missing-value", ["estimate", *cfg, "--method"])
