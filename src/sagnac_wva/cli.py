@@ -4,8 +4,8 @@ Command-line interface.
 Subcommands: spectrum, compare, sweep, estimate, figure3.  Exit codes:
 0 success, 2 configuration or validation problem, 3 numerical failure
 (zero intensity, non-monotone or out-of-range inversion), 4 output I/O
-failure.  Diagnostics go to stderr; machine-readable output goes to files
-or stdout only.
+failure.  Diagnostics go to stderr, a failure as one `error:` line and no
+numpy warning; machine-readable output goes to files or stdout only.
 """
 
 from __future__ import annotations
@@ -208,9 +208,13 @@ def _cmd_figure3(args) -> int:
     # panel C: analytic shifts of both schemes and their ratio across Omega
     omegas = np.geomspace(*FIGURE3_SWEEP)
     swm_shift, bwm_shift = (analytic_shift(config, s, probe, omegas).delta_lambda for s in schemes)
+    ratio = bwm_shift / swm_shift
+    if not np.isfinite(ratio).all():
+        # e.g. both shifts underflowed to 0 (0/0) or both overflowed (inf/inf)
+        raise NonFiniteResult("bwm_to_swm_ratio is not finite; no files written")
     tables.append((
         "omega_rad_per_s,delta_lambda_swm_analytic_m,delta_lambda_bwm_analytic_m,bwm_to_swm_ratio",
-        [omegas, swm_shift, bwm_shift, bwm_shift / swm_shift],
+        [omegas, swm_shift, bwm_shift, ratio],
     ))
 
     # panel D: survival probabilities across the same sweep
@@ -290,7 +294,10 @@ def cli_main(argv=None) -> int:
         # argparse already printed usage/help; fold its exit status through
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        # the commands check the non-finite values they refuse themselves, so
+        # numpy's own warnings would only add noise next to `error:`
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except (ValidationError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -29,16 +29,20 @@ the bits a one-rate spectrum and `mean_shift_numeric` /
 `postselection_probability` would give it; those two stay as the
 per-spectrum reference that tests compare against.
 
-Scheme conventions:
+Scheme conventions: every scheme is the one law
+sin^2(p*(g + psi_pre) + phi) * I(p), which reads sin^2(g*p0 + phi_at_p0) at
+p = p0 (up to a multiple of pi in the phase).  `_law` alone maps a scheme to
+its three numbers:
 
-* standard scheme (SWM): no bias, intensity sin^2(g*p + phi) * I(p);
-* biased scheme (BWM): a pre-coupling delay psi_pre = (m*pi - phi)/p0
-  cancels the analyzer offset exactly at p0, giving
-  sin^2(p*(g + psi_pre) + phi) * I(p).
+    scheme                phi    psi_pre            phi_at_p0
+    swm                   phi    0                  phi
+    bwm                   phi    (m*pi - phi)/p0    0
+    bwm, paper_literal    0      0                  0
 
-With `paper_literal` the biased intensity is replaced by the published
-simplified form sin^2(p*g) * I(p) (exact only at p = p0) and the analytic
-shift formulas use 1/phi in place of cot(phi).
+The biased scheme's pre-coupling delay psi_pre cancels the analyzer offset
+exactly at p0.  The paper-literal biased row is the published simplified
+form sin^2(p*g) * I(p), exact only at p = p0; with `paper_literal` the
+analytic shift formulas also use 1/phi in place of cot(phi).
 
 All functions are pure and single-threaded; reductions use a fixed order so
 results are bitwise reproducible.
@@ -114,14 +118,9 @@ class DiscrepancyRow:
 
 
 def postselected_spectrum(
-    probe: ProbeSpectrum,
-    g: float | np.ndarray,
-    phi: float,
-    psi_pre: float | None = None,
-    *,
-    paper_literal: bool = False,
+    probe: ProbeSpectrum, g: float | np.ndarray, phi: float, psi_pre: float = 0.0
 ) -> np.ndarray:
-    """Post-selected momentum spectrum for one scheme; the sin^2 law's one home.
+    """Post-selected momentum spectrum sin^2(p*(g + psi_pre) + phi) * I(p); the law's one home.
 
     Parameters
     ----------
@@ -130,28 +129,20 @@ def postselected_spectrum(
     g : float or ndarray
         Coupling length from the rotation, m, or a (rows, 1) column of them.
     phi : float
-        Analyzer offset angle, rad.
-    psi_pre : float or None
-        None for the standard scheme; the bias delay (m) for the biased scheme.
-    paper_literal : bool
-        With a bias, use the simplified sin^2(p*g) law instead of the full
-        sin^2(p*(g+psi_pre) + phi).
+        Phase offset of the law, rad (see `_law` for each scheme's).
+    psi_pre : float
+        Pre-coupling bias delay, m; 0 without a bias.
 
     Returns
     -------
     ndarray
-        Unnormalized closed-form intensity on `probe.p_grid`, one row per g.
+        Unnormalized intensity on `probe.p_grid`, one row per g.
     """
-    p = probe.p_grid
-    if paper_literal and psi_pre is not None:
-        phase = p * g
-    else:
-        phase = p * (g + (psi_pre if psi_pre is not None else 0.0)) + phi
-    return np.sin(phase) ** 2 * probe.intensity
+    return np.sin(probe.p_grid * (g + psi_pre) + phi) ** 2 * probe.intensity
 
 
 def transfer_matrix_intensity(
-    probe: ProbeSpectrum, g: float, phi: float, psi_pre: float | None = None
+    probe: ProbeSpectrum, g: float, phi: float, psi_pre: float = 0.0
 ) -> np.ndarray:
     """The full post-selected law rebuilt from transfer matrices, for cross-checks.
 
@@ -161,8 +152,7 @@ def transfer_matrix_intensity(
     |<post| U_k |pre>|^2 * I(p_k).  No sin^2 law is used, so agreement with
     `postselected_spectrum` (full law) checks the closed form independently.
     """
-    psi = psi_pre if psi_pre is not None else 0.0
-    unitaries = coupling_unitaries(sigma_z(), probe.p_grid * (g + psi))
+    unitaries = coupling_unitaries(sigma_z(), probe.p_grid * (g + psi_pre))
     amps = np.einsum("i,kij,j->k", postselection_state(phi).conj(), unitaries, preselection_state())
     return np.abs(amps) ** 2 * probe.intensity
 
@@ -250,19 +240,19 @@ def _coupling_length(config, omega=None):
     return coupling_length(omega, config.area_m2, config.lambda0_m())
 
 
-def _bias(config, scheme: SchemeKind) -> float | None:
-    """The bias delay psi_pre (m) of the biased scheme; None for the standard one."""
+def _law(config, scheme: SchemeKind) -> tuple[float, float, float]:
+    """(phi, psi_pre, phi_at_p0) of a scheme's law; the table in the module docstring."""
     if scheme is SchemeKind.SWM:
-        return None
-    return bias_delay(config.phi_rad, config.lambda0_m(), config.bias_order_m)
+        return config.phi_rad, 0.0, config.phi_rad
+    if config.paper_literal:
+        return 0.0, 0.0, 0.0
+    return config.phi_rad, bias_delay(config.phi_rad, config.lambda0_m(), config.bias_order_m), 0.0
 
 
 def scheme_spectrum(config, scheme: SchemeKind, probe: ProbeSpectrum, omega=None) -> np.ndarray:
     """Post-selected intensity of one scheme of a scenario at one rotation rate."""
-    return postselected_spectrum(
-        probe, _coupling_length(config, omega), config.phi_rad, _bias(config, scheme),
-        paper_literal=config.paper_literal,
-    )
+    phi, psi_pre, _ = _law(config, scheme)
+    return postselected_spectrum(probe, _coupling_length(config, omega), phi, psi_pre)
 
 
 def analytic_shift(config, scheme: SchemeKind, probe: ProbeSpectrum, omega=None) -> MeanShift:
@@ -274,13 +264,8 @@ def analytic_shift(config, scheme: SchemeKind, probe: ProbeSpectrum, omega=None)
 
 
 def pointform_probability(config, scheme: SchemeKind, probe: ProbeSpectrum, omega=None) -> float:
-    """Survival probability read at p0 alone: sin^2(g*p0 + phi) or, biased, sin^2(g*p0).
-
-    The biased full law reduces to the latter exactly at p0 for any bias order.
-    """
-    theta0 = _coupling_length(config, omega) * probe.p0
-    if scheme is SchemeKind.SWM:
-        theta0 += config.phi_rad
+    """Survival probability read at p0 alone: sin^2(g*p0 + phi_at_p0)."""
+    theta0 = _coupling_length(config, omega) * probe.p0 + _law(config, scheme)[2]
     return float(np.sin(theta0) ** 2)
 
 
@@ -301,7 +286,7 @@ def numeric_forward(config, scheme: SchemeKind, probe: ProbeSpectrum):
     ZeroTotalIntensity.
     """
     area, loop_lambda0 = config.area_m2, config.lambda0_m()
-    psi_pre, phi, paper_literal = _bias(config, scheme), config.phi_rad, config.paper_literal
+    phi, psi_pre, _ = _law(config, scheme)
     p = probe.p_grid
     widths = np.diff(p)
     probe_total, probe_first = integrals(p, probe.intensity, widths)
@@ -316,7 +301,7 @@ def numeric_forward(config, scheme: SchemeKind, probe: ProbeSpectrum):
         for start in range(0, omegas.size, rows):
             block = slice(start, start + rows)
             g = coupling_length(omegas[block, None], area, loop_lambda0)
-            intensity = postselected_spectrum(probe, g, phi, psi_pre, paper_literal=paper_literal)
+            intensity = postselected_spectrum(probe, g, phi, psi_pre)
             totals[block], firsts[block] = integrals(p, intensity, widths)
         # the operation order of mean_shift_numeric, rate by rate
         delta_p = firsts / totals - probe_mean

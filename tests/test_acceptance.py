@@ -233,11 +233,9 @@ def test_criterion_08_estimator_round_trips():
         probe = config.probe()
         psi_pre = (
             bias_delay(PHI, config.lambda0_m(), config.bias_order_m)
-            if config.scheme == "bwm" else None
+            if config.scheme == "bwm" else 0.0
         )
-        spec = postselected_spectrum(
-            probe, _g(omega), PHI, psi_pre, paper_literal=config.paper_literal
-        )
+        spec = postselected_spectrum(probe, _g(omega), PHI, psi_pre)
         return mean_shift_numeric(probe, spec).delta_lambda
 
     swm_config = _config(scheme="swm")

@@ -23,6 +23,9 @@ from sagnac_wva.errors import (
     ZeroTotalIntensity,
 )
 
+# numpy warnings must never reach a CLI user's stderr
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 BASE = {
     "lambda0_nm": 833.0,
     "fwhm_nm": 20.0,
@@ -753,20 +756,25 @@ def test_cli_import_loads_every_traced_layer():
     assert {f"sagnac_wva.{layer}" for layer in layers} <= loaded
 
 
+LITERAL_BWM = {"scheme": "bwm", "paper_literal": True, "grid": {"points": 1001}}
+
+
 @pytest.mark.parametrize(
-    "area,message",
+    "overrides,message",
     [
-        (1e-140, "intensity integrates to zero on this grid"),
-        (1e-160, "cannot normalize: intensity integrates to zero"),
+        ({**LITERAL_BWM, "area_m2": 1e-140}, "intensity integrates to zero on this grid"),
+        ({**LITERAL_BWM, "area_m2": 1e-160}, "cannot normalize: intensity integrates to zero"),
+        ({"area_m2": 1e-310}, "bwm_to_swm_ratio is not finite; no files written"),
+        ({"area_m2": 1e30, "phi_rad": 1e-300}, "bwm_to_swm_ratio is not finite; no files written"),
     ],
-    ids=["panel-d", "panel-a"],
+    ids=["panel-d", "panel-a", "panel-c-underflow", "panel-c-overflow"],
 )
-def test_figure3_numeric_failure_writes_nothing(tmp_path, capsys, area, message):
+def test_figure3_numeric_failure_writes_nothing(tmp_path, capsys, overrides, message):
     # paper-literal bwm survival underflows the zero-intensity floor: at
-    # 1e-140 m^2 only in panel D, at 1e-160 m^2 already in panel A
-    config = _scenario(
-        tmp_path, scheme="bwm", paper_literal=True, area_m2=area, grid={"points": 1001}
-    )
+    # 1e-140 m^2 only in panel D, at 1e-160 m^2 already in panel A; in
+    # panel C both closed-form shifts underflow to 0 at 1e-310 m^2, or both
+    # overflow, so their ratio is nan
+    config = _scenario(tmp_path, **overrides)
     out_dir = tmp_path / "fig3"
     assert cli_main(["figure3", "--config", str(config), "--out", str(out_dir)]) == 3
     captured = capsys.readouterr()

@@ -4,6 +4,7 @@ import pytest
 from sagnac_wva.engine import (
     NUMERIC_CHUNK_ELEMENTS,
     SchemeKind,
+    _law,
     amplification_factor,
     bind_delta_lambda,
     compare_schemes,
@@ -137,8 +138,8 @@ def test_biased_scheme_frozen_values():
 
 def test_biased_literal_frozen_values():
     probe = _probe()
-    bias = bias_delay(PHI, LAMBDA0, 0)
-    spec = postselected_spectrum(probe, G_SLOW, PHI, bias, paper_literal=True)
+    # the published simplified law sin^2(p*g): phi and psi_pre both 0
+    spec = postselected_spectrum(probe, G_SLOW, 0.0)
     shift = mean_shift_numeric(probe, spec)
     assert shift.delta_p == pytest.approx(BWM_LIT_DP, rel=1e-9)
     prob = postselection_probability(probe, spec)
@@ -146,8 +147,34 @@ def test_biased_literal_frozen_values():
     # small-angle oracle for the simplified density: g^2*(p0^2 + sigma_p^2)
     assert prob == pytest.approx(G_SLOW**2 * (probe.p0**2 + probe.sigma_p**2), rel=1e-9)
     # the matrix route always carries the full law, so the two differ here
-    matrix = transfer_matrix_intensity(probe, G_SLOW, PHI, bias)
+    matrix = transfer_matrix_intensity(probe, G_SLOW, PHI, bias_delay(PHI, LAMBDA0, 0))
     assert not np.allclose(spec, matrix, rtol=1e-3, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "scheme_name,paper_literal,order",
+    [("swm", False, 1), ("bwm", False, 0), ("bwm", False, 1), ("bwm", False, 2), ("bwm", True, 1)],
+    ids=["swm", "bwm-0", "bwm-1", "bwm-2", "bwm-literal"],
+)
+def test_law_phase_at_p0(scheme_name, paper_literal, order):
+    # at p0 the full law's phase p0*(g + psi_pre) + phi is g*p0 + phi_at_p0
+    # plus m*pi for the biased scheme, whose bias cancels phi there
+    turns = order if scheme_name == "bwm" and not paper_literal else 0
+    for phi in (1e-6, PHI, 0.7, 1.5):
+        config = _config(
+            scheme=scheme_name, paper_literal=paper_literal, bias_order_m=order, phi_rad=phi,
+            grid=GridSpec(points=101),
+        )
+        p0 = config.probe().p0
+        phi_law, psi_pre, phi_at_p0 = _law(config, SchemeKind(scheme_name))
+        for g in (0.0, G_SLOW, -G_SLOW, 1e-9):
+            delayed = p0 * (g + psi_pre)
+            full = delayed + phi_law
+            point = g * p0 + phi_at_p0
+            # rounding is relative to the largest term, which for m = 0 is
+            # the p0*psi_pre = -phi that cancels phi
+            scale = max(abs(delayed), phi_law, abs(full), abs(point))
+            assert abs(full - point - turns * np.pi) <= 4 * np.spacing(scale)
 
 
 def test_analytic_shifts_frozen_values():

@@ -30,7 +30,7 @@ identical trees.  Compare two checkouts with::
     diff -r /tmp/golden-parent /tmp/golden-change
 
 Needs only the package's own dependencies.  The full matrix runs about
-1470 commands, writes about 120 MB and takes 8-13 s on one core.
+1550 commands, writes about 120 MB and takes 8-13 s on one core.
 """
 
 from __future__ import annotations
@@ -61,6 +61,10 @@ EDGES = [
     ("edge-tiny-area-literal", {"area_m2": 1e-160, "scheme": "bwm", "paper_literal": True}),
     ("edge-wide-phi", {"phi_rad": 1.5, "scheme": "both", "bias_order_m": 2}),
     ("edge-inf-coupling", {"area_m2": 1e10, "omega_rad_per_s": 1e300, "scheme": "both"}),
+    # both closed-form shifts underflow to 0 or both overflow, so figure3's
+    # ratio of them is nan
+    ("edge-subnormal-area", {"area_m2": 1e-310, "scheme": "both"}),
+    ("edge-overflowing-shifts", {"area_m2": 1e30, "phi_rad": 1e-300, "scheme": "both"}),
     # scenario values the config must refuse: an integer no float holds, a
     # wavelength that underflows to 0 m, a line too narrow for the grid to
     # resolve and a node count no machine could allocate
