@@ -3,7 +3,9 @@ Result persistence: deterministic CSV spectra and canonical JSON run records.
 
 Numbers are written with 17 significant digits so parsing them back
 reproduces the doubles bit for bit; CSV tables go through a numpy encoder
-whose bytes equal `%.17g` per value (see `_fields`).  Files are written
+whose bytes equal `%.17g` per value (see `_fields`).  It encodes a table in
+chunks of CSV_CHUNK_VALUES values through one `_Workspace`, allocated once
+per table and reused by every chunk.  Files are written
 atomically (temp-then-rename), always UTF-8 with LF line endings, so two
 runs of the same scenario produce byte-identical output apart from the one
 timestamp key in the JSON record.
@@ -12,12 +14,14 @@ timestamp key in the JSON record.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,20 +67,25 @@ def _atomic_write_text(path, chunks) -> None:
                 pass
 
 
-#: rows encoded per pass: bounds the transient arrays a pass holds (about
-#: 160 bytes per value); larger chunks run no faster
-CSV_CHUNK_ROWS = 1024
+#: values encoded per chunk, at most.  One workspace of this many values
+#: (152 bytes each, see _Workspace) serves every chunk of a table, so the
+#: chunks after the first allocate nothing and fault in no fresh pages, and
+#: a larger chunk pays less numpy call overhead per value; the size bounds
+#: the memory a table's encoding holds
+CSV_CHUNK_VALUES = 6144
 
 # -- vectorised %.17g -------------------------------------------------------
 #
 # A finite nonzero |x| = m * 2**e (np.frexp, 0.5 <= m < 1) lies in decade E
 # or E + 1, where E = floor(log10 2**(e-1)) = ((e-1) * 78913) >> 18 (exact
-# for every double; np.log10 rounds up just below powers of ten).  Then
-# y = m * 2**e * 10**(16 - E) lies in [1e16, 2e17): the 17 significant
-# digits are rint(y), or rint(y / 10) in decade E + 1 when rint(y) reaches
-# 1e17.  The scale 2**e * 10**k is a double-double hi + lo built from exact
-# integers, and m * (hi + lo) is a Dekker product (Numer. Math. 18:224,
-# 1971), so y is known to ~1e-14 absolute.
+# for every double; np.log10 rounds up just below powers of ten).  It is in
+# decade E + 1 exactly when m reaches the exponent's threshold: the least
+# mantissa whose 17-digit rounding is 10**(E+1), found with exact integers.
+# Then y = m * 2**e * 10**(16 - D) in the value's decade D rounds to its 17
+# significant digits, rint(y) in [1e16, 1e17).  The scale 2**e * 10**k is a
+# double-double hi + lo built from exact integers, and m * (hi + lo) is a
+# Dekker product (Numer. Math. 18:224, 1971), so y is known to ~1e-14
+# absolute.
 
 #: frexp exponent of the smallest subnormal, and the count of finite exponents
 _EXP_MIN = -1073
@@ -86,10 +95,12 @@ _EXP_COUNT = 1024 - _EXP_MIN + 1
 _TIE_MARGIN = 1e-9
 #: 2**27 + 1, Veltkamp's factor that splits a double into two 26-bit halves
 _SPLIT = 134217729.0
-#: per decade step (E, E + 1): the scale's hi, lo and hi's two halves, per
-#: frexp exponent; filled lazily, for the exponents the written values have
-_SCALE = np.zeros((2, 4, _EXP_COUNT))
-_SCALE_READY = np.zeros(_EXP_COUNT, dtype=bool)
+#: per frexp exponent and decade step (column 2 * offset + step, for decade
+#: E + step): the scale's hi, lo and hi's two halves; and per exponent the
+#: mantissa threshold of decade E + 1, 0 until filled.  Filled lazily, for
+#: the exponents the written values have
+_SCALE = np.zeros((4, 2 * _EXP_COUNT))
+_UP = np.zeros(_EXP_COUNT)
 
 
 def _start_decade(e):
@@ -98,12 +109,13 @@ def _start_decade(e):
 
 
 def _fill_scale(offsets) -> None:
-    """Fill _SCALE for the given exponents (offsets from _EXP_MIN)."""
+    """Fill _SCALE and _UP for the given exponents (offsets from _EXP_MIN)."""
     for offset in offsets.tolist():
         e = offset + _EXP_MIN
         decade = _start_decade(e)
-        for step, k in enumerate((16 - decade, 15 - decade)):
+        for step in (0, 1):
             # 2**e * 10**k = 5**k * 2**(e + k) as num / den
+            k = 16 - decade - step
             num, den = (5**k, 1) if k >= 0 else (1, 5**-k)
             if e + k >= 0:
                 num <<= e + k
@@ -114,198 +126,284 @@ def _fill_scale(offsets) -> None:
             lo = (num * b - a * den) / (den * b)
             t = _SPLIT * hi
             hi_hi = t - (t - hi)
-            _SCALE[step, :, offset] = (hi, lo, hi_hi, hi - hi_hi)
-    _SCALE_READY[offsets] = True
+            _SCALE[:, 2 * offset + step] = (hi, lo, hi_hi, hi - hi_hi)
+        # the least double m with m * 2**e * 10**(15 - decade) >= 10**16 - 1/20,
+        # that is m * num / den >= (2 * 10**17 - 1) / 20
+        num, den = (2 * 10**17 - 1) * den, 20 * num
+        up = num / den
+        a, b = up.as_integer_ratio()
+        _UP[offset] = up if a * den >= num * b else math.nextafter(up, math.inf)
 
 
-def _scaled(m, offset, step):
-    """rint(y) and 1/2 - |y - rint(y)| for y = m * 2**e * 10**k (k per step).
+# Each value is built as a 32-byte field, four little-endian uint64 words;
+# NUL bytes are padding, removed once the chunk is joined.  Bytes:
+#   0 NUL | 1 sign | 2-6 "0.000" prefix | 7-24 the 17 digits with the point
+#   inserted | 25-29 "e+308" suffix | 30 separator | 31 NUL
+_FIELD = 32
+#: field bytes the fallback spelling may fill: all before the separator
+_TEXT = 30
+#: decade of 5e-324
+_DECADE_MIN = -324
 
-    Computed in place where it can be: these arrays are most of the
-    transient memory a chunk needs.
+
+class _Tables(NamedTuple):
+    """The encoder's constant lookup tables; decades count from _DECADE_MIN."""
+
+    start_decade: np.ndarray  # per frexp exponent offset: its decade E (int16)
+    affixes: np.ndarray  # per decade: field words holding its prefix and suffix
+    whole17: np.ndarray  # per decade: 17 * the digits written before the point
+    keep: np.ndarray  # per point index (see _write_mantissa): bytes that stay,
+    move: np.ndarray  # bytes that take the byte below them (past the point),
+    point: np.ndarray  # and the point itself
+    digits: np.ndarray  # per limb 0..9999: its 4 ASCII digits as a "<u4"
+    trailing: np.ndarray  # per limb: its trailing zeros (4 for 0)
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """Build the tables on first use, so that an import which writes no CSV
+    table never holds them."""
+    decades = np.arange(_DECADE_MIN, 309)
+    fixed = (decades >= -4) & (decades < 17)
+    small = fixed & (decades < 0)  # the 0.000ddd form
+    power = np.abs(decades)
+    affixes = np.zeros((decades.size, _FIELD), np.uint8)
+    affixes[:, 2:7] = np.frombuffer(b"0.000", np.uint8) * (
+        np.arange(5) < np.where(small, 1 - decades, 0)[:, None]
+    )
+    suffix = affixes[:, 25:30]
+    suffix[:, 0] = ord("e")
+    suffix[:, 1] = np.where(decades < 0, ord("-"), ord("+"))
+    suffix[:, 2] = np.where(power >= 100, power // 100 + ord("0"), 0)
+    suffix[:, 3] = power // 10 % 10 + ord("0")
+    suffix[:, 4] = power % 10 + ord("0")
+    suffix *= ~fixed[:, None]
+    whole_of_decade = np.where(small, 0, np.where(fixed, decades + 1, 1))
+
+    # point index 17 * whole + zeros, for `whole` digits before the point and
+    # `zeros` trailing zeros of the 17
+    whole = np.arange(18)[:, None, None]
+    kept = np.maximum(17 - np.arange(17)[:, None], whole)
+    slot = np.arange(_FIELD)
+    digit = slot - 7  # the digit a slot holds before the point goes in
+    keep = (slot < 7) | ((digit >= 0) & (digit < whole)) | (slot > 24)
+    move = (digit - 1 >= whole) & (digit - 1 < kept)
+    point = (digit == whole) & (whole > 0) & (kept > whole)
+
+    def words(mask, byte):
+        text = np.broadcast_to(mask * np.uint8(byte), (18, 17, _FIELD))
+        return text.astype(np.uint8, order="C").view("<u8").reshape(-1, 4).astype(np.uint64)
+
+    # the four digits of every limb 0..9999, most significant first
+    limb_digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+    text = np.ascontiguousarray((limb_digits + np.uint8(ord("0"))).T)
+    zero_runs = np.cumprod(limb_digits[::-1] == 0, axis=0, dtype=np.uint8)
+    return _Tables(
+        start_decade=(_start_decade(np.arange(_EXP_MIN, 1025)) - _DECADE_MIN).astype(np.int16),
+        affixes=affixes.view("<u8"),
+        whole17=17 * whole_of_decade,
+        keep=words(keep, 0xFF),
+        move=words(move, 0xFF),
+        point=words(point, ord(".")),
+        digits=text.view("<u4").ravel(),
+        trailing=zero_runs.sum(axis=0, dtype=np.uint8),
+    )
+
+
+class _Workspace:
+    """The work arrays one table is encoded through, reused by every chunk.
+
+    Holds `rows` rows of len(separators) values in two allocations: a block
+    of 8-byte rows, 120 bytes per value, and `text`, the values' 32-byte
+    fields.  Block rows 2-9 serve one phase after another (see `_scaled`
+    and `_write_mantissa`).
     """
-    hi, lo, hi_hi, hi_lo = np.take(_SCALE[step], offset, axis=1)
-    p = m * hi
-    m_hi = _SPLIT * m
-    m_hi -= m_hi - m
-    m_lo = m - m_hi
+
+    def __init__(self, rows: int, separators: np.ndarray):
+        size = rows * separators.size
+        block = np.empty((15, size))
+        self.x = block[0]  # the chunk's values, row by row
+        self.tie_gap = block[1]
+        self.scale = block[2:6]  # hi, lo, hi_hi, hi_lo
+        self.m, self.p, self.m_hi, self.m_lo = block[6:10]
+        # then: the digits, their halves and lead digit, and the limbs
+        self.digits = block[6].view(np.int64)
+        self.halves = block[7:9].view(np.int64)
+        self.lead = block[9].view(np.int64)
+        self.limbs = block[2:6].view(np.intp)
+        # then: the limbs' text, and two word-sized spare areas (one word
+        # per value and field word)
+        self.limb_text = block[6:8].view("<u4").reshape(4, size)
+        self.shifted = block[2:6].view(np.uint64).reshape(size, 4)
+        self.spare = block[6:10].view(np.uint64).reshape(size, 4)
+        self.index = block[10].view(np.intp)
+        self.decade = block[11].view(np.intp)  # counted from _DECADE_MIN
+        self.separator = block[12].view(np.uint64)
+        self.separator.reshape(rows, -1)[:] = separators.astype(np.uint64) << np.uint64(48)
+        self.exponent = block[13].view(np.intc)[:size]
+        small = block[14].view(np.uint8)
+        self.flags = small[: 2 * size].view(bool).reshape(2, size)
+        self.limb_zeros = small[2 * size : 6 * size].reshape(4, size)
+        self.start = small[6 * size :].view(np.int16)
+        self.text = bytearray(_FIELD * size)
+        self.fields = np.frombuffer(self.text, np.uint8).reshape(size, _FIELD)
+        self.words = self.fields.view("<u8")
+        self.half_words = self.fields.view("<u4")
+
+
+def _scaled(ws) -> None:
+    """ws.digits = rint(y) and ws.tie_gap = 1/2 - |y - rint(y)| for
+    y = m * (hi + lo), the mantissas ws.m times the scales in ws.scale."""
+    m, p, m_hi, m_lo, err = ws.m, ws.p, ws.m_hi, ws.m_lo, ws.tie_gap
+    hi, lo, hi_hi, hi_lo = ws.scale
+    np.multiply(m, hi, out=p)
+    np.multiply(m, _SPLIT, out=m_hi)
+    m_hi -= np.subtract(m_hi, m, out=m_lo)
+    np.subtract(m, m_hi, out=m_lo)
     # err = (m_hi*hi_hi - p) + m_hi*hi_lo + m_lo*hi_hi + m_lo*hi_lo + m*lo
-    err = m_hi * hi_hi
+    np.multiply(m_hi, hi_hi, out=err)
     err -= p
     err += np.multiply(m_hi, hi_lo, out=m_hi)
     err += np.multiply(m_lo, hi_hi, out=hi_hi)
     err += np.multiply(m_lo, hi_lo, out=hi_lo)
     err += np.multiply(m, lo, out=lo)
-    y_hi = p + err  # an integer: y >= 1e16 > 2**53
+    y_hi = np.add(p, err, out=hi)  # an integer: y >= 1e16 > 2**53
     err += np.subtract(p, y_hi, out=p)  # the exact remainder y - y_hi
-    r = np.rint(err)
-    digits = y_hi.astype(np.int64)
-    digits += r.astype(np.int64)
+    r = np.rint(err, out=m_lo)
+    np.copyto(ws.digits, y_hi, casting="unsafe")  # over m, no longer needed
+    r_int = lo.view(np.int64)
+    np.copyto(r_int, r, casting="unsafe")
+    ws.digits += r_int
     err -= r
-    return digits, 0.5 - np.abs(err, out=err)
+    np.subtract(0.5, np.abs(err, out=err), out=err)
 
 
-def _significand(magnitude):
-    """17 significant digits as an integer in [1e16, 1e17), the decade of the
-    leading one, and the rounded fraction's distance from a tie, per value
-    of a finite positive array."""
-    m, e = np.frexp(magnitude)
-    offset = e - _EXP_MIN
-    wanted = np.zeros(_EXP_COUNT, bool)
-    wanted[offset] = True
-    missing = np.flatnonzero(wanted > _SCALE_READY)
-    if missing.size:
-        _fill_scale(missing)
-    decade = _start_decade(e)
-    digits, tie_gap = _scaled(m, offset, 0)
-    up = np.flatnonzero(digits >= 10**17)
-    if up.size:
-        digits[up], gap = _scaled(m[up], offset[up], 1)
-        tie_gap[up] = np.minimum(tie_gap[up], gap)
-        decade[up] += 1
-    return digits, decade, tie_gap
+def _significand(ws) -> None:
+    """Per value of ws.x: the 17 significant digits as an integer in
+    [1e16, 1e17) (ws.digits), the decade of the leading one (ws.decade,
+    counted from _DECADE_MIN) and the rounded fraction's distance from a tie
+    (ws.tie_gap).  ws.flags[0] marks zero and non-finite values, which are
+    worked as 1.0."""
+    x, m, e, index, decade = ws.x, ws.m, ws.exponent, ws.index, ws.decade
+    special, up = ws.flags
+    np.isfinite(x, out=special)
+    special &= np.not_equal(x, 0.0, out=up)
+    np.logical_not(special, out=special)
+    np.abs(x, out=m)
+    np.copyto(m, 1.0, where=special)
+    np.frexp(m, out=(m, e))
+    np.subtract(e, _EXP_MIN, out=index)
+    # mode="clip" (the indices are in range) keeps np.take from buffering out
+    threshold = np.take(_UP, index, out=ws.tie_gap, mode="clip")
+    if not threshold.all():
+        missing = np.zeros(_EXP_COUNT, bool)
+        missing[index[threshold == 0.0]] = True
+        _fill_scale(np.flatnonzero(missing))
+        np.take(_UP, index, out=threshold, mode="clip")
+    np.greater_equal(m, threshold, out=up)
+    np.add(np.take(_tables().start_decade, index, out=ws.start, mode="clip"), up, out=decade)
+    index <<= 1
+    index += up
+    np.take(_SCALE, index, axis=1, out=ws.scale, mode="clip")
+    _scaled(ws)
 
 
-def _notation(decade):
-    """%g's choice per decade: fixed notation for -4..16, and within it the
-    0.000ddd form for -4..-1; exponent notation otherwise."""
-    fixed = (decade >= -4) & (decade < 17)
-    return fixed, fixed & (decade < 0)
+def _write_mantissa(ws) -> None:
+    """Write each value's field in ws.words from ws.digits, ws.decade and
+    the sign of ws.x.  The 17 digits lose %g's trailing zeros, never those
+    of an integer part, and take the point after the integer part (one
+    digit in exponent notation); the 0.000ddd form has its point in the
+    prefix.  The digits are written in slots 7-23, then every byte after
+    the point's slot moves one slot up, past it: per point index
+    17 * whole + zeros (`whole` digits before the point, `zeros` trailing
+    zeros of the 17), one table row of masks says which bytes stay, which
+    move and where the point goes."""
+    tables = _tables()
+    words, shifted, spare = ws.words, ws.shifted, ws.spare
+    digits, halves, lead, limbs = ws.digits, ws.halves, ws.lead, ws.limbs
+    # 17 digits = the lead digit, then limbs l0 l1 | l2 l3 of four digits
+    np.floor_divide(digits, 10**8, out=halves[0])
+    np.subtract(digits, np.multiply(halves[0], 10**8, out=halves[1]), out=halves[1])
+    np.floor_divide(halves[0], 10**8, out=lead)
+    halves[0] -= np.multiply(lead, 10**8, out=digits)
+    np.floor_divide(halves, 10**4, out=limbs[0::2])
+    np.subtract(halves, np.multiply(limbs[0::2], 10**4, out=limbs[1::2]), out=limbs[1::2])
+    # a limb's trailing zeros count when all limbs after it are zero (4
+    # trailing zeros): z3 + [z3 = 4] * (z2 + [z2 = 4] * (z1 + [z1 = 4] * z0))
+    limb_zeros = np.take(tables.trailing, limbs, out=ws.limb_zeros, mode="clip")
+    zeros, is_zero = limb_zeros[0], ws.flags[1]
+    for later in limb_zeros[1:]:
+        zeros *= np.equal(later, 4, out=is_zero)
+        zeros += later
+    index = np.take(tables.whole17, ws.decade, out=ws.index, mode="clip")
+    index += zeros
+
+    np.take(tables.affixes, ws.decade, axis=0, out=words, mode="clip")
+    words[:, 3] |= ws.separator
+    # word 0: sign and lead digit; words 1 and 2: two limbs each
+    sign = np.right_shift(ws.x.view(np.uint64), 63, out=digits.view(np.uint64))
+    sign *= ord("-") << 8
+    lead += ord("0")
+    lead <<= 56
+    sign |= lead.view(np.uint64)
+    words[:, 0] |= sign
+    limb_text = np.take(tables.digits, limbs, out=ws.limb_text, mode="clip")
+    for k, text in enumerate(limb_text, 2):
+        ws.half_words[:, k] = text
+    # the point: the bytes after it move one slot up
+    flat, moved = words.ravel(), shifted.ravel()
+    np.left_shift(flat, 8, out=moved)
+    moved[1:] |= np.right_shift(flat[:-1], 56, out=spare.ravel()[1:])
+    words &= np.take(tables.keep, index, axis=0, out=spare, mode="clip")
+    shifted &= np.take(tables.move, index, axis=0, out=spare, mode="clip")
+    words |= shifted
+    words |= np.take(tables.point, index, axis=0, out=spare, mode="clip")
 
 
-# Each value is built as a 30-byte field, one slot per row of a
-# (30, values) array that is transposed at the end; NUL bytes are padding,
-# removed once the chunk is joined.  Slots:
-#   sign | "0.000" prefix | 18 mantissa bytes | "e+308" suffix | separator
-_FIELD = 30
-_SLOT = np.arange(18, dtype=np.uint8)[:, None]
+def _fields(ws, count: int) -> str:
+    """The first `count` values of ws.x as `%.17g` text, each followed by its
+    column's separator.
 
-
-def _write_mantissa(mantissa, significand, decade) -> None:
-    """Write the 18 mantissa rows of each value's field: the 17 digits with
-    %g's trailing zeros stripped and the point after the integer part."""
-    n = significand.size
-    high = significand // 10**8
-    low = significand - high * 10**8
-    lead = high // 10**8
-    high -= lead * 10**8
-    limbs = np.empty((4, n), np.uint16)
-    for j, half in ((0, high), (2, low)):
-        top = half // 10**4
-        limbs[j] = top
-        limbs[j + 1] = half - top * 10**4
-    # a zero row above and below the digits serves the shift for the point;
-    # digit k of limb j goes to row 2 + 4 * j + k
-    padded = np.empty((19, n), np.uint8)
-    padded[0] = padded[18] = 0
-    padded[1] = lead
-    by_limb = padded[2:18].reshape(4, 4, n)
-    tens = limbs // 10
-    by_limb[:, 3] = limbs - tens * 10
-    hundreds = tens // 10
-    by_limb[:, 2] = tens - hundreds * 10
-    thousands = hundreds // 10
-    by_limb[:, 1] = hundreds - thousands * 10
-    by_limb[:, 0] = thousands
-    # trailing zeros: within each limb, then across the limbs
-    zero = by_limb == 0
-    run = zero[:, 3].copy()
-    limb_zeros = run.astype(np.uint8)
-    for k in (2, 1, 0):
-        run &= zero[:, k]
-        limb_zeros += run
-    zeros = limb_zeros[3].copy()
-    run = limb_zeros[3] == 4
-    for j in (2, 1, 0):
-        zeros += run * limb_zeros[j]
-        run &= limb_zeros[j] == 4
-    padded[1:18] += ord("0")
-
-    # strip trailing zeros, never those of an integer part; the point goes
-    # after the integer part (one digit in exponent notation), or, for
-    # 0.000ddd, sits in the prefix and not here (slot 17)
-    fixed, small = _notation(decade)
-    whole = np.where(small, 0, np.where(fixed, decade + 1, 1)).astype(np.uint8)
-    kept = np.maximum(17 - zeros, whole)
-    point = np.where(small, 17, whole)
-    padded[1:18] *= _SLOT[:17] < kept
-    # the digits before the point stay, those after it move down one slot
-    np.multiply(padded[1:], _SLOT < point, out=mantissa)
-    padded[:-1] *= _SLOT > point
-    mantissa += padded[:-1]
-    mantissa[point, np.arange(n)] = (kept > point) * ord(".")
-
-
-def _affix_table(decades):
-    """(10, decades) bytes: the "0.000" prefix (rows 0-4) and the "e+308"
-    suffix (rows 5-9) of each decade's %.17g spelling, NUL where unused."""
-    fixed, small = _notation(decades)
-    power = np.abs(decades)
-    table = np.zeros((10, decades.size), np.uint8)
-    table[:5] = np.frombuffer(b"0.000", np.uint8)[:, None] * (
-        np.arange(5)[:, None] < np.where(small, 1 - decades, 0)
-    )
-    table[5] = ord("e")
-    table[6] = np.where(decades < 0, ord("-"), ord("+"))
-    table[7] = np.where(power >= 100, power // 100 + ord("0"), 0)
-    table[8] = power // 10 % 10 + ord("0")
-    table[9] = power % 10 + ord("0")
-    table[5:] *= ~fixed
-    return table
-
-
-#: decade of 5e-324, and each decade's prefix and suffix bytes
-_DECADE_MIN = -324
-_AFFIXES = _affix_table(np.arange(_DECADE_MIN, 309))
-
-
-def _fields(block: np.ndarray, separators: np.ndarray) -> np.ndarray:
-    """(30, values) NUL-padded `%.17g` fields of a (rows, cols) float block,
-    each value followed by its column's separator.
-
-    Without the NULs, equal byte for byte to a per-value `format_float`
-    join: zero, -0, non-finite and near-tie values are formatted by
-    `format_float` itself.
+    Equal byte for byte to a per-value `format_float` join: zero, -0,
+    non-finite and near-tie values are formatted by `format_float` itself.
     """
-    x = block.ravel()
-    regular = np.isfinite(x) & (x != 0.0)
-    significand, decade, tie_gap = _significand(np.where(regular, np.abs(x), 1.0))
-    fields = np.empty((_FIELD, x.size), np.uint8)
-    fields[0] = np.signbit(x) * ord("-")
-    affixes = np.take(_AFFIXES, decade - _DECADE_MIN, axis=1)
-    fields[1:6] = affixes[:5]
-    _write_mantissa(fields[6:24], significand, decade)
-    fields[24:29] = affixes[5:]
-    fields[29].reshape(block.shape)[:] = separators
-
-    fallback = np.flatnonzero(~regular | (tie_gap < _TIE_MARGIN))
-    if fallback.size:
+    _significand(ws)
+    _write_mantissa(ws)
+    special, fallback = ws.flags
+    np.less(ws.tie_gap, _TIE_MARGIN, out=fallback)
+    fallback |= special
+    rows = np.flatnonzero(fallback[:count])
+    if rows.size:
         text = b"".join(
-            format_float(v).encode("ascii").ljust(_FIELD - 1, b"\0")
-            for v in x[fallback].tolist()
+            format_float(v).encode("ascii").ljust(_TEXT, b"\0") for v in ws.x[rows].tolist()
         )
-        fields[:-1, fallback] = np.frombuffer(text, np.uint8).reshape(-1, _FIELD - 1).T
-    return fields
+        ws.fields[rows, :_TEXT] = np.frombuffer(text, np.uint8).reshape(-1, _TEXT)
+    ws.fields[count:] = 0  # a short last chunk: the fields left from the one before
+    return ws.text.translate(None, b"\0").decode("ascii")
 
 
 def _csv_chunks(header: str, columns):
-    """Yield the header line, then the rows in chunks of CSV_CHUNK_ROWS.
+    """Yield the header line, then the rows in equal chunks of at most
+    CSV_CHUNK_VALUES values, all encoded through one workspace.
 
     The bytes equal a per-value `format_float` join (nan, inf, -0 and
     subnormals included).
     """
-    table = np.column_stack(columns)
     yield header + "\n"
-    separators = np.full(table.shape[1], ord(","), np.uint8)
+    n_rows, n_cols = columns[0].size, len(columns)
+    if not n_rows:
+        return
+    chunks = -(-n_rows // max(1, CSV_CHUNK_VALUES // n_cols))
+    rows = -(-n_rows // chunks)
+    separators = np.full(n_cols, ord(","), np.uint8)
     separators[-1] = ord("\n")
-    for start in range(0, table.shape[0], CSV_CHUNK_ROWS):
-        # one expression, so each intermediate is freed once the next is made
-        yield (
-            _fields(table[start : start + CSV_CHUNK_ROWS], separators)
-            .T.tobytes()
-            .translate(None, b"\0")
-            .decode("ascii")
-        )
+    ws = _Workspace(rows, separators)
+    table = ws.x.reshape(rows, n_cols)
+    for start in range(0, n_rows, rows):
+        count = min(rows, n_rows - start)
+        for k, column in enumerate(columns):
+            table[:count, k] = column[start : start + count]
+        yield _fields(ws, count * n_cols)
 
 
 def write_spectrum_csv(path, probe, intensity) -> None:

@@ -3,6 +3,7 @@ import math
 import os
 import stat
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sagnac_wva.engine import (
 )
 from sagnac_wva.errors import IoError
 from sagnac_wva.output import (
-    CSV_CHUNK_ROWS,
+    CSV_CHUNK_VALUES,
     CSV_SPECTRUM_HEADER,
     build_run_record,
     format_float,
@@ -115,17 +116,22 @@ def _per_value_csv(header, columns):
     return "\n".join([header] + rows) + "\n"
 
 
+def _chunk_rows(n_cols, chunks, extra):
+    """`chunks` times the rows of one full chunk of `n_cols` columns, plus `extra`."""
+    return max(0, chunks * (CSV_CHUNK_VALUES // n_cols) + extra)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    n_rows=st.sampled_from(
-        [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 3 * CSV_CHUNK_ROWS + 5]
-    ),
     n_cols=st.integers(1, 5),
+    chunks=st.sampled_from([0, 1, 3]),
+    extra=st.sampled_from([-1, 0, 1, 5]),
     pool=st.lists(st.floats() | st.sampled_from(EDGE_VALUES), min_size=1, max_size=40),
 )
-@example(n_rows=3 * CSV_CHUNK_ROWS + 5, n_cols=5, pool=[-0.0])
-@example(n_rows=CSV_CHUNK_ROWS + 1, n_cols=1, pool=[math.nan])
-def test_table_csv_matches_per_value_format(tmp_path_factory, n_rows, n_cols, pool):
+@example(n_cols=5, chunks=3, extra=5, pool=[-0.0])
+@example(n_cols=1, chunks=1, extra=1, pool=[math.nan])
+def test_table_csv_matches_per_value_format(tmp_path_factory, n_cols, chunks, extra, pool):
+    n_rows = _chunk_rows(n_cols, chunks, extra)
     values = np.resize(np.array(pool + EDGE_VALUES), n_rows * n_cols)
     columns = list(values.reshape(n_cols, n_rows))
     header = ",".join(f"c{k}" for k in range(n_cols))
@@ -163,14 +169,15 @@ def test_trap_values_match_per_value_format(tmp_path, n_cols):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n_rows=st.sampled_from([1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1]),
     n_cols=st.integers(1, 4),
+    chunks_extra=st.sampled_from([(0, 1), (1, 0), (1, 1)]),
     seed=st.integers(0, 2**32 - 1),
     bits=st.lists(st.integers(0, 2**64 - 1), max_size=8),
 )
 def test_table_csv_matches_per_value_format_on_raw_bits(
-    tmp_path_factory, n_rows, n_cols, seed, bits
+    tmp_path_factory, n_cols, chunks_extra, seed, bits
 ):
+    n_rows = _chunk_rows(n_cols, *chunks_extra)
     # uniform 64-bit patterns: every exponent, both signs, subnormals, inf
     # and NaN payloads; hypothesis's own patterns lead the table
     raw = np.random.default_rng(seed).integers(0, 2**64, n_rows * n_cols, dtype=np.uint64)
@@ -180,6 +187,42 @@ def test_table_csv_matches_per_value_format_on_raw_bits(
     out = tmp_path_factory.mktemp("csv") / "t.csv"
     write_table_csv(out, header, columns)
     assert out.read_bytes() == _per_value_csv(header, columns).encode("utf-8")
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("chunks, extra", [(1, 1), (3, -1)], ids=["2-chunks", "3-chunks"])
+def test_short_last_chunk_leaves_no_bytes_of_the_one_before(tmp_path, n_cols, chunks, extra):
+    # the longest spellings fill every chunk but the last, which is shorter
+    # and holds the shortest: none of the earlier fields may show through
+    n_rows = _chunk_rows(n_cols, chunks, extra)
+    n_chunks = -(-n_rows // (CSV_CHUNK_VALUES // n_cols))
+    last_start = (n_chunks - 1) * -(-n_rows // n_chunks)
+    assert 0 < last_start < n_rows
+    values = np.full((n_rows, n_cols), -1.2345678901234567e-300)
+    values[last_start:] = np.resize([0.0, 1.0, math.nan], values[last_start:].shape)
+    columns = list(values.T)
+    header = ",".join(f"c{k}" for k in range(n_cols))
+    out = tmp_path / "t.csv"
+    write_table_csv(out, header, columns)
+    assert out.read_bytes() == _per_value_csv(header, columns).encode("utf-8")
+
+
+#: tracemalloc peak of writing the 16001-row spectrum below with the encoder
+#: that formatted 1024-row chunks into fresh arrays (numpy 2.4, CPython 3.11)
+PEAK_BEFORE_WORKSPACE = 1_456_169
+
+
+def test_spectrum_csv_memory_peak_stays_within_bound(tmp_path):
+    config = config_from_dict({**_config().to_dict(), "scheme": "swm", "grid": {"points": 16001}})
+    probe, post = _spectra(config)
+    write_spectrum_csv(tmp_path / "warm.csv", probe, post)  # lookup tables built once
+    tracemalloc.start()
+    try:
+        write_spectrum_csv(tmp_path / "spec.csv", probe, post)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BEFORE_WORKSPACE
 
 
 def test_only_zero_non_finite_and_tie_values_are_formatted_one_by_one(tmp_path, monkeypatch):

@@ -14,7 +14,9 @@ take the refusal and overflow paths or that the config refuses.  Per
 scenario it runs `spectrum` for both schemes, `compare`, analytic and
 numeric `sweep`s (a numeric one up to 1e308 rad/s, where `4*Omega`
 overflows, and an analytic one over every decade from 5e-324 to the
-largest double), analytic and numeric `estimate`s per scheme (numeric ones
+largest double; on the README scenario at 1001 nodes of each scheme, also
+an analytic one of 20001 rates, whose 2- and 3-column tables span several
+CSV chunks), analytic and numeric `estimate`s per scheme (numeric ones
 also on an interior ladder sample and on a 2-point ladder), `figure3`
 and three usage errors (one a `sweep` of 10**30 rates, more than any
 machine could allocate).
@@ -30,7 +32,7 @@ identical trees.  Compare two checkouts with::
     diff -r /tmp/golden-parent /tmp/golden-change
 
 Needs only the package's own dependencies.  The full matrix runs about
-1550 commands, writes about 120 MB and takes 8-13 s on one core.
+1550 commands, writes about 125 MB and takes 8-13 s on one core.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ EDGES = [
     ("edge-narrow-line", {"fwhm_nm": 1e-12, "scheme": "both"}),
     ("edge-huge-grid", {"grid": {"points": 10**300 + 1}, "scheme": "both"}),
 ]
+
+#: scenarios that also get a long analytic sweep: one per scheme setting
+LONG_SWEEP = {f"{scheme}-full-1001-readme" for scheme in ("swm", "bwm", "both")}
 
 TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 
@@ -132,7 +137,7 @@ def sweep_values(path: Path) -> list:
     return [float(row.rsplit(",", 1)[1]) for row in rows]
 
 
-def record_scenario(cli_main, directory: Path, raw: dict) -> None:
+def record_scenario(cli_main, directory: Path, raw: dict, long_sweep: bool) -> None:
     """Run every command on one scenario; `directory` is the working directory."""
     (directory / "scenario.json").write_text(json.dumps(raw), encoding="utf-8")
     cfg = ["--config", "scenario.json"]
@@ -147,14 +152,17 @@ def record_scenario(cli_main, directory: Path, raw: dict) -> None:
             encoding="utf-8",
         )
     numeric_rates = "300" if raw["grid"]["points"] < 16001 else "60"
-    for name, lo, hi, points, mode in (
+    sweeps = [
         ("sweep-analytic", "1e-10", "1e-8", "2100", "analytic"),
         # every decade of the doubles: subnormal rates, both %.17g notation
         # switches and, where 4*Omega overflows, inf rows
         ("sweep-analytic-full-range", "5e-324", "1.7976931348623157e308", "4001", "analytic"),
         ("sweep-numeric", "1e-10", "1e-8", numeric_rates, "numeric"),
         ("sweep-numeric-wide", "1e-12", "1e308", "50", "numeric"),
-    ):
+    ]
+    if long_sweep:
+        sweeps.append(("sweep-analytic-long", "1e-12", "1e-4", "20001", "analytic"))
+    for name, lo, hi, points, mode in sweeps:
         run(cli_main, directory, name,
             ["sweep", *cfg, "--omega-min", lo, "--omega-max", hi, "--points", points,
              "--mode", mode, "--out", f"{name}.csv"])
@@ -219,7 +227,7 @@ def main(argv: list) -> int:
             directory.mkdir()
             # relative paths keep OUT out of every message the commands print
             os.chdir(directory)
-            record_scenario(cli.cli_main, directory, raw)
+            record_scenario(cli.cli_main, directory, raw, name in LONG_SWEEP)
     finally:
         os.chdir(cwd)
     return 0
