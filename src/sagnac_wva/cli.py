@@ -5,7 +5,7 @@ Subcommands: spectrum, compare, sweep, estimate, figure3.  Exit codes:
 0 success, 2 configuration or validation problem, 3 numerical failure
 (zero intensity, non-monotone or out-of-range inversion), 4 output I/O
 failure.  Diagnostics go to stderr, a failure as one `error:` line and no
-numpy warning; machine-readable output goes to files or stdout only.
+warning of any kind; machine-readable output goes to files or stdout only.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -295,8 +296,10 @@ def cli_main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         # the commands check the non-finite values they refuse themselves, so
-        # numpy's own warnings would only add noise next to `error:`
-        with np.errstate(all="ignore"):
+        # numpy's own warnings would only add noise next to `error:`; the
+        # same holds for Python warnings, such as the probe's wide-line one
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             return _COMMANDS[args.command](args)
     except (ValidationError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,38 +4,24 @@ the probe spectrum.
 
 A scenario file is a single JSON object.  Units are encoded in the key
 names; unknown keys anywhere are rejected so typos cannot silently fall
-back to defaults.
+back to defaults.  Each field's own rules are checked here, the grid's in
+`spectrum.GridSpec`.  What the fields give together, the probe's p0, sigma_p
+and grid step, comes from `spectrum.probe_geometry`, the function that also
+builds every probe grid, so validation and the probe apply the same rules.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .spectrum import FWHM_PER_SIGMA, GridSpec, ProbeSpectrum, gaussian_probe
+from .spectrum import GridSpec, ProbeSpectrum, finite_real, gaussian_probe, probe_geometry
 
 SCHEMES = ("swm", "bwm", "both")
 WIDTH_READINGS = ("fwhm", "sigma")
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A real number that a float holds and that is finite (no huge JSON integer)."""
-    try:
-        return _is_real(value) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _is_float_int(value) -> bool:
-    """An integer (not a bool) that a float holds."""
-    return isinstance(value, int) and _is_finite(value)
 
 
 @dataclass(frozen=True)
@@ -56,31 +42,19 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("lambda0_nm", "fwhm_nm", "area_m2"):
             value = getattr(self, name)
-            if not _is_finite(value) or value <= 0.0:
+            if not finite_real(value) or value <= 0.0:
                 raise ValidationError(name, f"must be a finite number > 0, got {value!r}")
-        # the SI probe needs a finite, nonzero lambda0^2 and momentum width;
-        # sigma_p as spectrum.sigma_lambda_to_sigma_p has it, minus its warning
-        lambda0 = self.lambda0_m()
-        if not 0.0 < lambda0 * lambda0 < math.inf:
-            raise ValidationError(
-                "lambda0_nm", f"gives lambda0 = {lambda0!r} m, whose square underflows or overflows"
-            )
-        sigma_p = 2.0 * math.pi * (self.fwhm_m() / float(FWHM_PER_SIGMA)) / (lambda0 * lambda0)
-        if not 0.0 < sigma_p < math.inf:
-            raise ValidationError(
-                "fwhm_nm", f"gives sigma_p = {sigma_p!r} 1/m, which underflows or overflows"
-            )
-        if not _is_real(self.phi_rad) or not 0.0 < self.phi_rad < math.pi / 2.0:
+        if not finite_real(self.phi_rad) or not 0.0 < self.phi_rad < math.pi / 2.0:
             raise ValidationError(
                 "phi_rad", f"must lie strictly inside (0, pi/2), got {self.phi_rad!r}"
             )
-        if not _is_finite(self.omega_rad_per_s):
+        if not finite_real(self.omega_rad_per_s):
             raise ValidationError(
                 "omega_rad_per_s", f"must be a finite number, got {self.omega_rad_per_s!r}"
             )
         if self.scheme not in SCHEMES:
             raise ValidationError("scheme", f"must be one of {SCHEMES}, got {self.scheme!r}")
-        if not _is_float_int(self.bias_order_m):
+        if not isinstance(self.bias_order_m, int) or not finite_real(self.bias_order_m):
             raise ValidationError(
                 "bias_order_m", f"must be an integer a float holds, got {self.bias_order_m!r}"
             )
@@ -95,18 +69,12 @@ class ExperimentConfig:
             )
         if not isinstance(self.grid, GridSpec):
             raise ValidationError("grid", f"must be a GridSpec, got {self.grid!r}")
-        # the nodes p0 + k*step (spectrum.gaussian_probe) must be distinct,
-        # increasing floats: the step has to clear two ulps of the largest
-        half_nodes = self.grid.points // 2
-        step = self.grid.half_width_sigmas * sigma_p / half_nodes
-        p0 = 2.0 * math.pi / lambda0
-        if not step > 2.0 * math.ulp(p0 + step * half_nodes):
-            raise ValidationError(
-                "fwhm_nm",
-                f"gives a momentum grid step of {step!r} 1/m at lambda0_nm = "
-                f"{self.lambda0_nm!r}, which does not separate the grid nodes near "
-                f"p0 = {p0!r} 1/m",
-            )
+        # then what the fields give together: an SI probe with a finite
+        # lambda0^2 and sigma_p, and grid nodes that are distinct, positive momenta
+        probe_geometry(self.lambda0_m(), self.fwhm_m(), self.grid, lambda0_nm=self.lambda0_nm)
+        # stored as floats, so that asdict (to_dict) gives the canonical form
+        for name in ("lambda0_nm", "fwhm_nm", "area_m2", "phi_rad", "omega_rad_per_s"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     # -- derived quantities ------------------------------------------------
 
@@ -124,21 +92,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """Canonical plain-dict form with every default made explicit."""
-        return {
-            "lambda0_nm": float(self.lambda0_nm),
-            "fwhm_nm": float(self.fwhm_nm),
-            "area_m2": float(self.area_m2),
-            "phi_rad": float(self.phi_rad),
-            "omega_rad_per_s": float(self.omega_rad_per_s),
-            "scheme": self.scheme,
-            "bias_order_m": int(self.bias_order_m),
-            "delta_lambda_means": self.delta_lambda_means,
-            "paper_literal": self.paper_literal,
-            "grid": {
-                "half_width_sigmas": float(self.grid.half_width_sigmas),
-                "points": int(self.grid.points),
-            },
-        }
+        return asdict(self)
 
 
 # scenario keys are the dataclass fields; required ones, in field order, have no default
@@ -155,22 +109,7 @@ def _grid_from_dict(raw: dict) -> GridSpec:
     unknown = sorted(set(raw) - _GRID_KEYS)
     if unknown:
         raise ValidationError(f"grid.{unknown[0]}", "unknown key")
-    spec = {}
-    if "points" in raw:
-        points = raw["points"]
-        if not _is_float_int(points):
-            raise ValidationError(
-                "grid.points", f"must be an integer a float holds, got {points!r}"
-            )
-        spec["points"] = points
-    if "half_width_sigmas" in raw:
-        hw = raw["half_width_sigmas"]
-        if not _is_finite(hw):
-            raise ValidationError(
-                "grid.half_width_sigmas", f"must be a finite number, got {hw!r}"
-            )
-        spec["half_width_sigmas"] = float(hw)
-    return GridSpec(**spec)
+    return GridSpec(**raw)
 
 
 def config_from_dict(raw) -> ExperimentConfig:
@@ -194,16 +133,20 @@ def load_scenario(path) -> ExperimentConfig:
     """Read, parse and validate a scenario JSON file.
 
     Raises FileNotFoundError for a missing file, ParseError for invalid
-    JSON (with line/column), and ValidationError naming the first offending
-    field otherwise.
+    JSON (with line/column) or for a file that cannot be read, decoded as
+    UTF-8 or parsed (a directory, no permission, nesting too deep), and
+    ValidationError naming the first offending field otherwise.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             lineno=exc.lineno,
             colno=exc.colno,
         ) from exc
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeError, RecursionError) as exc:
+        raise ParseError(f"cannot load scenario {str(path)!r}: {exc}") from exc
     return config_from_dict(raw)

@@ -6,6 +6,10 @@ Unit convention: wavelengths in m, momenta in 1/m with p = 2*pi/lambda,
 intensity as probability density per unit momentum.  The probe is Gaussian
 in p; the grid is symmetric about the centre momentum with an odd point
 count so the centre lands exactly on a node.
+
+`GridSpec` holds every grid rule.  `probe_geometry` alone derives p0,
+sigma_p and the node step from a line and a grid, both for the scenario
+config's validation and for `gaussian_probe`'s grid.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -35,13 +40,28 @@ MAX_GRID_POINTS = 10**6 + 1
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform momentum grid: centre +- half_width_sigmas * sigma, odd points."""
+    """Uniform momentum grid: centre +- half_width_sigmas * sigma, odd points.
+
+    Holds every grid rule: `points` is an integer of any integer type (not a
+    bool) that a float holds, odd, from 3 to MAX_GRID_POINTS, stored as an
+    int; `half_width_sigmas` is a finite real from 3 to 12, stored as a float.
+    """
 
     half_width_sigmas: float = 6.0
     points: int = 4001
 
     def __post_init__(self):
-        if int(self.points) != self.points or self.points < 3 or self.points % 2 == 0:
+        if not isinstance(self.points, Integral) or not finite_real(self.points):
+            raise ValidationError(
+                "grid.points", f"must be an integer a float holds, got {self.points!r}"
+            )
+        if not finite_real(self.half_width_sigmas):
+            raise ValidationError(
+                "grid.half_width_sigmas", f"must be a finite number, got {self.half_width_sigmas!r}"
+            )
+        object.__setattr__(self, "points", int(self.points))
+        object.__setattr__(self, "half_width_sigmas", float(self.half_width_sigmas))
+        if self.points < 3 or self.points % 2 == 0:
             raise ValidationError(
                 "grid.points", f"points must be an odd integer >= 3, got {self.points}"
             )
@@ -61,6 +81,14 @@ class GridSpec:
                 f"half_width_sigmas = {self.half_width_sigmas} exceeds 12; the "
                 f"far tails carry no usable weight",
             )
+
+
+def finite_real(value) -> bool:
+    """A real number, not a bool, that a float holds and that is finite."""
+    try:
+        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 DEFAULT_GRID = GridSpec()
@@ -133,6 +161,56 @@ def sigma_lambda_to_sigma_p(sigma_lambda: float, lambda0: float) -> float:
     return 2.0 * np.pi * sigma_lambda / lambda0**2
 
 
+def probe_geometry(
+    lambda0: float, fwhm_lambda: float, grid: GridSpec = DEFAULT_GRID, lambda0_nm=None
+) -> tuple[float, np.float64, float]:
+    """Centre momentum p0, momentum width sigma_p and node step of a probe grid.
+
+    The one place that turns a line (wavelengths in m) and a grid into the
+    grid nodes p0 + k*step, k = -(points//2) .. points//2, with step =
+    half_width_sigmas*sigma_p/(points//2).  Warns as sigma_lambda_to_sigma_p
+    does on a wide line.  `lambda0_nm` is the scenario's own wavelength,
+    quoted when the step is refused (default: lambda0 in nm).
+
+    Raises
+    ------
+    ValidationError
+        For `lambda0_nm` when lambda0^2 underflows or overflows; for `fwhm_nm`
+        when sigma_p underflows or overflows, when the step does not separate
+        the nodes near p0, or when the lowest node is not a positive momentum.
+    NonPositiveInput
+        For a negative lambda0 or fwhm_lambda.
+    """
+    # before lambda0**2, which raises OverflowError where this product is inf
+    if not 0.0 < lambda0 * lambda0 < math.inf:
+        raise ValidationError(
+            "lambda0_nm", f"gives lambda0 = {lambda0!r} m, whose square underflows or overflows"
+        )
+    p0 = wavelength_to_momentum(lambda0)
+    # Python floats, so no value raises a numpy warning
+    sigma_p = sigma_lambda_to_sigma_p(fwhm_lambda / float(FWHM_PER_SIGMA), lambda0)
+    if not 0.0 < sigma_p < math.inf:
+        raise ValidationError(
+            "fwhm_nm", f"gives sigma_p = {sigma_p!r} 1/m, which underflows or overflows"
+        )
+    half_nodes = grid.points // 2
+    step = grid.half_width_sigmas * sigma_p / half_nodes
+    # distinct, increasing nodes: the step has to clear two ulps of the largest
+    if not step > 2.0 * math.ulp(p0 + step * half_nodes):
+        raise ValidationError(
+            "fwhm_nm",
+            f"gives a momentum grid step of {step!r} 1/m at lambda0_nm = "
+            f"{lambda0 * 1e9 if lambda0_nm is None else lambda0_nm!r}, which does not "
+            f"separate the grid nodes near p0 = {p0!r} 1/m",
+        )
+    lowest = p0 - step * half_nodes
+    if not lowest > 0.0:
+        raise ValidationError("fwhm_nm", f"gives grid nodes down to p = {lowest!r} 1/m <= 0")
+    # a numpy scalar, as before: the closed forms square it, and a float's
+    # ** raises OverflowError where numpy's gives inf
+    return p0, np.float64(sigma_p), step
+
+
 def gaussian_probe(
     lambda0: float, fwhm_lambda: float, grid: GridSpec = DEFAULT_GRID
 ) -> ProbeSpectrum:
@@ -152,12 +230,12 @@ def gaussian_probe(
     ProbeSpectrum
         Intensity on p0 +- half_width_sigmas*sigma_p, trapezoid-normalized
         to 1, with p0 exactly on the middle node.
+
+    Raises what probe_geometry raises.
     """
-    p0 = wavelength_to_momentum(lambda0)
-    sigma_p = sigma_lambda_to_sigma_p(fwhm_to_sigma(fwhm_lambda), lambda0)
+    p0, sigma_p, step = probe_geometry(lambda0, fwhm_lambda, grid)
     # integer offsets from the middle node keep p0 exactly representable
     half_nodes = grid.points // 2
-    step = grid.half_width_sigmas * sigma_p / half_nodes
     p = p0 + step * np.arange(-half_nodes, half_nodes + 1)
     intensity = np.exp(-0.5 * ((p - p0) / sigma_p) ** 2) / (
         sigma_p * np.sqrt(2.0 * np.pi)

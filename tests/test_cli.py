@@ -104,6 +104,30 @@ def test_invalid_json_config(tmp_path):
     assert cli_main(["compare", "--config", str(bad), "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "name,content",
+    [
+        ("utf16.json", b"\xff\xfe{\x00}\x00"),  # UTF-16 with its BOM: not UTF-8
+        ("deep.json", b"[" * 100000 + b"]" * 100000),  # nesting too deep to parse
+        ("a-directory", None),
+    ],
+    ids=["utf16", "deep", "directory"],
+)
+def test_unreadable_scenario_is_config_error(tmp_path, capsys, name, content):
+    # a file that cannot be read or decoded: one `error:` line naming it,
+    # never a traceback or the output I/O exit code
+    config = tmp_path / name
+    if content is None:
+        config.mkdir()
+    else:
+        config.write_bytes(content)
+    assert cli_main(["compare", "--config", str(config), "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load scenario {str(config)!r}: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_unknown_config_key(tmp_path):
     config = _scenario(tmp_path, lamda0_nm=833.0)
     assert cli_main(["compare", "--config", str(config), "--out", str(tmp_path / "x.json")]) == 2
@@ -718,6 +742,25 @@ def test_probe_grid_below_float_resolution_is_config_error(tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.startswith("error: fwhm_nm: gives a momentum grid step of ")
     assert "which does not separate the grid nodes" in err
+    assert not any(tmp_path.glob("[sr].*"))
+
+
+@pytest.mark.parametrize("command", ["spectrum", "compare", "estimate"])
+def test_probe_grid_reaching_nonpositive_momentum_is_config_error(tmp_path, capsys, command):
+    # a line wide enough that p0 - 6*sigma_p <= 0 (sigma_lambda/lambda0 = 0.18,
+    # under the wide-line warning): the grid's low end would be negative
+    # momenta and wavelengths, so the scenario is refused
+    config = str(_scenario(tmp_path, scheme="swm", fwhm_nm=353.0, grid={"points": 1001}))
+    argv = {
+        "spectrum": ["spectrum", "--config", config, "--out", str(tmp_path / "s.csv")],
+        "compare": ["compare", "--config", config, "--out", str(tmp_path / "r.json")],
+        "estimate": ["estimate", "--config", config, "--delta-lambda-m", "1e-12",
+                     "--method", "analytic"],
+    }[command]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fwhm_nm: gives grid nodes down to p = -")
+    assert len(err.splitlines()) == 1
     assert not any(tmp_path.glob("[sr].*"))
 
 

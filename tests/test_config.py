@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -108,12 +109,17 @@ def test_rejects_non_object_scenario():
         ({"half_width_sigmas": "wide"}, "grid.half_width_sigmas"),
         ({"nodes": 101}, "grid.nodes"),
         ({"points": MAX_GRID_POINTS + 2}, "grid.points"),
+        ({"half_width_sigmas": float("nan")}, "grid.half_width_sigmas"),
     ],
 )
 def test_rejects_bad_grid(grid, field):
     with pytest.raises(ValidationError) as exc:
         config_from_dict(_raw(grid=grid))
     assert exc.value.field == field
+    if field != "grid.nodes":  # GridSpec owns every rule on its own fields
+        with pytest.raises(ValidationError) as exc:
+            GridSpec(**grid)
+        assert exc.value.field == field
 
 
 @pytest.mark.parametrize(
@@ -151,6 +157,7 @@ def test_rejects_non_object_grid():
 def test_grid_values_accepted():
     cfg = config_from_dict(_raw(grid={"points": 801, "half_width_sigmas": 4.0}))
     assert cfg.grid == GridSpec(half_width_sigmas=4.0, points=801)
+    assert GridSpec(points=np.int64(801)) == GridSpec(points=801)
 
 
 def test_to_dict_round_trip():

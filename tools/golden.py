@@ -23,16 +23,16 @@ machine could allocate).
 
 For every command it writes the files the command wrote plus a `.run` file
 with the exit code, stdout and stderr.  The `compare` record's `timestamp`
-is masked, and numpy warnings are recorded as `warning:` lines without the
-file and line they came from, so two checkouts of equal behaviour give
-identical trees.  Compare two checkouts with::
+is masked, and warnings (numpy's or Python's) that escape the command are
+recorded as `warning:` lines without the file and line they came from, so
+two checkouts of equal behaviour give identical trees.  Compare two checkouts with::
 
     python tools/golden.py PARENT_CHECKOUT /tmp/golden-parent
     python tools/golden.py .              /tmp/golden-change
     diff -r /tmp/golden-parent /tmp/golden-change
 
 Needs only the package's own dependencies.  The full matrix runs about
-1550 commands, writes about 125 MB and takes 8-13 s on one core.
+1625 commands, writes about 125 MB and takes 6-13 s on one core.
 """
 
 from __future__ import annotations
@@ -74,6 +74,11 @@ EDGES = [
     ("edge-subnormal-lambda", {"lambda0_nm": 1e-320, "scheme": "both"}),
     ("edge-narrow-line", {"fwhm_nm": 1e-12, "scheme": "both"}),
     ("edge-huge-grid", {"grid": {"points": 10**300 + 1}, "scheme": "both"}),
+    # a line wide enough for the probe's wide-line warning
+    # (sigma_lambda/lambda0 = 0.26), and one whose 6-sigma grid reaches p <= 0
+    ("edge-wide-line", {"fwhm_nm": 500.0, "grid": {"points": 1001, "half_width_sigmas": 3.0},
+                        "scheme": "both"}),
+    ("edge-grid-below-zero", {"fwhm_nm": 353.0, "scheme": "both"}),
 ]
 
 #: scenarios that also get a long analytic sweep: one per scheme setting
