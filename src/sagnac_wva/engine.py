@@ -45,7 +45,9 @@ form sin^2(p*g) * I(p), exact only at p = p0; with `paper_literal` the
 analytic shift formulas also use 1/phi in place of cot(phi).
 
 All functions are pure and single-threaded; reductions use a fixed order so
-results are bitwise reproducible.
+results are bitwise reproducible.  They take their arguments as valid: the
+scenario config and the probe grid checked them, and a phi, scheme or width
+reading that these would refuse gives an undefined result, not an error.
 """
 
 from __future__ import annotations
@@ -185,8 +187,6 @@ def _width_ratio_sq(probe: ProbeSpectrum, delta_lambda_means: str) -> float:
     ratio = probe.sigma_p / probe.p0
     if delta_lambda_means == "fwhm":
         ratio *= FWHM_PER_SIGMA
-    elif delta_lambda_means != "sigma":
-        raise ValueError(f"delta_lambda_means must be 'fwhm' or 'sigma', got {delta_lambda_means!r}")
     return ratio**2
 
 
@@ -213,8 +213,6 @@ def mean_shift_analytic(
     magnitude with the published sign; the numeric delta_lambda carries the
     opposite sign through -lambda0^2/(2*pi).
     """
-    if not 0.0 < phi < np.pi / 2.0:
-        raise ValidationError("phi_rad", f"phi must lie in (0, pi/2), got {phi}")
     with np.errstate(over="ignore"):
         cot = 1.0 / phi if paper_literal else 1.0 / np.tan(phi)
     if not np.isfinite(cot):
@@ -226,11 +224,9 @@ def mean_shift_analytic(
         if scheme is SchemeKind.SWM:
             delta_p = 2.0 * g * probe.sigma_p**2 * cot
             delta_lambda = 4.0 * np.pi * g * cot * _width_ratio_sq(probe, delta_lambda_means)
-        elif scheme is SchemeKind.BWM:
+        else:
             delta_p = 2.0 * g * probe.p0**2 * cot
             delta_lambda = 4.0 * np.pi * g * cot
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
     return MeanShift(delta_p=delta_p, delta_lambda=delta_lambda)
 
 

@@ -5,10 +5,6 @@ class SagnacWvaError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class NonPositiveInput(SagnacWvaError, ValueError):
-    """A wavelength, momentum or spectral width that must be positive is not."""
-
-
 class ZeroTotalIntensity(SagnacWvaError):
     """Spectrum integrates to zero (or underflows); moments are undefined."""
 

@@ -9,7 +9,9 @@ count so the centre lands exactly on a node.
 
 `GridSpec` holds every grid rule.  `probe_geometry` alone derives p0,
 sigma_p and the node step from a line and a grid, both for the scenario
-config's validation and for `gaussian_probe`'s grid.
+config's validation and for `gaussian_probe`'s grid.  Those are the
+module's only checks of their arguments: the unit conversions and the
+integrals take theirs as valid.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteResult, NonPositiveInput, ValidationError, ZeroTotalIntensity
+from .errors import NonFiniteResult, ValidationError, ZeroTotalIntensity
 
 #: FWHM of a Gaussian divided by its standard deviation: 2*sqrt(2*ln 2)
 FWHM_PER_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
@@ -96,24 +98,16 @@ DEFAULT_GRID = GridSpec()
 
 @dataclass(frozen=True)
 class ProbeSpectrum:
-    """Gridded momentum-space intensity with its nominal centre and width."""
+    """Gridded momentum-space intensity with its nominal centre and width.
+
+    Built by `gaussian_probe`, whose grid rules make it a valid spectrum, so
+    it checks nothing itself.
+    """
 
     p_grid: np.ndarray
     intensity: np.ndarray
     p0: float
     sigma_p: float
-
-    def __post_init__(self):
-        p = np.asarray(self.p_grid, dtype=float)
-        i = np.asarray(self.intensity, dtype=float)
-        if p.ndim != 1 or p.shape != i.shape:
-            raise ValueError("p_grid and intensity must be matching 1-d arrays")
-        if not np.all(np.diff(p) > 0.0):
-            raise ValueError("p_grid must be strictly increasing")
-        if np.any(i < 0.0):
-            raise ValueError("intensity must be nonnegative")
-        object.__setattr__(self, "p_grid", p)
-        object.__setattr__(self, "intensity", i)
 
 
 class Moments(NamedTuple):
@@ -121,24 +115,13 @@ class Moments(NamedTuple):
     variance: float
 
 
-def fwhm_to_sigma(fwhm: float) -> float:
-    """Standard deviation of a Gaussian with the given full width at half max."""
-    if fwhm <= 0.0:
-        raise NonPositiveInput(f"fwhm must be > 0, got {fwhm}")
-    return fwhm / FWHM_PER_SIGMA
-
-
 def wavelength_to_momentum(lam: float) -> float:
     """p = 2*pi/lambda."""
-    if lam <= 0.0:
-        raise NonPositiveInput(f"wavelength must be > 0, got {lam}")
     return 2.0 * np.pi / lam
 
 
 def momentum_to_wavelength(p: float) -> float:
     """lambda = 2*pi/p."""
-    if p <= 0.0:
-        raise NonPositiveInput(f"momentum must be > 0, got {p}")
     return 2.0 * np.pi / p
 
 
@@ -148,10 +131,6 @@ def sigma_lambda_to_sigma_p(sigma_lambda: float, lambda0: float) -> float:
     Linearization of p = 2*pi/lambda about lambda0; emits a warning once the
     fractional width passes WIDE_SPECTRUM_RATIO.
     """
-    if lambda0 <= 0.0:
-        raise NonPositiveInput(f"lambda0 must be > 0, got {lambda0}")
-    if sigma_lambda < 0.0:
-        raise NonPositiveInput(f"sigma_lambda must be >= 0, got {sigma_lambda}")
     if sigma_lambda > WIDE_SPECTRUM_RATIO * lambda0:
         warnings.warn(
             f"sigma_lambda/lambda0 = {sigma_lambda / lambda0:.3f} > "
@@ -163,7 +142,7 @@ def sigma_lambda_to_sigma_p(sigma_lambda: float, lambda0: float) -> float:
 
 def probe_geometry(
     lambda0: float, fwhm_lambda: float, grid: GridSpec = DEFAULT_GRID, lambda0_nm=None
-) -> tuple[float, np.float64, float]:
+) -> tuple[np.float64, np.float64, float]:
     """Centre momentum p0, momentum width sigma_p and node step of a probe grid.
 
     The one place that turns a line (wavelengths in m) and a grid into the
@@ -175,12 +154,15 @@ def probe_geometry(
     Raises
     ------
     ValidationError
-        For `lambda0_nm` when lambda0^2 underflows or overflows; for `fwhm_nm`
-        when sigma_p underflows or overflows, when the step does not separate
-        the nodes near p0, or when the lowest node is not a positive momentum.
-    NonPositiveInput
-        For a negative lambda0 or fwhm_lambda.
+        For `lambda0_nm` when lambda0 is negative or lambda0^2 underflows or
+        overflows; for `fwhm_nm` when fwhm_lambda is negative, when sigma_p
+        underflows or overflows, when the step does not separate the nodes
+        near p0, or when the lowest node is not a positive momentum.
     """
+    # strictly negative: a zero goes on to the lambda0^2 or sigma_p refusal
+    for field, value in (("lambda0_nm", lambda0), ("fwhm_nm", fwhm_lambda)):
+        if value < 0.0:
+            raise ValidationError(field, f"gives {value!r} m, which is negative")
     # before lambda0**2, which raises OverflowError where this product is inf
     if not 0.0 < lambda0 * lambda0 < math.inf:
         raise ValidationError(
@@ -206,9 +188,10 @@ def probe_geometry(
     lowest = p0 - step * half_nodes
     if not lowest > 0.0:
         raise ValidationError("fwhm_nm", f"gives grid nodes down to p = {lowest!r} 1/m <= 0")
-    # a numpy scalar, as before: the closed forms square it, and a float's
-    # ** raises OverflowError where numpy's gives inf
-    return p0, np.float64(sigma_p), step
+    # numpy scalars, converted only here so the messages above keep a float's
+    # repr: the closed forms square both, and a float's ** raises
+    # OverflowError where numpy's gives inf
+    return np.float64(p0), np.float64(sigma_p), step
 
 
 def gaussian_probe(
@@ -231,7 +214,12 @@ def gaussian_probe(
         Intensity on p0 +- half_width_sigmas*sigma_p, trapezoid-normalized
         to 1, with p0 exactly on the middle node.
 
-    Raises what probe_geometry raises.
+    Raises
+    ------
+    ValidationError
+        What probe_geometry raises: for a negative lambda0 or fwhm_lambda,
+        for a lambda0^2 or sigma_p that underflows or overflows, and for
+        nodes that are not distinct positive momenta.
     """
     p0, sigma_p, step = probe_geometry(lambda0, fwhm_lambda, grid)
     # integer offsets from the middle node keep p0 exactly representable

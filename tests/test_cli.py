@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -19,6 +20,7 @@ from sagnac_wva.errors import (
     NonMonotonicCalibration,
     OutOfRangeObservation,
     ParseError,
+    SagnacWvaError,
     ValidationError,
     ZeroTotalIntensity,
 )
@@ -551,6 +553,68 @@ def test_compare_with_overflowing_result_is_numeric_error(tmp_path, capsys):
     assert not out.exists()
 
 
+#: a valid line so short that p0^2 overflows a double (p0 ~ 6.3e159 1/m)
+TINY_LINE = {"lambda0_nm": 1e-150, "fwhm_nm": 1e-152, "grid": {"points": 101}}
+
+
+def test_tiny_wavelength_compare_is_numeric_error(tmp_path, capsys):
+    # the closed-form delta_p overflows to inf: refused, not an OverflowError
+    config = _scenario(tmp_path, **TINY_LINE)
+    out = tmp_path / "run.json"
+    assert cli_main(["compare", "--config", str(config), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: swm delta_p_analytic is inf; no record written\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["estimate", "--delta-lambda-m", "1e-12", "--method", "analytic"],
+        ["sweep", "--omega-min", "1e-10", "--omega-max", "1e-8", "--points", "5",
+         "--mode", "analytic", "--out", "sweep.csv"],
+        ["figure3", "--out", "figure3"],
+    ],
+    ids=["estimate", "sweep", "figure3"],
+)
+def test_tiny_wavelength_analytic_bwm_commands_succeed(tmp_path, capsys, command):
+    # each evaluates the bwm delta_p = 2*g*p0^2*cot(phi), which overflows to
+    # inf; none of them publishes it, so all succeed and write no NaN
+    config = _scenario(tmp_path, scheme="bwm", **TINY_LINE)
+    argv = [str(tmp_path / token) if flag == "--out" else token
+            for flag, token in zip([None] + command, command)]
+    assert cli_main(argv + ["--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command[0] == "estimate":
+        assert math.isfinite(json.loads(captured.out)["omega_hat_rad_per_s"])
+    written = list(tmp_path.rglob("*.csv"))
+    assert len(written) == {"estimate": 0, "sweep": 1, "figure3": 4}[command[0]]
+    for path in written:
+        assert "nan" not in re.split(r"[,\n]", path.read_text(encoding="utf-8")), path.name
+
+
+def _package_errors(cls=SagnacWvaError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _package_errors(sub)
+
+
+@pytest.mark.parametrize("error", list(_package_errors()), ids=lambda cls: cls.__name__)
+def test_every_package_error_maps_to_an_exit_code(tmp_path, monkeypatch, capsys, error):
+    # whatever a command raises on purpose exits 2, 3 or 4 with one line
+    exc = error("field", "refused") if error is ValidationError else error("refused")
+
+    def command(args):
+        raise exc
+
+    monkeypatch.setitem(sagnac_wva.cli._COMMANDS, "compare", command)
+    code = cli_main(["compare", "--config", "unused.json", "--out", str(tmp_path / "r.json")])
+    assert code in (2, 3, 4)
+    assert capsys.readouterr().err == f"error: {exc}\n"
+
+
 @pytest.mark.parametrize("scheme", ["swm", "bwm"])
 def test_spectrum_with_overflowing_coupling_is_numeric_error(tmp_path, capsys, scheme):
     # 4*Omega*S overflows, so g = inf and every post-selected intensity is nan
@@ -713,7 +777,7 @@ def test_huge_json_integer_is_config_error(tmp_path, capsys, command, field):
 )
 def test_finite_value_without_an_si_probe_is_config_error(tmp_path, capsys, command, field, value):
     # the SI wavelength or momentum width underflows or overflows: refused
-    # by the config, never NonPositiveInput, a grid error or OverflowError
+    # by the config, never a grid error or OverflowError
     config = str(_scenario(tmp_path, scheme="swm", **{field: value}))
     argv = {
         "spectrum": ["spectrum", "--config", config, "--out", str(tmp_path / "s.csv")],

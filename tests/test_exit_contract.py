@@ -39,6 +39,10 @@ WIDE_LINE = {**README, "fwhm_nm": 500.0, "scheme": "bwm", "paper_literal": True,
              "grid": {"points": 101, "half_width_sigmas": 3.0}}
 
 
+#: a line so short that p0^2 overflows a double (p0 ~ 6.3e159 1/m)
+TINY_LINE = {**README, "lambda0_nm": 1e-150, "fwhm_nm": 1e-152}
+
+
 def _mostly(typical, extreme):
     """`typical` five draws in six, else `extreme`."""
     return st.integers(0, 5).flatmap(lambda k: extreme if k == 5 else typical)
@@ -55,9 +59,9 @@ def _field(low, high):
     return _mostly(st.floats(low, high), ANY_DOUBLE)
 
 
-SCENARIOS = st.fixed_dictionaries({
+#: every scenario field but fwhm_nm
+_FIELDS = st.fixed_dictionaries({
     "lambda0_nm": _field(400.0, 2000.0),
-    "fwhm_nm": _field(1.0, 60.0),
     "area_m2": _field(0.1, 1e4),
     "phi_rad": _field(1e-6, 1.5),
     "omega_rad_per_s": _field(-1e-6, 1e-6),
@@ -70,6 +74,13 @@ SCENARIOS = st.fixed_dictionaries({
         "half_width_sigmas": _mostly(st.floats(3.0, 12.0), ANY_DOUBLE),
     }),
 })
+
+#: fwhm_nm is drawn as a ratio of lambda0_nm, so that an extreme wavelength
+#: mostly comes with a grid the config can build
+SCENARIOS = st.builds(
+    lambda raw, ratio: {**raw, "fwhm_nm": raw["lambda0_nm"] * ratio},
+    _FIELDS, _field(5e-4, 0.15),
+)
 
 #: --omega-min, --omega-max and --points of a sweep or a numeric estimate
 _RANGE = st.tuples(
@@ -145,6 +156,11 @@ def _check_run(work: Path, scenario: Path, command: list) -> None:
 @example(raw=WIDE_LINE, commands=[["compare", "--out", "out.json"]])
 @example(raw=WIDE_LINE,
          commands=[["estimate", "--delta-lambda-m", "1e-12", "--method", "numeric"]])
+# p0^2 overflows a double on this valid line: compare is refused, the others succeed
+@example(raw=TINY_LINE, commands=[["compare", "--out", "out.json"]])
+@example(raw={**TINY_LINE, "scheme": "bwm"},
+         commands=[["estimate", "--delta-lambda-m", "1e-12", "--method", "analytic"]])
+@example(raw=TINY_LINE, commands=[["figure3", "--out", "figure3"]])
 def test_every_run_keeps_the_exit_contract(raw, commands):
     with tempfile.TemporaryDirectory() as tmp:
         scenario = Path(tmp) / "scenario.json"

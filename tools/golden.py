@@ -9,8 +9,9 @@ installed copy).  OUT must not exist yet.  The script runs every command in
 process through `sagnac_wva.cli.cli_main` over a fixed scenario matrix:
 swm/bwm/both x paper_literal off/on x grids of 1001/4001/16001 nodes, each
 once with the README parameters and once with seeded random ones (width
-reading, bias order 0-2, grid half-width), plus a few edge scenarios that
-take the refusal and overflow paths or that the config refuses.  Per
+reading, bias order 0-2, grid half-width), plus edge scenarios that take
+the refusal and overflow paths and one for each refusal of the config or
+its grid that an override of the README scenario can express.  Per
 scenario it runs `spectrum` for both schemes, `compare`, analytic and
 numeric `sweep`s (a numeric one up to 1e308 rad/s, where `4*Omega`
 overflows, and an analytic one over every decade from 5e-324 to the
@@ -32,7 +33,7 @@ two checkouts of equal behaviour give identical trees.  Compare two checkouts wi
     diff -r /tmp/golden-parent /tmp/golden-change
 
 Needs only the package's own dependencies.  The full matrix runs about
-1625 commands, writes about 125 MB and takes 6-13 s on one core.
+1935 commands, writes about 127 MB and takes 6-13 s on one core.
 """
 
 from __future__ import annotations
@@ -79,6 +80,25 @@ EDGES = [
     ("edge-wide-line", {"fwhm_nm": 500.0, "grid": {"points": 1001, "half_width_sigmas": 3.0},
                         "scheme": "both"}),
     ("edge-grid-below-zero", {"fwhm_nm": 353.0, "scheme": "both"}),
+    # a valid line so short that p0^2 overflows a double (p0 ~ 6.3e159 1/m)
+    ("edge-tiny-lambda", {"lambda0_nm": 1e-150, "fwhm_nm": 1e-152, "scheme": "both"}),
+    # one scenario per remaining config or grid refusal, so that byte identity
+    # covers every refusal message
+    ("edge-phi-above-range", {"phi_rad": 2.0, "scheme": "bwm"}),
+    ("edge-string-omega", {"omega_rad_per_s": "fast", "scheme": "bwm"}),
+    ("edge-unknown-scheme", {"scheme": "sagnac"}),
+    ("edge-fractional-bias-order", {"bias_order_m": 1.5, "scheme": "bwm"}),
+    ("edge-unknown-width-reading", {"delta_lambda_means": "hwhm", "scheme": "bwm"}),
+    ("edge-string-paper-literal", {"paper_literal": "yes", "scheme": "bwm"}),
+    ("edge-even-grid", {"grid": {"points": 1000}, "scheme": "bwm"}),
+    ("edge-fractional-grid", {"grid": {"points": 4001.5}, "scheme": "bwm"}),
+    ("edge-narrow-grid", {"grid": {"points": 1001, "half_width_sigmas": 2}, "scheme": "bwm"}),
+    ("edge-wide-grid", {"grid": {"points": 1001, "half_width_sigmas": 20}, "scheme": "bwm"}),
+    ("edge-string-grid-width", {"grid": {"points": 1001, "half_width_sigmas": "wide"},
+                                "scheme": "bwm"}),
+    ("edge-unknown-grid-key", {"grid": {"points": 1001, "nodes": 1001}, "scheme": "bwm"}),
+    ("edge-grid-not-object", {"grid": [1001], "scheme": "bwm"}),
+    ("edge-unknown-key", {"omega": 1e-9, "scheme": "bwm"}),
 ]
 
 #: scenarios that also get a long analytic sweep: one per scheme setting
@@ -156,7 +176,9 @@ def record_scenario(cli_main, directory: Path, raw: dict, long_sweep: bool) -> N
             TIMESTAMP.sub('"timestamp": "MASKED"', record.read_text(encoding="utf-8")),
             encoding="utf-8",
         )
-    numeric_rates = "300" if raw["grid"]["points"] < 16001 else "60"
+    # a grid that is not an object is refused, whatever the rate count
+    grid = raw["grid"] if isinstance(raw["grid"], dict) else {}
+    numeric_rates = "300" if grid.get("points", 0) < 16001 else "60"
     sweeps = [
         ("sweep-analytic", "1e-10", "1e-8", "2100", "analytic"),
         # every decade of the doubles: subnormal rates, both %.17g notation
