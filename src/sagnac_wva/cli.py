@@ -41,7 +41,12 @@ from .errors import (
     ValidationError,
     ZeroTotalIntensity,
 )
-from .estimation import calibration_curve, estimate_omega_analytic, estimate_omega_numeric
+from .estimation import (
+    calibration_curve,
+    estimate_omega_analytic,
+    estimate_omega_numeric,
+    omega_ladder,
+)
 from .output import (
     build_run_record,
     record_to_json,
@@ -153,18 +158,17 @@ def _cmd_sweep(args) -> int:
         if config.scheme == "both"
         else (SchemeKind(config.scheme),)
     )
-    curves = [
-        calibration_curve(
-            config.with_scheme(s.value), args.omega_min, args.omega_max, args.points, args.mode
-        )
-        for s in schemes
-    ]
-    columns = [curves[0].omega_values] + [c.delta_lambda_values for c in curves]
-    if len(curves) == 1:
+    omegas = omega_ladder(args.omega_min, args.omega_max, args.points)
+    probe = config.probe()
+    if args.mode == "analytic":
+        shifts = [analytic_shift(config, s, probe, omegas).delta_lambda for s in schemes]
+    else:
+        shifts = [numeric_forward(config, s, probe)(omegas).delta_lambda for s in schemes]
+    if len(schemes) == 1:
         header = "omega_rad_per_s,delta_lambda_m"
     else:
         header = "omega_rad_per_s,delta_lambda_swm_m,delta_lambda_bwm_m"
-    write_table_csv(args.out, header, columns)
+    write_table_csv(args.out, header, [omegas, *shifts])
     return EXIT_OK
 
 
@@ -178,9 +182,7 @@ def _cmd_estimate(args) -> int:
     if args.method == "analytic":
         estimate = estimate_omega_analytic(args.delta_lambda_m, scheme, config)
     else:
-        curve = calibration_curve(
-            config, args.omega_min, args.omega_max, args.points, mode="numeric"
-        )
+        curve = calibration_curve(config, args.omega_min, args.omega_max, args.points)
         estimate = estimate_omega_numeric(args.delta_lambda_m, curve)
     payload = {
         "omega_hat_rad_per_s": estimate.omega_hat,
@@ -234,7 +236,7 @@ def _cmd_figure3(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise IoError(f"cannot create {out_dir}: {exc}") from exc
+        raise IoError(f"cannot create {out_dir}: {exc.strerror or exc}") from exc
     for name, (header, columns) in zip(FIGURE3_FILES, tables):
         write_table_csv(out_dir / name, header, columns)
     return EXIT_OK

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -86,9 +86,6 @@ class ExperimentConfig:
 
     def probe(self) -> ProbeSpectrum:
         return gaussian_probe(self.lambda0_m(), self.fwhm_m(), self.grid)
-
-    def with_scheme(self, scheme: str) -> "ExperimentConfig":
-        return replace(self, scheme=scheme)
 
     def to_dict(self) -> dict:
         """Canonical plain-dict form with every default made explicit."""

@@ -11,10 +11,10 @@ that tests call, not part of any forward evaluation.  Closed-form
 mean-shift and probability expressions are always labelled analytic and
 never replace the numeric values.
 
-`scheme_spectrum`, `analytic_shift`, `pointform_probability`,
-`numeric_forward` and `bind_delta_lambda` are the only code that turns
-(scenario, scheme, rotation rate) into a spectrum, a shift or a survival
-probability; `compare_schemes`, the estimators and the CLI all use them.
+`scheme_spectrum`, `analytic_shift`, `pointform_probability` and
+`numeric_forward` are the only code that turns (scenario, scheme, rotation
+rate) into a spectrum, a shift or a survival probability;
+`compare_schemes`, the estimators and the CLI all use them.
 
 `numeric_forward` is the batched numeric forward model behind `compare`,
 the calibration ladder, the bisection, numeric sweeps and the figure3
@@ -308,23 +308,6 @@ def numeric_forward(config, scheme: SchemeKind, probe: ProbeSpectrum):
         )
 
     return evaluate
-
-
-def bind_delta_lambda(config, scheme: SchemeKind, probe: ProbeSpectrum, mode: str):
-    """Bind `omegas -> delta_lambda` (m; flat, one entry per rate) for one scheme.
-
-    "analytic" evaluates the closed form on the whole array at once and
-    builds no spectrum; "numeric" is `numeric_forward`, bound here once.
-    """
-    if mode == "analytic":
-
-        def analytic(omegas) -> np.ndarray:
-            omegas = np.asarray(omegas, dtype=float)
-            return np.asarray(analytic_shift(config, scheme, probe, omegas).delta_lambda).reshape(-1)
-
-        return analytic
-    evaluate = numeric_forward(config, scheme, probe)
-    return lambda omegas: evaluate(omegas).delta_lambda
 
 
 def compare_schemes(config) -> tuple[MeasurementResult, MeasurementResult]:

@@ -3,11 +3,14 @@ Rotation-rate estimation from an observed wavelength shift.
 
 Two inverters are provided.  The analytic one inverts the same closed-form
 shift expression the forward analytic model uses (so the pair round-trips
-to rounding).  The numeric one solves the exact spectral forward model;
-because the biased scheme's numeric response need not be monotone in Omega,
-a calibration curve must be built first and inversion is refused outright
-when the curve is not strictly monotone or the observation falls outside
-the calibrated range.  No silent extrapolation, ever.
+to rounding); that expression is linear in Omega, so it needs no curve.
+The numeric one solves the exact spectral forward model; because the
+biased scheme's numeric response need not be monotone in Omega, a
+calibration curve of that model must be built first (`calibration_curve`,
+on the rates of `omega_ladder`; the only curve this package builds) and
+inversion is refused outright when the curve is not strictly monotone or
+the observation falls outside the calibrated range.  No silent
+extrapolation, ever.
 
 The numeric solve starts from the calibration interval whose sample shifts
 straddle the observation (found among the samples, with no forward call)
@@ -29,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import SchemeKind, analytic_shift, bind_delta_lambda, single_scheme
+from .engine import SchemeKind, analytic_shift, numeric_forward, single_scheme
 from .errors import (
     NonFiniteResult,
     NonMonotonicCalibration,
@@ -46,8 +49,6 @@ BISECTION_MAX_ITER = 60
 #: ITP_KAPPA1 * width**2 / initial width (kappa1 = 0.2 / (b - a), kappa2 = 2)
 ITP_KAPPA1 = 0.2
 
-MODES = ("numeric", "analytic")
-
 
 @dataclass(frozen=True)
 class OmegaEstimate:
@@ -63,30 +64,20 @@ class CalibrationCurve:
     omega_values: np.ndarray
     delta_lambda_values: np.ndarray
     scheme: SchemeKind
-    mode: str  # "numeric" | "analytic"
     monotone_flag: bool
     #: the bound forward model the curve was sampled with, `omegas -> delta_lambda`
     #: (flat array); the inverter reuses it, so an estimate binds the model once
     forward: Callable[[object], np.ndarray]
 
 
-def calibration_curve(
-    config,
-    omega_min: float,
-    omega_max: float,
-    n_points: int,
-    mode: str = "numeric",
-    spacing: str = "log",
-) -> CalibrationCurve:
-    """Sample the forward model on a log- (default) or linearly-spaced ladder.
+def omega_ladder(
+    omega_min: float, omega_max: float, n_points: int, spacing: str = "log"
+) -> np.ndarray:
+    """`n_points` rates from omega_min to omega_max, log- (default) or linearly spaced.
 
-    The monotone flag records whether the sampled shifts are strictly
-    monotone (either direction); the numeric inverter requires it.  At most
-    MAX_GRID_POINTS rates are sampled; a larger count is refused before
-    anything is allocated.
+    At most MAX_GRID_POINTS rates; a larger count is refused before anything
+    is allocated.
     """
-    if mode not in MODES:
-        raise ValidationError("mode", f"must be one of {MODES}, got {mode!r}")
     if spacing not in ("log", "linear"):
         raise ValidationError("spacing", f"must be 'log' or 'linear', got {spacing!r}")
     if not math.isfinite(omega_max):
@@ -102,12 +93,25 @@ def calibration_curve(
     if spacing == "log":
         if omega_min <= 0.0:
             raise ValidationError("omega_min", "log spacing requires omega_min > 0")
-        omegas = np.geomspace(omega_min, omega_max, n_points)
-    else:
-        omegas = np.linspace(omega_min, omega_max, n_points)
+        return np.geomspace(omega_min, omega_max, n_points)
+    return np.linspace(omega_min, omega_max, n_points)
 
+
+def calibration_curve(
+    config, omega_min: float, omega_max: float, n_points: int, spacing: str = "log"
+) -> CalibrationCurve:
+    """Sample the numeric forward model on an `omega_ladder`.
+
+    The monotone flag records whether the sampled shifts are strictly
+    monotone (either direction); the numeric inverter requires it.
+    """
+    omegas = omega_ladder(omega_min, omega_max, n_points, spacing)
     scheme = single_scheme(config)
-    forward = bind_delta_lambda(config, scheme, config.probe(), mode)
+    evaluate = numeric_forward(config, scheme, config.probe())
+
+    def forward(om) -> np.ndarray:
+        return evaluate(om).delta_lambda
+
     values = forward(omegas)
     diffs = np.diff(values)
     monotone = bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
@@ -115,7 +119,6 @@ def calibration_curve(
         omega_values=omegas,
         delta_lambda_values=values,
         scheme=scheme,
-        mode=mode,
         monotone_flag=monotone,
         forward=forward,
     )
@@ -178,7 +181,7 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
     """
     if not curve.monotone_flag:
         raise NonMonotonicCalibration(
-            f"{curve.scheme.value} {curve.mode} calibration on "
+            f"{curve.scheme.value} numeric calibration on "
             f"[{curve.omega_values[0]:.3e}, {curve.omega_values[-1]:.3e}] rad/s is "
             f"not strictly monotone; refusing to invert"
         )

@@ -18,7 +18,6 @@ import functools
 import json
 import math
 import os
-import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -36,33 +35,32 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _atomic_write_text(path, chunks) -> None:
-    """Write an iterable of text chunks in one temp-then-rename step.
+def _atomic_write(path, chunks) -> None:
+    """Write an iterable of byte chunks in one temp-then-rename step.
 
-    The file gets the mode `open()` would give it, 0o666 less the umask.
-    Any OS-level failure (missing directory, permissions, full disk) comes
-    back as IoError.  On any failure, an exception raised by `chunks`
+    The temp file, `<name>.<16 random hex digits>.tmp` beside the target, is
+    created with mode 0o666 and the kernel takes the umask off, so the file
+    gets the mode `open()` would give it.  Any OS-level failure (missing
+    directory, permissions, full disk) comes back as IoError naming the
+    target and the reason.  On any failure, an exception raised by `chunks`
     included, the temp file is removed and the target is left as it was.
     """
     target = Path(path)
-    tmp_name = None
+    tmp = target.parent / f"{target.name}.{os.urandom(8).hex()}.tmp"
+    created = False
     try:
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(target.parent) or ".", prefix=target.name + ".", suffix=".tmp"
-        )
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        created = True
+        with open(fd, "wb") as fh:
             fh.writelines(chunks)
-        umask = os.umask(0)  # the only way to read it; set straight back
-        os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)
-        os.replace(tmp_name, target)
-        tmp_name = None
+        os.replace(tmp, target)
+        created = False
     except OSError as exc:
-        raise IoError(f"cannot write {target}: {exc}") from exc
+        raise IoError(f"cannot write {target}: {exc.strerror or exc}") from exc
     finally:
-        if tmp_name is not None:
+        if created:
             try:
-                os.unlink(tmp_name)
+                os.unlink(tmp)
             except OSError:
                 pass
 
@@ -360,9 +358,9 @@ def _write_mantissa(ws) -> None:
     words |= np.take(tables.point, index, axis=0, out=spare, mode="clip")
 
 
-def _fields(ws, count: int) -> str:
-    """The first `count` values of ws.x as `%.17g` text, each followed by its
-    column's separator.
+def _fields(ws, count: int) -> bytearray:
+    """The first `count` values of ws.x as `%.17g` ASCII text, each followed
+    by its column's separator.
 
     Equal byte for byte to a per-value `format_float` join: zero, -0,
     non-finite and near-tie values are formatted by `format_float` itself.
@@ -379,7 +377,7 @@ def _fields(ws, count: int) -> str:
         )
         ws.fields[rows, :_TEXT] = np.frombuffer(text, np.uint8).reshape(-1, _TEXT)
     ws.fields[count:] = 0  # a short last chunk: the fields left from the one before
-    return ws.text.translate(None, b"\0").decode("ascii")
+    return ws.text.translate(None, b"\0")
 
 
 def _csv_chunks(header: str, columns):
@@ -389,7 +387,7 @@ def _csv_chunks(header: str, columns):
     The bytes equal a per-value `format_float` join (nan, inf, -0 and
     subnormals included).
     """
-    yield header + "\n"
+    yield f"{header}\n".encode("utf-8")
     n_rows, n_cols = columns[0].size, len(columns)
     if not n_rows:
         return
@@ -412,7 +410,7 @@ def write_spectrum_csv(path, probe, intensity) -> None:
     Columns: p_inv_m, lambda_m (= 2*pi/p), intensity_probe, intensity_post.
     """
     columns = [probe.p_grid, 2.0 * np.pi / probe.p_grid, probe.intensity, intensity]
-    _atomic_write_text(path, _csv_chunks(CSV_SPECTRUM_HEADER, columns))
+    _atomic_write(path, _csv_chunks(CSV_SPECTRUM_HEADER, columns))
 
 
 def write_table_csv(path, header: str, columns) -> None:
@@ -421,7 +419,7 @@ def write_table_csv(path, header: str, columns) -> None:
     n = columns[0].size
     if any(c.size != n for c in columns):
         raise ValueError("columns must have equal length")
-    _atomic_write_text(path, _csv_chunks(header, columns))
+    _atomic_write(path, _csv_chunks(header, columns))
 
 
 def utc_timestamp() -> str:
@@ -472,4 +470,4 @@ def record_to_json(record: dict) -> str:
 
 def write_results_json(path, record: dict) -> None:
     """Write a run record as canonical JSON (atomic, UTF-8, LF)."""
-    _atomic_write_text(path, [record_to_json(record)])
+    _atomic_write(path, [record_to_json(record).encode("utf-8")])

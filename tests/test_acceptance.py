@@ -239,13 +239,13 @@ def test_criterion_08_estimator_round_trips():
         return mean_shift_numeric(probe, spec).delta_lambda
 
     swm_config = _config(scheme="swm")
-    curve = calibration_curve(swm_config, 1e-10, 1e-8, 8, mode="numeric")
+    curve = calibration_curve(swm_config, 1e-10, 1e-8, 8)
     est = estimate_omega_numeric(numeric_obs(swm_config, 3e-9), curve)
     swm_rel = abs(est.omega_hat - 3e-9) / 3e-9
 
     # the biased inversion must either recover the rate or refuse loudly
     bwm_config = _config(scheme="bwm")
-    bwm_curve = calibration_curve(bwm_config, 1e-10, 1e-8, 8, mode="numeric")
+    bwm_curve = calibration_curve(bwm_config, 1e-10, 1e-8, 8)
     try:
         bwm_est = estimate_omega_numeric(numeric_obs(bwm_config, 3e-9), bwm_curve)
         bwm_outcome = abs(bwm_est.omega_hat - 3e-9) / 3e-9
@@ -256,7 +256,7 @@ def test_criterion_08_estimator_round_trips():
         bwm_note = "bwm refused (non-monotone)"
 
     literal_curve = calibration_curve(
-        _config(scheme="bwm", paper_literal=True), 1e-10, 1e-8, 8, mode="numeric"
+        _config(scheme="bwm", paper_literal=True), 1e-10, 1e-8, 8
     )
     with pytest.raises(NonMonotonicCalibration):
         estimate_omega_numeric(literal_curve.delta_lambda_values[3], literal_curve)

@@ -144,6 +144,27 @@ def test_output_into_missing_directory(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["spectrum", "--scheme", "swm", "--out", "missing/x.csv"],
+         "cannot write missing/x.csv: No such file or directory"),
+        (["figure3", "--out", "taken"], "cannot create taken: File exists"),
+    ],
+    ids=["spectrum-missing-directory", "figure3-onto-a-file"],
+)
+def test_io_error_names_the_target_and_the_reason(tmp_path, capsys, monkeypatch, argv, message):
+    # the message names the path the user gave, never the temp file beside it
+    _scenario(tmp_path)
+    (tmp_path / "taken").write_text("file, not a directory", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert cli_main([*argv, "--config", "scenario.json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "taken"]
+
+
 def test_compare_writes_record(tmp_path):
     config = _scenario(tmp_path)
     out = tmp_path / "run.json"
@@ -213,7 +234,7 @@ def test_estimate_numeric_round_trip(tmp_path, capsys):
     from sagnac_wva.config import load_scenario
     from sagnac_wva.estimation import calibration_curve
 
-    curve = calibration_curve(load_scenario(config), 1e-10, 1e-8, 6, mode="numeric")
+    curve = calibration_curve(load_scenario(config), 1e-10, 1e-8, 6)
     obs = float(np.interp(3e-9, curve.omega_values, curve.delta_lambda_values))
     code = cli_main(
         [

@@ -42,12 +42,6 @@ def test_derived_helpers():
     assert probe.p_grid.size == 4001
 
 
-def test_replacement_helpers():
-    cfg = config_from_dict(_raw())
-    assert cfg.with_scheme("swm").scheme == "swm"
-    assert cfg.scheme == "both"  # original untouched
-
-
 @pytest.mark.parametrize(
     "field,value",
     [

@@ -6,7 +6,6 @@ from sagnac_wva.engine import (
     SchemeKind,
     _law,
     amplification_factor,
-    bind_delta_lambda,
     compare_schemes,
     discrepancy_from_results,
     discrepancy_report,
@@ -338,22 +337,21 @@ def test_numeric_forward_matches_per_rate_loop(scheme_name, paper_literal, point
     spectra = [scheme_spectrum(config, scheme, probe, omega) for omega in omegas]
     loop_shift = [mean_shift_numeric(probe, spec).delta_lambda for spec in spectra]
     loop_prob = [postselection_probability(probe, spec) for spec in spectra]
-    batched = bind_delta_lambda(config, scheme, probe, "numeric")(omegas)
+    batched = numeric_forward(config, scheme, probe)(omegas).delta_lambda
     assert np.array_equal(batched, loop_shift)
     assert np.array_equal(numeric_forward(config, scheme, probe)(omegas).probability, loop_prob)
     # one rate at a time, as the bisection calls it
     assert float(numeric_forward(config, scheme, probe)(omegas[3]).delta_lambda[0]) == loop_shift[3]
 
 
-@pytest.mark.parametrize("mode", ["numeric", "analytic"])
-def test_bound_delta_lambda_flattens_a_rate_array(mode):
+def test_numeric_forward_flattens_a_rate_array():
     config = _config(grid=GridSpec(points=401))
     probe = config.probe()
     omegas = np.geomspace(1e-10, 1e-8, 6).reshape(2, 3)
-    forward = bind_delta_lambda(config, SchemeKind.SWM, probe, mode)
-    shifts = forward(omegas)
+    forward = numeric_forward(config, SchemeKind.SWM, probe)
+    shifts = forward(omegas).delta_lambda
     assert shifts.shape == (6,)
-    assert np.array_equal(shifts, forward(omegas.ravel()))
+    assert np.array_equal(shifts, forward(omegas.ravel()).delta_lambda)
 
 
 def test_zero_intensity_rate_inside_a_block_raises():
@@ -367,4 +365,4 @@ def test_zero_intensity_rate_inside_a_block_raises():
     with pytest.raises(ZeroTotalIntensity):
         forward(omegas)
     with pytest.raises(ZeroTotalIntensity):
-        bind_delta_lambda(config, SchemeKind.BWM, probe, "numeric")(omegas)
+        numeric_forward(config, SchemeKind.BWM, probe)(omegas).delta_lambda

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sagnac_wva.config import ExperimentConfig
-from sagnac_wva.engine import SchemeKind, mean_shift_analytic
+from sagnac_wva.engine import SchemeKind, analytic_shift, mean_shift_analytic
 from sagnac_wva.errors import (
     NonMonotonicCalibration,
     OutOfRangeObservation,
@@ -18,6 +18,7 @@ from sagnac_wva.estimation import (
     calibration_curve,
     estimate_omega_analytic,
     estimate_omega_numeric,
+    omega_ladder,
 )
 from sagnac_wva.sagnac import coupling_length
 from sagnac_wva.spectrum import GridSpec
@@ -74,7 +75,7 @@ def test_analytic_zero_and_linearity():
 
 def test_numeric_round_trip_standard_scheme():
     config = _config(scheme="swm")
-    curve = calibration_curve(config, 1e-10, 1e-8, 10, mode="numeric")
+    curve = calibration_curve(config, 1e-10, 1e-8, 10)
     assert curve.monotone_flag
     obs = curve.delta_lambda_values[5]  # forward value at an interior ladder point
     est = estimate_omega_numeric(obs, curve)
@@ -84,7 +85,7 @@ def test_numeric_round_trip_standard_scheme():
 
 def test_numeric_round_trip_biased_full_law():
     config = _config(scheme="bwm")
-    curve = calibration_curve(config, 1e-10, 1e-8, 8, mode="numeric")
+    curve = calibration_curve(config, 1e-10, 1e-8, 8)
     assert curve.monotone_flag
     obs = curve.delta_lambda_values[4]
     est = estimate_omega_numeric(obs, curve)
@@ -95,7 +96,7 @@ def test_biased_literal_calibration_is_not_monotone():
     # the simplified sin^2(p*g) density is even around its vanishing mean
     # shift at these couplings, so the sampled curve cannot be monotone
     config = _config(scheme="bwm", paper_literal=True)
-    curve = calibration_curve(config, 1e-10, 1e-8, 8, mode="numeric")
+    curve = calibration_curve(config, 1e-10, 1e-8, 8)
     assert not curve.monotone_flag
     with pytest.raises(NonMonotonicCalibration):
         estimate_omega_numeric(curve.delta_lambda_values[3], curve)
@@ -103,14 +104,14 @@ def test_biased_literal_calibration_is_not_monotone():
 
 def test_non_monotone_refusal_precedes_range_check():
     config = _config(scheme="bwm", paper_literal=True)
-    curve = calibration_curve(config, 1e-10, 1e-8, 8, mode="numeric")
+    curve = calibration_curve(config, 1e-10, 1e-8, 8)
     with pytest.raises(NonMonotonicCalibration):
         estimate_omega_numeric(1.0, curve)
 
 
 def test_out_of_range_observation_refused():
     config = _config(scheme="swm")
-    curve = calibration_curve(config, 1e-10, 1e-8, 6, mode="numeric")
+    curve = calibration_curve(config, 1e-10, 1e-8, 6)
     with pytest.raises(OutOfRangeObservation):
         estimate_omega_numeric(10.0 * np.max(np.abs(curve.delta_lambda_values)), curve)
 
@@ -118,43 +119,43 @@ def test_out_of_range_observation_refused():
 @pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
 def test_analytic_curves_are_monotone(scheme_name):
     config = _config(scheme=scheme_name)
-    curve = calibration_curve(config, 1e-10, 1e-8, 12, mode="analytic")
-    assert curve.monotone_flag
-    assert np.all(np.diff(curve.omega_values) > 0.0)
+    omegas = omega_ladder(1e-10, 1e-8, 12)
+    shifts = analytic_shift(config, SchemeKind(scheme_name), config.probe(), omegas).delta_lambda
+    diffs = np.diff(shifts)
+    assert np.all(diffs > 0.0) or np.all(diffs < 0.0)
+    assert np.all(np.diff(omegas) > 0.0)
 
 
 def test_curve_minimal_point_count():
-    curve = calibration_curve(_config(), 1e-10, 1e-8, 2, mode="analytic")
+    curve = calibration_curve(_config(), 1e-10, 1e-8, 2)
     assert curve.omega_values.size == 2
     assert curve.delta_lambda_values.size == 2
 
 
 def test_curve_linear_spacing():
-    curve = calibration_curve(_config(), 0.0, 1e-8, 5, mode="analytic", spacing="linear")
+    curve = calibration_curve(_config(), 0.0, 1e-8, 5, spacing="linear")
     assert curve.omega_values[0] == 0.0
     assert np.allclose(np.diff(curve.omega_values), 2.5e-9)
 
 
 def test_curve_validation():
     with pytest.raises(ValueError):
-        calibration_curve(_config(), 1e-10, 1e-8, 5, mode="magic")
+        calibration_curve(_config(), 1e-10, 1e-8, 5, spacing="cubic")
     with pytest.raises(ValueError):
-        calibration_curve(_config(), 1e-10, 1e-8, 5, mode="analytic", spacing="cubic")
+        calibration_curve(_config(), -1e-10, 1e-8, 5)
     with pytest.raises(ValueError):
-        calibration_curve(_config(), -1e-10, 1e-8, 5, mode="analytic")
+        calibration_curve(_config(), 1e-8, 1e-10, 5)
     with pytest.raises(ValueError):
-        calibration_curve(_config(), 1e-8, 1e-10, 5, mode="analytic")
+        calibration_curve(_config(), 1e-10, 1e-8, 1)
     with pytest.raises(ValueError):
-        calibration_curve(_config(), 1e-10, 1e-8, 1, mode="analytic")
-    with pytest.raises(ValueError):
-        calibration_curve(_config(), 0.0, 1e-8, 5, mode="analytic", spacing="log")
+        calibration_curve(_config(), 0.0, 1e-8, 5, spacing="log")
     with pytest.raises(ValidationError):
-        calibration_curve(_config(scheme="both"), 1e-10, 1e-8, 5, mode="analytic")
+        calibration_curve(_config(scheme="both"), 1e-10, 1e-8, 5)
 
 
 def test_bisection_is_deterministic():
     config = _config(scheme="swm", grid=GridSpec(points=801))
-    curve = calibration_curve(config, 1e-10, 1e-8, 6, mode="numeric")
+    curve = calibration_curve(config, 1e-10, 1e-8, 6)
     obs = 0.6 * curve.delta_lambda_values[-1]
     first = estimate_omega_numeric(obs, curve)
     second = estimate_omega_numeric(obs, curve)
@@ -220,7 +221,7 @@ def _full_ladder_bisection_evals(curve, obs):
 @pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
 def test_numeric_inversion_keeps_its_bracket_contract(scheme_name, bias_order):
     config = _config(scheme=scheme_name, bias_order_m=bias_order, grid=GridSpec(points=801))
-    curve = calibration_curve(config, 1e-10, 1e-8, 10, mode="numeric")
+    curve = calibration_curve(config, 1e-10, 1e-8, 10)
     assert curve.monotone_flag
     for omega in (1.3e-10, 7.1e-10, 3.3e-9, 9.1e-9):
         obs = float(curve.forward(omega)[0])
@@ -242,7 +243,7 @@ def test_numeric_inversion_keeps_its_bracket_contract(scheme_name, bias_order):
 @pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
 def test_observation_on_a_sample_returns_its_rate(scheme_name):
     config = _config(scheme=scheme_name, grid=GridSpec(points=801))
-    curve = calibration_curve(config, 1e-10, 1e-8, 10, mode="numeric")
+    curve = calibration_curve(config, 1e-10, 1e-8, 10)
     for k in (0, 4, curve.omega_values.size - 1):
         recorded, calls = _recording(curve)
         est = estimate_omega_numeric(float(curve.delta_lambda_values[k]), recorded)
@@ -257,7 +258,7 @@ def test_noise_floor_inversion_keeps_its_bracket():
     # of post_mean - probe_mean, so the curve is ragged at the scale the stop
     # rule resolves
     config = _config(scheme="swm", grid=GridSpec(points=801))
-    curve = calibration_curve(config, 1e-10, 1e-8, 10, mode="numeric")
+    curve = calibration_curve(config, 1e-10, 1e-8, 10)
     obs = float(curve.forward(1.05e-10)[0])
     recorded, calls = _recording(curve)
     est = estimate_omega_numeric(obs, recorded)
@@ -274,7 +275,7 @@ def test_linear_ladder_from_zero_stops_at_the_iteration_cap():
     # observation a 1e-12 step above the zero-rate sample sits below the
     # shift noise floor and only BISECTION_MAX_ITER ends it
     config = _config(scheme="swm", grid=GridSpec(points=801))
-    curve = calibration_curve(config, 0.0, 1e-8, 5, mode="numeric", spacing="linear")
+    curve = calibration_curve(config, 0.0, 1e-8, 5, spacing="linear")
     values = curve.delta_lambda_values
     obs = float(values[0] + 1e-12 * (values[1] - values[0]))
     recorded, calls = _recording(curve)
@@ -298,7 +299,7 @@ def test_itp_keeps_the_bisection_bound_where_interpolation_crawls():
     for target in (1.5, 1.9):
         curve = CalibrationCurve(
             omega_values=omegas, delta_lambda_values=shift(omegas), scheme=SchemeKind.SWM,
-            mode="numeric", monotone_flag=True, forward=shift,
+            monotone_flag=True, forward=shift,
         )
         recorded, calls = _recording(curve)
         est = estimate_omega_numeric(float(shift(target)[0]), recorded)
@@ -316,7 +317,7 @@ def test_curve_turning_between_samples_is_refused(scheme_name):
     # the sampled shifts are monotone, yet a dense ladder over the same
     # bracket has 12 turning points; an estimate here returns a wrong rate
     config = _config(scheme=scheme_name)
-    curve = calibration_curve(config, 6.2e-3, 0.19, 7, mode="numeric", spacing="linear")
+    curve = calibration_curve(config, 6.2e-3, 0.19, 7, spacing="linear")
     obs = float(curve.forward(4.06e-2)[0])
     with pytest.raises(NonMonotonicCalibration):
         estimate_omega_numeric(obs, curve)

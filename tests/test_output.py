@@ -245,13 +245,13 @@ def test_only_zero_non_finite_and_tie_values_are_formatted_one_by_one(tmp_path, 
 @pytest.mark.parametrize("error", [RuntimeError, OSError])
 def test_error_during_write_leaves_no_file(tmp_path, error):
     def chunks():
-        yield "a,b\n"
-        yield "1,2\n"
+        yield b"a,b\n"
+        yield b"1,2\n"
         raise error("failed mid-write")
 
     out = tmp_path / "t.csv"
     with pytest.raises(IoError if error is OSError else RuntimeError):
-        output._atomic_write_text(out, chunks())
+        output._atomic_write(out, chunks())
     assert list(tmp_path.iterdir()) == []
 
 
@@ -270,6 +270,23 @@ def test_output_files_get_the_mode_open_gives(tmp_path, umask, mode):
         "t.csv": mode,
         "r.json": mode,
     }
+
+
+def test_writing_a_file_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # setting the process umask, even briefly, would change the mode of
+    # files other threads create meanwhile
+    config = _config()
+    results = compare_schemes(config)
+    record = build_run_record(config, results, discrepancy_from_results(results))
+
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    write_table_csv(tmp_path / "t.csv", "a", [np.ones(3)])
+    write_results_json(tmp_path / "r.json", record)
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "a\n1\n1\n1\n"
+    assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8")) == record
 
 
 def test_run_record_layout():

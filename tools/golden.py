@@ -20,7 +20,11 @@ an analytic one of 20001 rates, whose 2- and 3-column tables span several
 CSV chunks), analytic and numeric `estimate`s per scheme (numeric ones
 also on an interior ladder sample and on a 2-point ladder), `figure3`
 and three usage errors (one a `sweep` of 10**30 rates, more than any
-machine could allocate).
+machine could allocate).  A last directory, `one-off/`, holds single
+commands for the refusals no scenario reaches: unreadable or malformed
+scenario files, single-scheme commands on a `both` scenario, refused flag
+values, an overflowing closed-form estimate and output paths that cannot be
+written.
 
 For every command it writes the files the command wrote plus a `.run` file
 with the exit code, stdout and stderr.  The `compare` record's `timestamp`
@@ -33,7 +37,7 @@ two checkouts of equal behaviour give identical trees.  Compare two checkouts wi
     diff -r /tmp/golden-parent /tmp/golden-change
 
 Needs only the package's own dependencies.  The full matrix runs about
-1935 commands, writes about 127 MB and takes 6-13 s on one core.
+2011 commands, writes about 128 MB and takes 6-13 s on one core.
 """
 
 from __future__ import annotations
@@ -99,6 +103,49 @@ EDGES = [
     ("edge-unknown-grid-key", {"grid": {"points": 1001, "nodes": 1001}, "scheme": "bwm"}),
     ("edge-grid-not-object", {"grid": [1001], "scheme": "bwm"}),
     ("edge-unknown-key", {"omega": 1e-9, "scheme": "bwm"}),
+    # a bias order whose delay overflows, so the bwm spectrum is not finite,
+    # and a line so narrow that sigma_p underflows to 0
+    ("edge-huge-bias-order", {"bias_order_m": 10**308, "scheme": "both"}),
+    ("edge-underflowing-sigma", {"fwhm_nm": 1e-320, "scheme": "both"}),
+]
+
+#: the directory of ONE_OFFS, beside the scenario directories
+ONE_OFF_DIR = "one-off"
+
+#: single commands for the refusals no scenario matrix entry reaches:
+#: (name, argv), run in a directory that `record_one_offs` fills with the
+#: files they name
+ONE_OFFS = [
+    # scenario input: a missing file, invalid JSON, a non-object scenario, a
+    # missing required key and a directory
+    ("scenario-missing", ["compare", "--config", "missing.json", "--out", "x.json"]),
+    ("scenario-invalid-json", ["compare", "--config", "invalid.json", "--out", "x.json"]),
+    ("scenario-not-object", ["compare", "--config", "list.json", "--out", "x.json"]),
+    ("scenario-missing-key", ["compare", "--config", "no-area.json", "--out", "x.json"]),
+    ("scenario-directory", ["compare", "--config", "folder", "--out", "x.json"]),
+    # single-scheme commands on a `both` scenario
+    ("spectrum-without-scheme", ["spectrum", "--config", "both.json", "--out", "x.csv"]),
+    ("estimate-both", ["estimate", "--config", "both.json", "--delta-lambda-m", "1e-9",
+                       "--method", "analytic"]),
+    # flag values the commands refuse
+    ("delta-lambda-nan", ["estimate", "--config", "swm.json", "--delta-lambda-m", "nan",
+                          "--method", "numeric"]),
+    ("delta-lambda-text", ["estimate", "--config", "swm.json", "--delta-lambda-m", "abc",
+                           "--method", "numeric"]),
+    ("omega-max-inf", ["sweep", "--config", "swm.json", "--omega-min", "1e-10", "--omega-max",
+                       "inf", "--points", "5", "--mode", "numeric", "--out", "x.csv"]),
+    ("points-1", ["estimate", "--config", "swm.json", "--delta-lambda-m", "1e-13",
+                  "--method", "numeric", "--points", "1"]),
+    ("omega-min-0", ["sweep", "--config", "swm.json", "--omega-min", "0", "--omega-max", "1e-8",
+                     "--points", "5", "--mode", "analytic", "--out", "x.csv"]),
+    # an observation whose closed-form rate overflows
+    ("estimate-swm-analytic-huge", ["estimate", "--config", "swm.json", "--delta-lambda-m",
+                                    "1e308", "--method", "analytic"]),
+    # output I/O failures: a missing directory, and a file where figure3's
+    # directory should go
+    ("spectrum-missing-directory", ["spectrum", "--config", "swm.json", "--out",
+                                    "missing/x.csv"]),
+    ("figure3-onto-a-file", ["figure3", "--config", "both.json", "--out", "taken"]),
 ]
 
 #: scenarios that also get a long analytic sweep: one per scheme setting
@@ -235,6 +282,24 @@ def record_scenario(cli_main, directory: Path, raw: dict, long_sweep: bool) -> N
          "--mode", "numeric", "--out", "never.csv"])
 
 
+def record_one_offs(cli_main, directory: Path) -> None:
+    """Write the files ONE_OFFS name into `directory`, the working directory,
+    and run each of them."""
+    scenario = {**README, "grid": {"points": 1001}}
+    for name, raw in [
+        ("both.json", {**scenario, "scheme": "both"}),
+        ("swm.json", {**scenario, "scheme": "swm"}),
+        ("list.json", [scenario]),
+        ("no-area.json", {k: v for k, v in scenario.items() if k != "area_m2"}),
+    ]:
+        (directory / name).write_text(json.dumps(raw), encoding="utf-8")
+    (directory / "invalid.json").write_text("{\"lambda0_nm\": 833.0,", encoding="utf-8")
+    (directory / "folder").mkdir()
+    (directory / "taken").write_text("a file, not a directory", encoding="utf-8")
+    for name, argv in ONE_OFFS:
+        run(cli_main, directory, name, argv)
+
+
 def main(argv: list) -> int:
     if len(argv) != 2:
         print("usage: python tools/golden.py SRC OUT", file=sys.stderr)
@@ -255,6 +320,10 @@ def main(argv: list) -> int:
             # relative paths keep OUT out of every message the commands print
             os.chdir(directory)
             record_scenario(cli.cli_main, directory, raw, name in LONG_SWEEP)
+        directory = out / ONE_OFF_DIR
+        directory.mkdir()
+        os.chdir(directory)
+        record_one_offs(cli.cli_main, directory)
     finally:
         os.chdir(cwd)
     return 0

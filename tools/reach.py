@@ -6,11 +6,11 @@ Usage::
 
 SRC is a checkout of this repository; its `src/` is imported (never an
 installed copy).  The script imports the package and runs every scenario of
-`tools/golden.py`'s matrix in process under a `sys.settrace` line tracer,
-each in a temporary directory removed after it.  It then prints one line
-per module of `src/sagnac_wva`: how many executable lines the module has
-(the line numbers of its code objects' `co_lines`), how many of them no
-command reached, and which.  The last line is the total.
+`tools/golden.py`'s matrix, and its one-off commands, in process under a
+`sys.settrace` line tracer, each in a temporary directory removed after it.
+It then prints one line per module of `src/sagnac_wva`: how many executable
+lines the module has (the line numbers of its code objects' `co_lines`), how
+many of them no command reached, and which.  The last line is the total.
 
 Needs only the standard library and the package's own dependencies.  The
 matrix takes about 9 s under the tracer on one core.
@@ -79,6 +79,12 @@ def main(argv: list) -> int:
                     golden.record_scenario(cli.cli_main, Path(tmp), raw, name in golden.LONG_SWEEP)
                 finally:
                     os.chdir(cwd)
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                golden.record_one_offs(cli.cli_main, Path(tmp))
+            finally:
+                os.chdir(cwd)
     finally:
         sys.settrace(None)
     if not Path(cli.__file__).resolve().is_relative_to(src):
