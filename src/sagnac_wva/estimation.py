@@ -7,10 +7,11 @@ to rounding); that expression is linear in Omega, so it needs no curve.
 The numeric one solves the exact spectral forward model; because the
 biased scheme's numeric response need not be monotone in Omega, a
 calibration curve of that model must be built first (`calibration_curve`,
-on the rates of `omega_ladder`; the only curve this package builds) and
-inversion is refused outright when the curve is not strictly monotone or
-the observation falls outside the calibrated range.  No silent
-extrapolation, ever.
+on the log-spaced rates of `omega_ladder`; the only curve this package
+builds).  Building the curve is the one place that decides whether it can
+be inverted: a curve whose sampled shifts are not strictly monotone is
+refused there, and the inverter then refuses only an observation outside
+the calibrated range.  No silent extrapolation, ever.
 
 The numeric solve starts from the calibration interval whose sample shifts
 straddle the observation (found among the samples, with no forward call)
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -39,7 +41,7 @@ from .errors import (
     OutOfRangeObservation,
     ValidationError,
 )
-from .spectrum import MAX_GRID_POINTS
+from .spectrum import MAX_GRID_POINTS, finite_real
 
 #: the numeric inversion stops when the bracket shrinks below this relative
 #: width in Omega, or after this many steps
@@ -59,53 +61,55 @@ class OmegaEstimate:
 
 @dataclass(frozen=True)
 class CalibrationCurve:
-    """Forward-model samples delta_lambda(omega) on a fixed omega ladder."""
+    """Forward-model samples delta_lambda(omega), strictly monotone, on a log ladder."""
 
     omega_values: np.ndarray
     delta_lambda_values: np.ndarray
-    scheme: SchemeKind
-    monotone_flag: bool
     #: the bound forward model the curve was sampled with, `omegas -> delta_lambda`
     #: (flat array); the inverter reuses it, so an estimate binds the model once
     forward: Callable[[object], np.ndarray]
 
 
-def omega_ladder(
-    omega_min: float, omega_max: float, n_points: int, spacing: str = "log"
-) -> np.ndarray:
-    """`n_points` rates from omega_min to omega_max, log- (default) or linearly spaced.
+def omega_ladder(omega_min: float, omega_max: float, n_points: int) -> np.ndarray:
+    """`n_points` log-spaced rates from omega_min to omega_max.
 
-    At most MAX_GRID_POINTS rates; a larger count is refused before anything
-    is allocated.
+    The rates are real numbers (not bools), omega_max finite and omega_min
+    in (0, omega_max); the count is an integer (not a bool) from 2 to
+    MAX_GRID_POINTS, and a larger count is refused before anything is
+    allocated.
     """
-    if spacing not in ("log", "linear"):
-        raise ValidationError("spacing", f"must be 'log' or 'linear', got {spacing!r}")
-    if not math.isfinite(omega_max):
+    if not finite_real(omega_max):
         raise ValidationError("omega_max", f"must be finite, got {omega_max}")
-    if not 0.0 <= omega_min < omega_max:
+    if not (finite_real(omega_min) and 0.0 <= omega_min < omega_max):
         raise ValidationError(
             "omega_min", f"need 0 <= omega_min < omega_max, got [{omega_min}, {omega_max}]"
         )
+    if not isinstance(n_points, Integral) or isinstance(n_points, bool):
+        raise ValidationError("points", f"must be an integer, got {n_points!r}")
     if n_points < 2:
         raise ValidationError("points", f"must be >= 2, got {n_points!r}")
     if n_points > MAX_GRID_POINTS:
         raise ValidationError("points", f"must be at most {MAX_GRID_POINTS}, got {n_points!r}")
-    if spacing == "log":
-        if omega_min <= 0.0:
-            raise ValidationError("omega_min", "log spacing requires omega_min > 0")
-        return np.geomspace(omega_min, omega_max, n_points)
-    return np.linspace(omega_min, omega_max, n_points)
+    if omega_min <= 0.0:
+        raise ValidationError("omega_min", "log spacing requires omega_min > 0")
+    return np.geomspace(omega_min, omega_max, n_points)
 
 
 def calibration_curve(
-    config, omega_min: float, omega_max: float, n_points: int, spacing: str = "log"
+    config, omega_min: float, omega_max: float, n_points: int
 ) -> CalibrationCurve:
     """Sample the numeric forward model on an `omega_ladder`.
 
-    The monotone flag records whether the sampled shifts are strictly
-    monotone (either direction); the numeric inverter requires it.
+    This is the one place that decides whether a curve can be inverted: a
+    curve is returned only when its sampled shifts are strictly monotone
+    (either direction).
+
+    Raises
+    ------
+    NonMonotonicCalibration
+        If the sampled shifts are not strictly monotone.
     """
-    omegas = omega_ladder(omega_min, omega_max, n_points, spacing)
+    omegas = omega_ladder(omega_min, omega_max, n_points)
     scheme = single_scheme(config)
     evaluate = numeric_forward(config, scheme, config.probe())
 
@@ -114,14 +118,13 @@ def calibration_curve(
 
     values = forward(omegas)
     diffs = np.diff(values)
-    monotone = bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
-    return CalibrationCurve(
-        omega_values=omegas,
-        delta_lambda_values=values,
-        scheme=scheme,
-        monotone_flag=monotone,
-        forward=forward,
-    )
+    if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
+        raise NonMonotonicCalibration(
+            f"{scheme.value} numeric calibration on "
+            f"[{omegas[0]:.3e}, {omegas[-1]:.3e}] rad/s is "
+            f"not strictly monotone; refusing to invert"
+        )
+    return CalibrationCurve(omega_values=omegas, delta_lambda_values=values, forward=forward)
 
 
 def estimate_omega_analytic(delta_lambda_obs: float, scheme: SchemeKind, config) -> OmegaEstimate:
@@ -156,35 +159,28 @@ def estimate_omega_analytic(delta_lambda_obs: float, scheme: SchemeKind, config)
 def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> OmegaEstimate:
     """Invert the numeric forward model against an observed shift.
 
-    Requires a strictly monotone calibration curve bracketing the
-    observation.  The search starts from the calibration interval
-    [omega_k, omega_k+1] whose sample shifts straddle the observation, found
-    among the samples without a forward call; an observation equal to a
-    sample returns that sample's rate with zero residual.  The interval is
-    closed by ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM
-    TOMS 47(1), 2020), an enhanced bisection: each step evaluates a
-    truncated regula-falsi point kept within the bisection's minmax radius,
-    so it never takes more than one step over bisection of that interval
-    down to BISECTION_REL_TOL * omega_k.  It stops once the bracket is no
-    wider than BISECTION_REL_TOL * |midpoint| or after BISECTION_MAX_ITER
-    steps (the only bound when omega_k = 0), and returns the midpoint with
-    the residual of one forward evaluation there; a step that hits the
+    Trusts `curve` to be strictly monotone, as `calibration_curve` builds
+    it, and requires it to bracket the observation.  The search starts from
+    the calibration interval [omega_k, omega_k+1] whose sample shifts
+    straddle the observation, found among the samples without a forward
+    call; an observation equal to a sample returns that sample's rate with
+    zero residual.  The interval is closed by ITP (interpolate, truncate,
+    project; Oliveira & Takahashi, ACM TOMS 47(1), 2020), an enhanced
+    bisection: each step evaluates a truncated regula-falsi point kept
+    within the bisection's minmax radius, so it never takes more than one
+    step over bisection of that interval down to BISECTION_REL_TOL *
+    omega_k (or the smallest subnormal, where that product underflows).  It
+    stops once the bracket is no wider than BISECTION_REL_TOL * |midpoint|
+    or after BISECTION_MAX_ITER steps, and returns the midpoint with the
+    residual of one forward evaluation there; a step that hits the
     observation exactly returns its rate.  The method label stays
     "numeric-bisection".
 
     Raises
     ------
-    NonMonotonicCalibration
-        If the curve's monotone flag is down.
     OutOfRangeObservation
         If the observed shift lies outside the calibrated shift range.
     """
-    if not curve.monotone_flag:
-        raise NonMonotonicCalibration(
-            f"{curve.scheme.value} numeric calibration on "
-            f"[{curve.omega_values[0]:.3e}, {curve.omega_values[-1]:.3e}] rad/s is "
-            f"not strictly monotone; refusing to invert"
-        )
     values = curve.delta_lambda_values
     lo_val = float(values[0])
     hi_val = float(values[-1])
@@ -212,13 +208,12 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
     width0 = b - a
     # ITP's projection radius is eps * 2**(n_half + n0 - j) - width/2 at step j,
     # where bisection needs n_half steps to shrink the interval to 2 * eps =
-    # BISECTION_REL_TOL * a; with n0 = 1, eps * 2**(n_half + n0) is `budget`
-    floor = BISECTION_REL_TOL * a
-    if floor > 0.0:
-        excess_log2 = math.log2(width0) - math.log2(floor)
-        budget = width0 * 2.0 ** (math.ceil(excess_log2) - excess_log2)
-    else:
-        budget = math.inf
+    # BISECTION_REL_TOL * a; with n0 = 1, eps * 2**(n_half + n0) is `budget`.
+    # A subnormal a underflows that product to 0; the smallest subnormal
+    # stands in, so log2 has a positive argument
+    floor = max(BISECTION_REL_TOL * a, math.ulp(0.0))
+    excess_log2 = math.log2(width0) - math.log2(floor)
+    budget = width0 * 2.0 ** (math.ceil(excess_log2) - excess_log2)
     for _ in range(BISECTION_MAX_ITER):
         width = b - a
         mid = 0.5 * (a + b)

@@ -245,8 +245,8 @@ def test_criterion_08_estimator_round_trips():
 
     # the biased inversion must either recover the rate or refuse loudly
     bwm_config = _config(scheme="bwm")
-    bwm_curve = calibration_curve(bwm_config, 1e-10, 1e-8, 8)
     try:
+        bwm_curve = calibration_curve(bwm_config, 1e-10, 1e-8, 8)
         bwm_est = estimate_omega_numeric(numeric_obs(bwm_config, 3e-9), bwm_curve)
         bwm_outcome = abs(bwm_est.omega_hat - 3e-9) / 3e-9
         bwm_ok = bwm_outcome <= 1e-4
@@ -255,11 +255,8 @@ def test_criterion_08_estimator_round_trips():
         bwm_ok = True
         bwm_note = "bwm refused (non-monotone)"
 
-    literal_curve = calibration_curve(
-        _config(scheme="bwm", paper_literal=True), 1e-10, 1e-8, 8
-    )
     with pytest.raises(NonMonotonicCalibration):
-        estimate_omega_numeric(literal_curve.delta_lambda_values[3], literal_curve)
+        calibration_curve(_config(scheme="bwm", paper_literal=True), 1e-10, 1e-8, 8)
 
     ok = worst_analytic <= 1e-9 and swm_rel <= 1e-4 and bwm_ok
     detail = _criterion(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sagnac_wva.config import ExperimentConfig
-from sagnac_wva.engine import SchemeKind, analytic_shift, mean_shift_analytic
+from sagnac_wva.engine import SchemeKind, analytic_shift, mean_shift_analytic, numeric_forward
 from sagnac_wva.errors import (
     NonMonotonicCalibration,
     OutOfRangeObservation,
@@ -76,7 +76,6 @@ def test_analytic_zero_and_linearity():
 def test_numeric_round_trip_standard_scheme():
     config = _config(scheme="swm")
     curve = calibration_curve(config, 1e-10, 1e-8, 10)
-    assert curve.monotone_flag
     obs = curve.delta_lambda_values[5]  # forward value at an interior ladder point
     est = estimate_omega_numeric(obs, curve)
     assert est.omega_hat == pytest.approx(curve.omega_values[5], rel=1e-4)
@@ -86,7 +85,6 @@ def test_numeric_round_trip_standard_scheme():
 def test_numeric_round_trip_biased_full_law():
     config = _config(scheme="bwm")
     curve = calibration_curve(config, 1e-10, 1e-8, 8)
-    assert curve.monotone_flag
     obs = curve.delta_lambda_values[4]
     est = estimate_omega_numeric(obs, curve)
     assert est.omega_hat == pytest.approx(curve.omega_values[4], rel=1e-4)
@@ -94,19 +92,15 @@ def test_numeric_round_trip_biased_full_law():
 
 def test_biased_literal_calibration_is_not_monotone():
     # the simplified sin^2(p*g) density is even around its vanishing mean
-    # shift at these couplings, so the sampled curve cannot be monotone
+    # shift at these couplings, so the sampled curve cannot be monotone; the
+    # curve itself refuses, before any observation is read
     config = _config(scheme="bwm", paper_literal=True)
-    curve = calibration_curve(config, 1e-10, 1e-8, 8)
-    assert not curve.monotone_flag
-    with pytest.raises(NonMonotonicCalibration):
-        estimate_omega_numeric(curve.delta_lambda_values[3], curve)
-
-
-def test_non_monotone_refusal_precedes_range_check():
-    config = _config(scheme="bwm", paper_literal=True)
-    curve = calibration_curve(config, 1e-10, 1e-8, 8)
-    with pytest.raises(NonMonotonicCalibration):
-        estimate_omega_numeric(1.0, curve)
+    with pytest.raises(
+        NonMonotonicCalibration,
+        match=r"^bwm numeric calibration on \[1\.000e-10, 1\.000e-08\] rad/s is "
+        r"not strictly monotone; refusing to invert$",
+    ):
+        calibration_curve(config, 1e-10, 1e-8, 8)
 
 
 def test_out_of_range_observation_refused():
@@ -132,25 +126,64 @@ def test_curve_minimal_point_count():
     assert curve.delta_lambda_values.size == 2
 
 
-def test_curve_linear_spacing():
-    curve = calibration_curve(_config(), 0.0, 1e-8, 5, spacing="linear")
-    assert curve.omega_values[0] == 0.0
-    assert np.allclose(np.diff(curve.omega_values), 2.5e-9)
+def test_curve_is_log_spaced():
+    curve = calibration_curve(_config(), 1e-10, 1e-8, 5)
+    assert np.array_equal(curve.omega_values, np.geomspace(1e-10, 1e-8, 5))
+    with pytest.raises(TypeError):
+        calibration_curve(_config(), 1e-10, 1e-8, 5, spacing="log")
+    assert [f.name for f in dataclasses.fields(CalibrationCurve)] == [
+        "omega_values", "delta_lambda_values", "forward",
+    ]
 
 
 def test_curve_validation():
-    with pytest.raises(ValueError):
-        calibration_curve(_config(), 1e-10, 1e-8, 5, spacing="cubic")
     with pytest.raises(ValueError):
         calibration_curve(_config(), -1e-10, 1e-8, 5)
     with pytest.raises(ValueError):
         calibration_curve(_config(), 1e-8, 1e-10, 5)
     with pytest.raises(ValueError):
         calibration_curve(_config(), 1e-10, 1e-8, 1)
-    with pytest.raises(ValueError):
-        calibration_curve(_config(), 0.0, 1e-8, 5, spacing="log")
+    with pytest.raises(ValueError, match="log spacing requires omega_min > 0"):
+        calibration_curve(_config(), 0.0, 1e-8, 5)
     with pytest.raises(ValidationError):
         calibration_curve(_config(scheme="both"), 1e-10, 1e-8, 5)
+
+
+@pytest.mark.parametrize(
+    "omega_min, omega_max, n_points, field",
+    [
+        (1e-10, 1e-8, 5.0, "points"),
+        (1e-10, 1e-8, 2.5, "points"),
+        (1e-10, 1e-8, True, "points"),
+        (1e-10, 1e-8, "5", "points"),
+        ("5", 1e-8, 5, "omega_min"),
+        ("1e-10", 1e-8, 5, "omega_min"),
+        (1e-10, "1e-8", 5, "omega_max"),
+        (None, 1e-8, 5, "omega_min"),
+    ],
+    ids=[
+        "float-count", "fractional-count", "bool-count", "string-count",
+        "string-min", "string-min-exponent", "string-max", "none-min",
+    ],
+)
+def test_ladder_refuses_non_integer_counts_and_non_real_rates(
+    omega_min, omega_max, n_points, field
+):
+    # `calibration_curve` is public: its arguments are checked where they
+    # enter, never left to numpy or a comparison to trip over
+    with pytest.raises(ValidationError) as caught:
+        calibration_curve(_config(), omega_min, omega_max, n_points)
+    assert caught.value.field == field
+
+
+def test_ladder_keeps_its_refusal_texts_for_float_arguments():
+    with pytest.raises(ValidationError, match=r"^omega_max: must be finite, got inf$"):
+        omega_ladder(1e-10, math.inf, 5)
+    with pytest.raises(
+        ValidationError, match=r"^omega_min: need 0 <= omega_min < omega_max, got \[nan, 1e-08\]$"
+    ):
+        omega_ladder(math.nan, 1e-8, 5)
+    assert np.array_equal(omega_ladder(1e-10, 1e-8, np.int64(3)), np.geomspace(1e-10, 1e-8, 3))
 
 
 def test_bisection_is_deterministic():
@@ -222,7 +255,6 @@ def _full_ladder_bisection_evals(curve, obs):
 def test_numeric_inversion_keeps_its_bracket_contract(scheme_name, bias_order):
     config = _config(scheme=scheme_name, bias_order_m=bias_order, grid=GridSpec(points=801))
     curve = calibration_curve(config, 1e-10, 1e-8, 10)
-    assert curve.monotone_flag
     for omega in (1.3e-10, 7.1e-10, 3.3e-9, 9.1e-9):
         obs = float(curve.forward(omega)[0])
         recorded, calls = _recording(curve)
@@ -270,18 +302,21 @@ def test_noise_floor_inversion_keeps_its_bracket():
     assert len(calls) <= _full_ladder_bisection_evals(curve, obs) + 1
 
 
-def test_linear_ladder_from_zero_stops_at_the_iteration_cap():
-    # the straddling interval starts at 0, so no width bounds the search: an
-    # observation a 1e-12 step above the zero-rate sample sits below the
-    # shift noise floor and only BISECTION_MAX_ITER ends it
-    config = _config(scheme="swm", grid=GridSpec(points=801))
-    curve = calibration_curve(config, 0.0, 1e-8, 5, spacing="linear")
-    values = curve.delta_lambda_values
-    obs = float(values[0] + 1e-12 * (values[1] - values[0]))
+def test_wide_bracket_stops_at_the_iteration_cap():
+    # a shift that steps from -1 to +1 at 2e-20 rad/s: regula falsi lands on
+    # the midpoint, so the search bisects [1e-20, 1], and shrinking that to
+    # BISECTION_REL_TOL of the root takes more halvings than
+    # BISECTION_MAX_ITER allows
+    def shift(omegas):
+        return np.where(np.atleast_1d(np.asarray(omegas, dtype=float)) < 2e-20, -1.0, 1.0)
+
+    omegas = np.array([1e-20, 1.0])
+    curve = CalibrationCurve(omega_values=omegas, delta_lambda_values=shift(omegas), forward=shift)
+    obs = 0.0
     recorded, calls = _recording(curve)
     est = estimate_omega_numeric(obs, recorded)
     assert len(calls) == BISECTION_MAX_ITER + 1
-    assert all(0.0 < rate < curve.omega_values[1] for rate, _ in calls)
+    assert all(omegas[0] < rate < omegas[1] for rate, _ in calls)
     (a, value_a), (b, value_b) = _final_bracket(curve, obs, calls, est.omega_hat)
     assert min(value_a, value_b) <= obs <= max(value_a, value_b)
     assert est.omega_hat == 0.5 * (a + b)
@@ -298,8 +333,7 @@ def test_itp_keeps_the_bisection_bound_where_interpolation_crawls():
     n_half = math.ceil(math.log2((omegas[1] - omegas[0]) / (BISECTION_REL_TOL * omegas[0])))
     for target in (1.5, 1.9):
         curve = CalibrationCurve(
-            omega_values=omegas, delta_lambda_values=shift(omegas), scheme=SchemeKind.SWM,
-            monotone_flag=True, forward=shift,
+            omega_values=omegas, delta_lambda_values=shift(omegas), forward=shift
         )
         recorded, calls = _recording(curve)
         est = estimate_omega_numeric(float(shift(target)[0]), recorded)
@@ -307,17 +341,28 @@ def test_itp_keeps_the_bisection_bound_where_interpolation_crawls():
         assert len(calls) <= n_half + 1 + 1
 
 
+def test_ladder_from_a_subnormal_rate_is_inverted():
+    # BISECTION_REL_TOL * 5e-324 underflows to 0; the search must still run
+    config = _config(scheme="swm", grid=GridSpec(points=801))
+    curve = calibration_curve(config, 5e-324, 1e-8, 2)
+    obs = float(curve.forward(1e-9)[0])
+    est = estimate_omega_numeric(obs, curve)
+    assert curve.omega_values[0] < est.omega_hat < curve.omega_values[1]
+    assert math.isfinite(est.residual)
+
+
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP direction 1: the monotone flag reads only the ladder samples, "
+    reason="ROADMAP direction 1: calibration_curve checks only the ladder samples, "
     "and this curve turns between them",
 )
 @pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
 def test_curve_turning_between_samples_is_refused(scheme_name):
-    # the sampled shifts are monotone, yet a dense ladder over the same
-    # bracket has 12 turning points; an estimate here returns a wrong rate
+    # the 3 log-spaced samples are monotone, yet the curve turns between
+    # them; an estimate here returns 3.1224e-2 rad/s, 23 % below the truth
     config = _config(scheme=scheme_name)
-    curve = calibration_curve(config, 6.2e-3, 0.19, 7, spacing="linear")
-    obs = float(curve.forward(4.06e-2)[0])
+    evaluate = numeric_forward(config, SchemeKind(scheme_name), config.probe())
+    obs = float(evaluate(4.06e-2).delta_lambda[0])
     with pytest.raises(NonMonotonicCalibration):
+        curve = calibration_curve(config, 6.2e-3, 0.19, 3)
         estimate_omega_numeric(obs, curve)

@@ -23,8 +23,10 @@ and three usage errors (one a `sweep` of 10**30 rates, more than any
 machine could allocate).  A last directory, `one-off/`, holds single
 commands for the refusals no scenario reaches: unreadable or malformed
 scenario files, single-scheme commands on a `both` scenario, refused flag
-values, an overflowing closed-form estimate and output paths that cannot be
-written.
+values, an overflowing closed-form estimate, a calibration ladder from a
+subnormal rate, the numeric estimates of ROADMAP standing defect 1 (on the
+README scenario and its default 4001-node grid) and output paths that
+cannot be written.
 
 For every command it writes the files the command wrote plus a `.run` file
 with the exit code, stdout and stderr.  The `compare` record's `timestamp`
@@ -37,7 +39,7 @@ two checkouts of equal behaviour give identical trees.  Compare two checkouts wi
     diff -r /tmp/golden-parent /tmp/golden-change
 
 Needs only the package's own dependencies.  The full matrix runs about
-2011 commands, writes about 128 MB and takes 6-13 s on one core.
+2057 commands, writes about 128 MB and takes 6-13 s on one core.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ README = {
 EDGES = [
     ("edge-huge-rate", {"omega_rad_per_s": 1e300, "scheme": "both"}),
     ("edge-tiny-phi", {"phi_rad": 1e-307, "scheme": "swm"}),
+    # a valid phi so small that the closed form's 1/tan(phi) overflows
+    ("edge-subnormal-phi", {"phi_rad": 1e-310, "scheme": "both"}),
     ("edge-underflow-literal", {"area_m2": 1e-140, "scheme": "bwm", "paper_literal": True}),
     ("edge-tiny-area-literal", {"area_m2": 1e-160, "scheme": "bwm", "paper_literal": True}),
     ("edge-wide-phi", {"phi_rad": 1.5, "scheme": "both", "bias_order_m": 2}),
@@ -141,6 +145,19 @@ ONE_OFFS = [
     # an observation whose closed-form rate overflows
     ("estimate-swm-analytic-huge", ["estimate", "--config", "swm.json", "--delta-lambda-m",
                                     "1e308", "--method", "analytic"]),
+    # a ladder from the smallest subnormal rate, where BISECTION_REL_TOL times
+    # the interval's lower end underflows to 0
+    ("estimate-swm-subnormal-ladder", ["estimate", "--config", "swm.json", "--delta-lambda-m",
+                                       "-1e-12", "--method", "numeric", "--omega-min",
+                                       "5e-324", "--omega-max", "1e-8", "--points", "2"]),
+    # ROADMAP standing defect 1 on the README scenario: the 3 log-spaced
+    # samples are monotone, the curve turns between them, and the estimate
+    # of each scheme's shift at 4.06e-2 rad/s is a wrong rate
+    *[(f"estimate-{scheme}-turning-between-samples",
+       ["estimate", "--config", f"readme-{scheme}.json", "--delta-lambda-m", observed,
+        "--method", "numeric", "--omega-min", "6.2e-3", "--omega-max", "0.19", "--points", "3"])
+      for scheme, observed in (("swm", "-5.105890607060714e-10"),
+                               ("bwm", "-5.106839577107428e-10"))],
     # output I/O failures: a missing directory, and a file where figure3's
     # directory should go
     ("spectrum-missing-directory", ["spectrum", "--config", "swm.json", "--out",
@@ -289,6 +306,8 @@ def record_one_offs(cli_main, directory: Path) -> None:
     for name, raw in [
         ("both.json", {**scenario, "scheme": "both"}),
         ("swm.json", {**scenario, "scheme": "swm"}),
+        ("readme-swm.json", {**README, "scheme": "swm"}),
+        ("readme-bwm.json", {**README, "scheme": "bwm"}),
         ("list.json", [scenario]),
         ("no-area.json", {k: v for k, v in scenario.items() if k != "area_m2"}),
     ]:
