@@ -43,18 +43,13 @@ from .errors import (
 )
 from .estimation import (
     calibration_curve,
+    check_observation,
     estimate_omega_analytic,
     estimate_omega_numeric,
     omega_ladder,
 )
-from .output import (
-    build_run_record,
-    record_to_json,
-    write_results_json,
-    write_spectrum_csv,
-    write_table_csv,
-)
-from .spectrum import normalize
+from .output import build_run_record, record_to_json, write_results_json, write_table_csv
+from .spectrum import momentum_to_wavelength, normalize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -127,12 +122,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_spectrum(args) -> int:
     config = load_scenario(args.config)
-    scheme = single_scheme(config, args.scheme)
+    name = args.scheme or config.scheme
+    if name == "both":
+        raise ValidationError(
+            "scheme", "this subcommand needs a single scheme; pass --scheme swm|bwm"
+        )
+    scheme = SchemeKind(name)
     probe = config.probe()
-    intensity = scheme_spectrum(config, scheme, probe)
+    intensity = scheme_spectrum(config, scheme, probe, config.omega_rad_per_s)
     if not np.isfinite(intensity).all():
         raise NonFiniteResult(f"{scheme.value} intensity_post is not finite; no file written")
-    write_spectrum_csv(args.out, probe, intensity)
+    # positional: perfbench counts output rows from the third argument
+    write_table_csv(
+        args.out,
+        "p_inv_m,lambda_m,intensity_probe,intensity_post",
+        [probe.p_grid, momentum_to_wavelength(probe.p_grid), probe.intensity, intensity],
+    )
     return EXIT_OK
 
 
@@ -173,14 +178,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    if not math.isfinite(args.delta_lambda_m):
-        raise ValidationError(
-            "delta_lambda_m", f"must be a finite number, got {args.delta_lambda_m}"
-        )
+    check_observation(args.delta_lambda_m)
     config = load_scenario(args.config)
     scheme = single_scheme(config)
     if args.method == "analytic":
-        estimate = estimate_omega_analytic(args.delta_lambda_m, scheme, config)
+        estimate = estimate_omega_analytic(args.delta_lambda_m, config)
     else:
         curve = calibration_curve(config, args.omega_min, args.omega_max, args.points)
         estimate = estimate_omega_numeric(args.delta_lambda_m, curve)
@@ -205,7 +207,7 @@ def _cmd_figure3(args) -> int:
         posts = [normalize(probe.p_grid, scheme_spectrum(config, s, probe, omega)) for s in schemes]
         tables.append((
             "p_inv_m,lambda_m,intensity_probe,intensity_post_swm,intensity_post_bwm",
-            [probe.p_grid, 2.0 * np.pi / probe.p_grid, probe.intensity, *posts],
+            [probe.p_grid, momentum_to_wavelength(probe.p_grid), probe.intensity, *posts],
         ))
 
     # panel C: analytic shifts of both schemes and their ratio across Omega
@@ -287,10 +289,8 @@ def _join_float_values(argv: list[str]) -> list[str]:
     return joined
 
 
-def cli_main(argv=None) -> int:
+def cli_main(argv: list[str]) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
         args = parser.parse_args(_join_float_values(argv))
     except SystemExit as exc:

@@ -14,7 +14,10 @@ never replace the numeric values.
 `scheme_spectrum`, `analytic_shift`, `pointform_probability` and
 `numeric_forward` are the only code that turns (scenario, scheme, rotation
 rate) into a spectrum, a shift or a survival probability;
-`compare_schemes`, the estimators and the CLI all use them.
+`compare_schemes`, the estimators and the CLI all use them.  Each takes the
+scheme and the rate (or rates) as explicit arguments; a caller that runs
+the scenario's own rate passes `config.omega_rad_per_s`, and
+`single_scheme` reads the scenario's one scheme, refusing 'both'.
 
 `numeric_forward` is the batched numeric forward model behind `compare`,
 the calibration ladder, the bisection, numeric sweeps and the figure3
@@ -73,14 +76,14 @@ class SchemeKind(Enum):
     BWM = "bwm"
 
 
-def single_scheme(config, override: str | None = None) -> SchemeKind:
-    """The one scheme a command runs: `override`, else the scenario's; never 'both'."""
-    name = override or config.scheme
-    if name == "both":
+def single_scheme(config) -> SchemeKind:
+    """The scenario's one scheme; a 'both' scenario is refused."""
+    if config.scheme == "both":
         raise ValidationError(
-            "scheme", "this subcommand needs a single scheme; pass --scheme swm|bwm"
+            "scheme",
+            'this command needs a single scheme; set "scheme" to "swm" or "bwm" in the scenario',
         )
-    return SchemeKind(name)
+    return SchemeKind(config.scheme)
 
 
 class MeanShift(NamedTuple):
@@ -230,9 +233,8 @@ def mean_shift_analytic(
     return MeanShift(delta_p=delta_p, delta_lambda=delta_lambda)
 
 
-def _coupling_length(config, omega=None):
-    """Coupling length g at `omega` (scalar or array; None: the scenario's rate)."""
-    omega = config.omega_rad_per_s if omega is None else omega
+def _coupling_length(config, omega):
+    """Coupling length g at `omega`, a scalar or an array of rates."""
     return coupling_length(omega, config.area_m2, config.lambda0_m())
 
 
@@ -245,13 +247,13 @@ def _law(config, scheme: SchemeKind) -> tuple[float, float, float]:
     return config.phi_rad, bias_delay(config.phi_rad, config.lambda0_m(), config.bias_order_m), 0.0
 
 
-def scheme_spectrum(config, scheme: SchemeKind, probe: ProbeSpectrum, omega=None) -> np.ndarray:
+def scheme_spectrum(config, scheme: SchemeKind, probe: ProbeSpectrum, omega) -> np.ndarray:
     """Post-selected intensity of one scheme of a scenario at one rotation rate."""
     phi, psi_pre, _ = _law(config, scheme)
     return postselected_spectrum(probe, _coupling_length(config, omega), phi, psi_pre)
 
 
-def analytic_shift(config, scheme: SchemeKind, probe: ProbeSpectrum, omega=None) -> MeanShift:
+def analytic_shift(config, scheme: SchemeKind, probe: ProbeSpectrum, omega) -> MeanShift:
     """Closed-form shifts of one scheme; broadcasts over an array of rates."""
     return mean_shift_analytic(
         scheme, _coupling_length(config, omega), probe, config.phi_rad,
@@ -259,7 +261,7 @@ def analytic_shift(config, scheme: SchemeKind, probe: ProbeSpectrum, omega=None)
     )
 
 
-def pointform_probability(config, scheme: SchemeKind, probe: ProbeSpectrum, omega=None) -> float:
+def pointform_probability(config, scheme: SchemeKind, probe: ProbeSpectrum, omega) -> float:
     """Survival probability read at p0 alone: sin^2(g*p0 + phi_at_p0)."""
     theta0 = _coupling_length(config, omega) * probe.p0 + _law(config, scheme)[2]
     return float(np.sin(theta0) ** 2)
@@ -316,12 +318,12 @@ def compare_schemes(config) -> tuple[MeasurementResult, MeasurementResult]:
     Returns the (standard, biased) results with every numeric and analytic
     field filled in.
     """
-    probe = config.probe()
+    probe, omega = config.probe(), config.omega_rad_per_s
     amp = amplification_factor(probe, config.delta_lambda_means)
     results = []
     for scheme in (SchemeKind.SWM, SchemeKind.BWM):
-        numeric = numeric_forward(config, scheme, probe)(config.omega_rad_per_s)
-        analytic = analytic_shift(config, scheme, probe)
+        numeric = numeric_forward(config, scheme, probe)(omega)
+        analytic = analytic_shift(config, scheme, probe, omega)
         results.append(
             MeasurementResult(
                 scheme=scheme,
@@ -330,7 +332,7 @@ def compare_schemes(config) -> tuple[MeasurementResult, MeasurementResult]:
                 delta_p_analytic=analytic.delta_p,
                 delta_lambda_analytic=analytic.delta_lambda,
                 postselect_prob_numeric=float(numeric.probability[0]),
-                postselect_prob_pointform=pointform_probability(config, scheme, probe),
+                postselect_prob_pointform=pointform_probability(config, scheme, probe, omega),
                 amplification_factor=amp,
             )
         )

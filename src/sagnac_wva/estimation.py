@@ -1,17 +1,21 @@
 """
 Rotation-rate estimation from an observed wavelength shift.
 
-Two inverters are provided.  The analytic one inverts the same closed-form
-shift expression the forward analytic model uses (so the pair round-trips
-to rounding); that expression is linear in Omega, so it needs no curve.
-The numeric one solves the exact spectral forward model; because the
-biased scheme's numeric response need not be monotone in Omega, a
-calibration curve of that model must be built first (`calibration_curve`,
-on the log-spaced rates of `omega_ladder`; the only curve this package
-builds).  Building the curve is the one place that decides whether it can
-be inverted: a curve whose sampled shifts are not strictly monotone is
-refused there, and the inverter then refuses only an observation outside
-the calibrated range.  No silent extrapolation, ever.
+Two inverters are provided, and both refuse an observation that is not a
+finite real number (`check_observation`).  The analytic one inverts the
+same closed-form shift expression the forward analytic model uses, for the
+scenario's own scheme (so the pair round-trips to rounding); that
+expression is linear in Omega, so it needs no curve.  The numeric one
+solves the exact spectral forward model; because the biased scheme's
+numeric response need not be monotone in Omega, a calibration curve of
+that model must be built first (`calibration_curve`, on the log-spaced
+rates of `omega_ladder`; the only curve this package builds).  The curve
+keeps the bound `numeric_forward` model it was sampled with, and the
+inverter evaluates that same model.  Building the curve is the one place
+that decides whether it can be inverted: a curve whose sampled shifts are
+not strictly monotone is refused there, and the inverter then refuses only
+an observation outside the calibrated range.  No silent extrapolation,
+ever.
 
 The numeric solve starts from the calibration interval whose sample shifts
 straddle the observation (found among the samples, with no forward call)
@@ -34,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import SchemeKind, analytic_shift, numeric_forward, single_scheme
+from .engine import NumericForward, analytic_shift, numeric_forward, single_scheme
 from .errors import (
     NonFiniteResult,
     NonMonotonicCalibration,
@@ -65,9 +69,9 @@ class CalibrationCurve:
 
     omega_values: np.ndarray
     delta_lambda_values: np.ndarray
-    #: the bound forward model the curve was sampled with, `omegas -> delta_lambda`
-    #: (flat array); the inverter reuses it, so an estimate binds the model once
-    forward: Callable[[object], np.ndarray]
+    #: the bound `numeric_forward` model the curve was sampled with; the
+    #: inverter reuses it, so an estimate binds the model once
+    forward: Callable[[object], NumericForward]
 
 
 def omega_ladder(omega_min: float, omega_max: float, n_points: int) -> np.ndarray:
@@ -111,12 +115,8 @@ def calibration_curve(
     """
     omegas = omega_ladder(omega_min, omega_max, n_points)
     scheme = single_scheme(config)
-    evaluate = numeric_forward(config, scheme, config.probe())
-
-    def forward(om) -> np.ndarray:
-        return evaluate(om).delta_lambda
-
-    values = forward(omegas)
+    forward = numeric_forward(config, scheme, config.probe())
+    values = forward(omegas).delta_lambda
     diffs = np.diff(values)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
         raise NonMonotonicCalibration(
@@ -127,8 +127,14 @@ def calibration_curve(
     return CalibrationCurve(omega_values=omegas, delta_lambda_values=values, forward=forward)
 
 
-def estimate_omega_analytic(delta_lambda_obs: float, scheme: SchemeKind, config) -> OmegaEstimate:
-    """Invert the closed-form shift expression (linear in Omega).
+def check_observation(delta_lambda_obs) -> None:
+    """Refuse an observed shift that is not a finite real number (or is a bool)."""
+    if not finite_real(delta_lambda_obs):
+        raise ValidationError("delta_lambda_m", f"must be a finite number, got {delta_lambda_obs}")
+
+
+def estimate_omega_analytic(delta_lambda_obs: float, config) -> OmegaEstimate:
+    """Invert the closed-form shift expression (linear in Omega) of the scenario's scheme.
 
     The coefficient is taken from the forward analytic model itself, so the
     inversion matches whatever cot-vs-1/phi and width-reading conventions
@@ -136,10 +142,15 @@ def estimate_omega_analytic(delta_lambda_obs: float, scheme: SchemeKind, config)
 
     Raises
     ------
+    ValidationError
+        If the observation is not a finite number, or the scenario's scheme
+        is 'both'.
     NonFiniteResult
         If the coefficient is zero or not finite (an underflowed or
         overflowed loop), or the estimate or its residual is not finite.
     """
+    check_observation(delta_lambda_obs)
+    scheme = single_scheme(config)
     coefficient = float(analytic_shift(config, scheme, config.probe(), 1.0).delta_lambda)
     if coefficient == 0.0 or not math.isfinite(coefficient):
         raise NonFiniteResult(
@@ -178,9 +189,12 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
 
     Raises
     ------
+    ValidationError
+        If the observation is not a finite number.
     OutOfRangeObservation
         If the observed shift lies outside the calibrated shift range.
     """
+    check_observation(delta_lambda_obs)
     values = curve.delta_lambda_values
     lo_val = float(values[0])
     hi_val = float(values[-1])
@@ -201,7 +215,7 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
 
     def excess(om: float) -> float:
         # each step is a one-rate evaluation of the curve's model
-        return float(curve.forward(om)[0]) - delta_lambda_obs
+        return float(curve.forward(om).delta_lambda[0]) - delta_lambda_obs
 
     a, b = float(curve.omega_values[k - 1]), float(curve.omega_values[k])
     ya, yb = float(values[k - 1]) - delta_lambda_obs, float(values[k]) - delta_lambda_obs

@@ -1,11 +1,12 @@
 """
-Result persistence: deterministic CSV spectra and canonical JSON run records.
+Result persistence: deterministic CSV tables and canonical JSON run records.
 
 Numbers are written with 17 significant digits so parsing them back
-reproduces the doubles bit for bit; CSV tables go through a numpy encoder
-whose bytes equal `%.17g` per value (see `_fields`).  It encodes a table in
-chunks of CSV_CHUNK_VALUES values through one `_Workspace`, allocated once
-per table and reused by every chunk.  Files are written
+reproduces the doubles bit for bit.  Every CSV table, the `spectrum`
+command's included, is written by `write_table_csv` through a numpy
+encoder whose bytes equal `%.17g` per value (see `_fields`).  It encodes a
+table in chunks of CSV_CHUNK_VALUES values through one `_Workspace`,
+allocated once per table and reused by every chunk.  Files are written
 atomically (temp-then-rename), always UTF-8 with LF line endings, so two
 runs of the same scenario produce byte-identical output apart from the one
 timestamp key in the JSON record.
@@ -26,8 +27,6 @@ import numpy as np
 
 from ._version import __version__
 from .errors import IoError
-
-CSV_SPECTRUM_HEADER = "p_inv_m,lambda_m,intensity_probe,intensity_post"
 
 
 def format_float(x: float) -> str:
@@ -389,10 +388,9 @@ def _csv_chunks(header: str, columns):
     """
     yield f"{header}\n".encode("utf-8")
     n_rows, n_cols = columns[0].size, len(columns)
-    if not n_rows:
-        return
-    chunks = -(-n_rows // max(1, CSV_CHUNK_VALUES // n_cols))
-    rows = -(-n_rows // chunks)
+    # an empty table gets one chunk of one row, which no value fills
+    chunks = max(1, -(-n_rows // max(1, CSV_CHUNK_VALUES // n_cols)))
+    rows = max(1, -(-n_rows // chunks))
     separators = np.full(n_cols, ord(","), np.uint8)
     separators[-1] = ord("\n")
     ws = _Workspace(rows, separators)
@@ -404,21 +402,12 @@ def _csv_chunks(header: str, columns):
         yield _fields(ws, count * n_cols)
 
 
-def write_spectrum_csv(path, probe, intensity) -> None:
-    """Write the probe and a post-selected intensity on the probe's grid.
-
-    Columns: p_inv_m, lambda_m (= 2*pi/p), intensity_probe, intensity_post.
-    """
-    columns = [probe.p_grid, 2.0 * np.pi / probe.p_grid, probe.intensity, intensity]
-    _atomic_write(path, _csv_chunks(CSV_SPECTRUM_HEADER, columns))
-
-
 def write_table_csv(path, header: str, columns) -> None:
-    """Write equal-length float columns under a fixed header line."""
+    """Write float columns of one length under a fixed header line.
+
+    The lengths are taken as equal, as in every table a command writes.
+    """
     columns = [np.asarray(c, dtype=float) for c in columns]
-    n = columns[0].size
-    if any(c.size != n for c in columns):
-        raise ValueError("columns must have equal length")
     _atomic_write(path, _csv_chunks(header, columns))
 
 

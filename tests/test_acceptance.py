@@ -226,7 +226,7 @@ def test_criterion_08_estimator_round_trips():
             obs = mean_shift_analytic(
                 scheme, _g(omega), probe, PHI, config.delta_lambda_means
             ).delta_lambda
-            est = estimate_omega_analytic(obs, scheme, config)
+            est = estimate_omega_analytic(obs, config)
             worst_analytic = max(worst_analytic, abs(est.omega_hat - omega) / omega)
 
     def numeric_obs(config, omega):

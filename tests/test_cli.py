@@ -220,12 +220,16 @@ def test_estimate_analytic_round_trip(tmp_path, capsys):
     assert payload["scheme"] == "bwm"
 
 
-def test_estimate_needs_single_scheme(tmp_path):
+def test_estimate_needs_single_scheme(tmp_path, capsys):
     config = _scenario(tmp_path)  # scheme both
     code = cli_main(
         ["estimate", "--config", str(config), "--delta-lambda-m", "1e-9", "--method", "analytic"]
     )
     assert code == 2
+    # estimate has no --scheme flag: the advice names the scenario field
+    err = capsys.readouterr().err
+    assert '"scheme"' in err
+    assert "--scheme" not in err
 
 
 def test_estimate_numeric_round_trip(tmp_path, capsys):

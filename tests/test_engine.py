@@ -282,7 +282,7 @@ def test_compare_schemes_numeric_fields_match_per_spectrum_reference(overrides):
     config = _config(**overrides)
     probe = config.probe()
     for res in compare_schemes(config):
-        spec = scheme_spectrum(config, res.scheme, probe)
+        spec = scheme_spectrum(config, res.scheme, probe, config.omega_rad_per_s)
         shift = mean_shift_numeric(probe, spec)
         assert res.delta_p_numeric == shift.delta_p
         assert res.delta_lambda_numeric == shift.delta_lambda

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from sagnac_wva.config import ExperimentConfig
-from sagnac_wva.engine import SchemeKind, analytic_shift, mean_shift_analytic, numeric_forward
+from sagnac_wva.engine import (
+    NumericForward,
+    SchemeKind,
+    analytic_shift,
+    mean_shift_analytic,
+    numeric_forward,
+)
 from sagnac_wva.errors import (
     NonMonotonicCalibration,
     OutOfRangeObservation,
@@ -51,7 +57,7 @@ def test_analytic_round_trip(scheme_name):
     scheme = SchemeKind(scheme_name)
     for omega in np.geomspace(1e-12, 1e-6, 7):
         obs = _forward_analytic(config, scheme, omega)
-        est = estimate_omega_analytic(obs, scheme, config)
+        est = estimate_omega_analytic(obs, config)
         assert est.omega_hat == pytest.approx(omega, rel=1e-9)
         assert est.residual <= 1e-15 * abs(obs)
         assert est.method == "analytic-closed-form"
@@ -61,16 +67,40 @@ def test_analytic_round_trip_in_literal_and_sigma_modes():
     for overrides in ({"paper_literal": True}, {"delta_lambda_means": "sigma"}):
         config = _config(scheme="bwm", **overrides)
         obs = _forward_analytic(config, SchemeKind.BWM, 3e-9)
-        est = estimate_omega_analytic(obs, SchemeKind.BWM, config)
+        est = estimate_omega_analytic(obs, config)
         assert est.omega_hat == pytest.approx(3e-9, rel=1e-9)
 
 
 def test_analytic_zero_and_linearity():
     config = _config(scheme="bwm")
-    assert estimate_omega_analytic(0.0, SchemeKind.BWM, config).omega_hat == 0.0
-    one = estimate_omega_analytic(1e-9, SchemeKind.BWM, config).omega_hat
-    two = estimate_omega_analytic(2e-9, SchemeKind.BWM, config).omega_hat
+    assert estimate_omega_analytic(0.0, config).omega_hat == 0.0
+    one = estimate_omega_analytic(1e-9, config).omega_hat
+    two = estimate_omega_analytic(2e-9, config).omega_hat
     assert two == pytest.approx(2.0 * one, rel=1e-12)
+
+
+def test_analytic_estimate_reads_the_scheme_from_the_scenario():
+    # the swm rate of -1e-12 m; a scheme argument that could name bwm instead is gone
+    est = estimate_omega_analytic(-1e-12, _config(scheme="swm"))
+    assert est.omega_hat == -1.0346199788230343e-09
+    with pytest.raises(TypeError):
+        estimate_omega_analytic(-1e-12, "swm", _config(scheme="swm"))
+    with pytest.raises(ValidationError) as caught:
+        estimate_omega_analytic(-1e-12, _config(scheme="both"))
+    assert caught.value.field == "scheme"
+    assert "--scheme" not in str(caught.value)
+
+
+@pytest.mark.parametrize("observed", ["x", True, math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("method", ["analytic", "numeric"])
+def test_estimators_refuse_an_observation_that_is_not_a_finite_number(method, observed):
+    config = _config(scheme="swm", grid=GridSpec(points=801))
+    with pytest.raises(ValidationError) as caught:
+        if method == "analytic":
+            estimate_omega_analytic(observed, config)
+        else:
+            estimate_omega_numeric(observed, calibration_curve(config, 1e-10, 1e-8, 3))
+    assert caught.value.field == "delta_lambda_m"
 
 
 def test_numeric_round_trip_standard_scheme():
@@ -201,11 +231,21 @@ def _recording(curve):
     calls = []
 
     def forward(omegas):
-        values = curve.forward(omegas)
-        calls.extend(zip(np.ravel(omegas).tolist(), values.tolist()))
-        return values
+        result = curve.forward(omegas)
+        calls.extend(zip(np.ravel(omegas).tolist(), result.delta_lambda.tolist()))
+        return result
 
     return dataclasses.replace(curve, forward=forward), calls
+
+
+def _model(shift):
+    """A hand-built forward model whose every field is `shift(omegas)`."""
+
+    def forward(omegas):
+        values = shift(omegas)
+        return NumericForward(delta_p=values, delta_lambda=values, probability=values)
+
+    return forward
 
 
 def _straddling_interval(curve, obs):
@@ -243,7 +283,7 @@ def _full_ladder_bisection_evals(curve, obs):
         if b - a <= BISECTION_REL_TOL * abs(mid):
             break
         evals += 1
-        if (float(curve.forward(mid)[0]) < obs) == increasing:
+        if (float(curve.forward(mid).delta_lambda[0]) < obs) == increasing:
             a = mid
         else:
             b = mid
@@ -256,7 +296,7 @@ def test_numeric_inversion_keeps_its_bracket_contract(scheme_name, bias_order):
     config = _config(scheme=scheme_name, bias_order_m=bias_order, grid=GridSpec(points=801))
     curve = calibration_curve(config, 1e-10, 1e-8, 10)
     for omega in (1.3e-10, 7.1e-10, 3.3e-9, 9.1e-9):
-        obs = float(curve.forward(omega)[0])
+        obs = float(curve.forward(omega).delta_lambda[0])
         recorded, calls = _recording(curve)
         est = estimate_omega_numeric(obs, recorded)
         assert est.method == "numeric-bisection"
@@ -291,7 +331,7 @@ def test_noise_floor_inversion_keeps_its_bracket():
     # rule resolves
     config = _config(scheme="swm", grid=GridSpec(points=801))
     curve = calibration_curve(config, 1e-10, 1e-8, 10)
-    obs = float(curve.forward(1.05e-10)[0])
+    obs = float(curve.forward(1.05e-10).delta_lambda[0])
     recorded, calls = _recording(curve)
     est = estimate_omega_numeric(obs, recorded)
     a0, b0 = _straddling_interval(curve, obs)
@@ -311,7 +351,9 @@ def test_wide_bracket_stops_at_the_iteration_cap():
         return np.where(np.atleast_1d(np.asarray(omegas, dtype=float)) < 2e-20, -1.0, 1.0)
 
     omegas = np.array([1e-20, 1.0])
-    curve = CalibrationCurve(omega_values=omegas, delta_lambda_values=shift(omegas), forward=shift)
+    curve = CalibrationCurve(
+        omega_values=omegas, delta_lambda_values=shift(omegas), forward=_model(shift)
+    )
     obs = 0.0
     recorded, calls = _recording(curve)
     est = estimate_omega_numeric(obs, recorded)
@@ -333,7 +375,7 @@ def test_itp_keeps_the_bisection_bound_where_interpolation_crawls():
     n_half = math.ceil(math.log2((omegas[1] - omegas[0]) / (BISECTION_REL_TOL * omegas[0])))
     for target in (1.5, 1.9):
         curve = CalibrationCurve(
-            omega_values=omegas, delta_lambda_values=shift(omegas), forward=shift
+            omega_values=omegas, delta_lambda_values=shift(omegas), forward=_model(shift)
         )
         recorded, calls = _recording(curve)
         est = estimate_omega_numeric(float(shift(target)[0]), recorded)
@@ -345,7 +387,7 @@ def test_ladder_from_a_subnormal_rate_is_inverted():
     # BISECTION_REL_TOL * 5e-324 underflows to 0; the search must still run
     config = _config(scheme="swm", grid=GridSpec(points=801))
     curve = calibration_curve(config, 5e-324, 1e-8, 2)
-    obs = float(curve.forward(1e-9)[0])
+    obs = float(curve.forward(1e-9).delta_lambda[0])
     est = estimate_omega_numeric(obs, curve)
     assert curve.omega_values[0] < est.omega_hat < curve.omega_values[1]
     assert math.isfinite(est.residual)

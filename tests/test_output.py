@@ -20,15 +20,17 @@ from sagnac_wva.engine import (
 from sagnac_wva.errors import IoError
 from sagnac_wva.output import (
     CSV_CHUNK_VALUES,
-    CSV_SPECTRUM_HEADER,
     build_run_record,
     format_float,
     record_to_json,
     write_results_json,
-    write_spectrum_csv,
     write_table_csv,
 )
 from sagnac_wva.sagnac import coupling_length
+from sagnac_wva.spectrum import momentum_to_wavelength
+
+#: the header of the `spectrum` command's table
+SPECTRUM_HEADER = "p_inv_m,lambda_m,intensity_probe,intensity_post"
 
 
 def _config():
@@ -51,6 +53,12 @@ def _spectra(config):
     return probe, postselected_spectrum(probe, g, config.phi_rad)
 
 
+def _write_spectrum(path, probe, post):
+    """Write a spectrum table as the `spectrum` command does."""
+    columns = [probe.p_grid, momentum_to_wavelength(probe.p_grid), probe.intensity, post]
+    write_table_csv(path, SPECTRUM_HEADER, columns)
+
+
 def test_format_float_round_trips():
     rng = np.random.default_rng(31)
     values = list(rng.normal(scale=1e7, size=50)) + [1e-300, -3.5e200, 0.0]
@@ -62,11 +70,11 @@ def test_spectrum_csv_layout(tmp_path):
     config = _config()
     probe, post = _spectra(config)
     out = tmp_path / "spec.csv"
-    write_spectrum_csv(out, probe, post)
+    _write_spectrum(out, probe, post)
     data = out.read_bytes()
     assert b"\r" not in data
     lines = data.decode("utf-8").splitlines()
-    assert lines[0] == CSV_SPECTRUM_HEADER
+    assert lines[0] == SPECTRUM_HEADER
     assert len(lines) == 1 + probe.p_grid.size
 
 
@@ -74,7 +82,7 @@ def test_spectrum_csv_values_round_trip(tmp_path):
     config = _config()
     probe, post = _spectra(config)
     out = tmp_path / "spec.csv"
-    write_spectrum_csv(out, probe, post)
+    _write_spectrum(out, probe, post)
     table = np.genfromtxt(out, delimiter=",", skip_header=1)
     assert np.array_equal(table[:, 0], probe.p_grid)
     assert np.array_equal(table[:, 2], probe.intensity)
@@ -87,12 +95,7 @@ def test_write_into_missing_directory_raises(tmp_path):
     config = _config()
     probe, post = _spectra(config)
     with pytest.raises(IoError):
-        write_spectrum_csv(tmp_path / "no" / "dir" / "x.csv", probe, post)
-
-
-def test_table_csv_rejects_ragged_columns(tmp_path):
-    with pytest.raises(ValueError):
-        write_table_csv(tmp_path / "t.csv", "a,b", [np.arange(3.0), np.arange(4.0)])
+        _write_spectrum(tmp_path / "no" / "dir" / "x.csv", probe, post)
 
 
 def test_table_csv_contents(tmp_path):
@@ -215,10 +218,10 @@ PEAK_BEFORE_WORKSPACE = 1_456_169
 def test_spectrum_csv_memory_peak_stays_within_bound(tmp_path):
     config = config_from_dict({**_config().to_dict(), "scheme": "swm", "grid": {"points": 16001}})
     probe, post = _spectra(config)
-    write_spectrum_csv(tmp_path / "warm.csv", probe, post)  # lookup tables built once
+    _write_spectrum(tmp_path / "warm.csv", probe, post)  # lookup tables built once
     tracemalloc.start()
     try:
-        write_spectrum_csv(tmp_path / "spec.csv", probe, post)
+        _write_spectrum(tmp_path / "spec.csv", probe, post)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

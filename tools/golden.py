@@ -39,7 +39,7 @@ two checkouts of equal behaviour give identical trees.  Compare two checkouts wi
     diff -r /tmp/golden-parent /tmp/golden-change
 
 Needs only the package's own dependencies.  The full matrix runs about
-2057 commands, writes about 128 MB and takes 6-13 s on one core.
+2058 commands, writes about 128 MB and takes 6-13 s on one core.
 """
 
 from __future__ import annotations
@@ -131,6 +131,8 @@ ONE_OFFS = [
     ("spectrum-without-scheme", ["spectrum", "--config", "both.json", "--out", "x.csv"]),
     ("estimate-both", ["estimate", "--config", "both.json", "--delta-lambda-m", "1e-9",
                        "--method", "analytic"]),
+    ("estimate-both-numeric", ["estimate", "--config", "both.json", "--delta-lambda-m", "1e-9",
+                               "--method", "numeric"]),
     # flag values the commands refuse
     ("delta-lambda-nan", ["estimate", "--config", "swm.json", "--delta-lambda-m", "nan",
                           "--method", "numeric"]),
