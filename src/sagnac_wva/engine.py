@@ -25,10 +25,16 @@ probability panel.  Binding it works out, once, everything that does not
 depend on Omega: the loop constants, the bias, the trapezoid widths
 np.diff(p), the probe mean and lambda0.  Each evaluation then computes only
 a column of coupling lengths, the sin^2 law on a (rates, nodes) block of at
-most NUMERIC_CHUNK_ELEMENTS elements at a time (128 KiB per float64
-temporary; one rate per block on a grid with more nodes than that) and two
-trapezoid sums per rate: the total and the first moment.  Every rate gets
-the bits a one-rate spectrum and `mean_shift_numeric` /
+most NUMERIC_CHUNK_ELEMENTS elements at a time (one rate per block on a grid
+with more nodes than that) and two trapezoid sums per rate: the total and
+the first moment.  Every block runs in one workspace that the bound model
+owns: a (rows, nodes) array that takes the law and then the first-moment
+integrand, and a (rows, nodes - 1) array for the trapezoid pair sums.  The
+first evaluation allocates it and a later one grows it only for a larger
+block, so it holds the largest block evaluated so far (one row for a model
+that only ever sees one rate), and no returned array aliases it.  The law
+and the trapezoid run their usual ufuncs in place there, so every rate
+gets the bits a one-rate spectrum and `mean_shift_numeric` /
 `postselection_probability` would give it; those two stay as the
 per-spectrum reference that tests compare against.
 
@@ -47,10 +53,12 @@ exactly at p0.  The paper-literal biased row is the published simplified
 form sin^2(p*g) * I(p), exact only at p = p0; with `paper_literal` the
 analytic shift formulas also use 1/phi in place of cot(phi).
 
-All functions are pure and single-threaded; reductions use a fixed order so
-results are bitwise reproducible.  They take their arguments as valid: the
-scenario config and the probe grid checked them, and a phi, scheme or width
-reading that these would refuse gives an undefined result, not an error.
+All functions are pure and single-threaded (a bound `numeric_forward`
+model writes its workspace, so it is not for concurrent use); reductions
+use a fixed order so results are bitwise reproducible.  They take their
+arguments as valid: the scenario config and the probe grid checked them,
+and a phi, scheme or width reading that these would refuse gives an
+undefined result, not an error.
 """
 
 from __future__ import annotations
@@ -67,7 +75,8 @@ from .sagnac import bias_delay, coupling_length
 from .spectrum import FWHM_PER_SIGMA, ProbeSpectrum, integrals, moments, momentum_to_wavelength
 
 #: rates x grid nodes evaluated per block by `numeric_forward`; bounds each
-#: float64 temporary to 128 KiB whatever the number of rates
+#: of the two float64 arrays of a bound model's workspace to 128 KiB
+#: whatever the number of rates (one row, of any size, on a wider grid)
 NUMERIC_CHUNK_ELEMENTS = 16384
 
 
@@ -123,7 +132,11 @@ class DiscrepancyRow:
 
 
 def postselected_spectrum(
-    probe: ProbeSpectrum, g: float | np.ndarray, phi: float, psi_pre: float = 0.0
+    probe: ProbeSpectrum,
+    g: float | np.ndarray,
+    phi: float,
+    psi_pre: float = 0.0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Post-selected momentum spectrum sin^2(p*(g + psi_pre) + phi) * I(p); the law's one home.
 
@@ -137,13 +150,22 @@ def postselected_spectrum(
         Phase offset of the law, rad (see `_law` for each scheme's).
     psi_pre : float
         Pre-coupling bias delay, m; 0 without a bias.
+    out : ndarray, optional
+        Array of the result's shape to write the intensity into; by default
+        one new array.  Either way the law runs in place in the result, so
+        no other array of its size is allocated, and the bits are the same.
 
     Returns
     -------
     ndarray
-        Unnormalized intensity on `probe.p_grid`, one row per g.
+        Unnormalized intensity on `probe.p_grid`, one row per g (`out` when
+        given).
     """
-    return np.sin(probe.p_grid * (g + psi_pre) + phi) ** 2 * probe.intensity
+    law = np.multiply(probe.p_grid, g + psi_pre, out=out)
+    np.add(law, phi, out=law)
+    np.sin(law, out=law)
+    np.square(law, out=law)
+    return np.multiply(law, probe.intensity, out=law)
 
 
 def transfer_matrix_intensity(
@@ -278,6 +300,10 @@ def numeric_forward(config, scheme: SchemeKind, probe: ProbeSpectrum):
     nodes rates at a time (at least one) and integrates each row once for its
     total and first moment.
 
+    Every block runs in the model's own workspace (see the module
+    docstring), grown to the largest block evaluated so far; no returned
+    array aliases it.
+
     Raises, from `evaluate`, for the first block that holds a rate whose
     spectrum does not integrate to a positive finite total: NonFiniteResult
     for a NaN or infinite total (an overflowed coupling), else
@@ -291,16 +317,21 @@ def numeric_forward(config, scheme: SchemeKind, probe: ProbeSpectrum):
     probe_mean = float(probe_first / probe_total)
     lambda0 = momentum_to_wavelength(probe.p0)
     rows = max(1, NUMERIC_CHUNK_ELEMENTS // p.size)
+    law = pairs = np.empty((0, 0))  # the workspace, grown by evaluate
 
     def evaluate(omegas) -> NumericForward:
+        nonlocal law, pairs
         omegas = np.asarray(omegas, dtype=float).reshape(-1)
+        block_rows = min(rows, omegas.size)
+        if len(law) < block_rows:
+            law, pairs = np.empty((block_rows, p.size)), np.empty((block_rows, p.size - 1))
         totals = np.empty(omegas.size)
         firsts = np.empty(omegas.size)
         for start in range(0, omegas.size, rows):
             block = slice(start, start + rows)
             g = coupling_length(omegas[block, None], area, loop_lambda0)
-            intensity = postselected_spectrum(probe, g, phi, psi_pre)
-            totals[block], firsts[block] = integrals(p, intensity, widths)
+            intensity = postselected_spectrum(probe, g, phi, psi_pre, out=law[: len(g)])
+            totals[block], firsts[block] = integrals(p, intensity, widths, pairs[: len(g)])
         # the operation order of mean_shift_numeric, rate by rate
         delta_p = firsts / totals - probe_mean
         return NumericForward(

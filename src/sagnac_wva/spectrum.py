@@ -245,7 +245,12 @@ def moments(p: np.ndarray, intensity: np.ndarray) -> Moments:
     return Moments(mean=mean, variance=variance)
 
 
-def integrals(p_grid: np.ndarray, intensity: np.ndarray, widths: np.ndarray | None = None):
+def integrals(
+    p_grid: np.ndarray,
+    intensity: np.ndarray,
+    widths: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+):
     """Trapezoidal total and first moment of each row of `intensity`.
 
     `intensity` is one spectrum on `p_grid` or a (rows, nodes) stack of
@@ -253,6 +258,12 @@ def integrals(p_grid: np.ndarray, intensity: np.ndarray, widths: np.ndarray | No
     1-d call on that row would.  `widths` is `np.diff(p_grid)`, passed in by
     callers that integrate many spectra on one grid.  The sums are
     `np.trapezoid`'s own arithmetic, so they equal it bit for bit.
+
+    `scratch`, an array of `intensity`'s shape less one node on the last
+    axis, is for a caller that owns `intensity` too: both sums then form
+    their pair sums in `scratch`, and the first-moment integrand
+    p * intensity is written over `intensity`, so nothing of the spectrum's
+    size is allocated.
 
     Raises
     ------
@@ -263,19 +274,29 @@ def integrals(p_grid: np.ndarray, intensity: np.ndarray, widths: np.ndarray | No
     """
     if widths is None:
         widths = np.diff(p_grid)
-    total = _trapezoid(intensity, widths)
+    total = _trapezoid(intensity, widths, scratch)
     # a Python pass over the row totals: a block holds few rows, and this is
     # several times cheaper than numpy reductions on so small an array
     if not all(_UNDERFLOW < t < math.inf for t in np.ravel(total).tolist()):
         if not np.isfinite(total).all():
             raise NonFiniteResult("intensity is not finite on this grid")
         raise ZeroTotalIntensity("intensity integrates to zero on this grid")
-    return total, _trapezoid(p_grid * intensity, widths)
+    weighted = np.multiply(p_grid, intensity, out=None if scratch is None else intensity)
+    return total, _trapezoid(weighted, widths, scratch)
 
 
-def _trapezoid(y: np.ndarray, widths: np.ndarray):
-    """`np.trapezoid(y, p)` along the last axis, given widths = np.diff(p)."""
-    return np.add.reduce(widths * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+def _trapezoid(y: np.ndarray, widths: np.ndarray, out: np.ndarray | None = None):
+    """`np.trapezoid(y, p)` along the last axis, given widths = np.diff(p).
+
+    The pair sums are formed in `out` (`y`'s shape less one node on the
+    last axis), by default one new array, and scaled there in place.  The
+    halving is `* 0.5`, which rounds every double, subnormals included, to
+    the bits of numpy's `/ 2.0`.
+    """
+    pairs = np.add(y[..., 1:], y[..., :-1], out=out)
+    np.multiply(widths, pairs, out=pairs)
+    np.multiply(pairs, 0.5, out=pairs)
+    return np.add.reduce(pairs, axis=-1)
 
 
 def normalize(p_grid: np.ndarray, intensity: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,8 @@ from sagnac_wva.engine import (
     transfer_matrix_intensity,
 )
 from sagnac_wva.config import ExperimentConfig
-from sagnac_wva.errors import ZeroTotalIntensity
+from sagnac_wva.errors import NonFiniteResult, ZeroTotalIntensity
+from sagnac_wva.estimation import omega_ladder
 from sagnac_wva.sagnac import bias_delay
 from sagnac_wva.spectrum import GridSpec, gaussian_probe
 
@@ -366,3 +369,81 @@ def test_zero_intensity_rate_inside_a_block_raises():
         forward(omegas)
     with pytest.raises(ZeroTotalIntensity):
         numeric_forward(config, SchemeKind.BWM, probe)(omegas).delta_lambda
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_numeric_forward_reuses_its_workspace():
+    # once a bound model has evaluated a block, the same evaluations
+    # allocate nothing of a block's size: a calibration ladder holds one
+    # (rates, nodes) array, one rate not even one spectrum
+    config = _config(scheme="bwm", bias_order_m=1, grid=GridSpec(points=1501))
+    forward = numeric_forward(config, SchemeKind.BWM, config.probe())
+    ladder = omega_ladder(1e-10, 1e-8, 10)  # the default `estimate` ladder
+    assert NUMERIC_CHUNK_ELEMENTS // 1501 >= ladder.size  # one block
+    forward(ladder)
+    forward(ladder[3])
+    assert _traced_peak(lambda: forward(ladder)) < 2 * ladder.size * 1501 * 8
+    assert _traced_peak(lambda: forward(ladder[3])) < 8 * 1024
+
+
+@pytest.mark.parametrize(
+    "scheme_name,paper_literal",
+    [("swm", False), ("bwm", False), ("bwm", True)],
+    ids=["swm", "bwm", "bwm-literal"],
+)
+def test_numeric_forward_workspace_never_leaks_into_results(scheme_name, paper_literal):
+    # one model through calls of every block size, a workspace that grows
+    # and a block that raises: each call gives a fresh model's bits, and no
+    # result changes under a later call
+    config = _config(
+        scheme=scheme_name, paper_literal=paper_literal, bias_order_m=1,
+        grid=GridSpec(points=201),
+    )
+    scheme, probe = SchemeKind(scheme_name), config.probe()
+    assert NUMERIC_CHUNK_ELEMENTS // 201 >= 25  # 25 rates in one block
+    forward = numeric_forward(config, scheme, probe)
+    ladder = omega_ladder(1e-10, 1e-8, 10)
+    kept = []
+    for omegas in (ladder, ladder[4], omega_ladder(1e-10, 1e-7, 25)):
+        got = forward(omegas)
+        kept.append((got, [field.copy() for field in got]))
+        for field, fresh in zip(got, numeric_forward(config, scheme, probe)(omegas)):
+            assert np.array_equal(field, fresh)
+    # paper-literal bwm vanishes at zero rotation; an overflowed coupling
+    # (4*Omega*S is inf) makes any law NaN
+    bad, error = (0.0, ZeroTotalIntensity) if paper_literal else (1e308, NonFiniteResult)
+    with pytest.raises(error), np.errstate(over="ignore", invalid="ignore"):
+        forward(np.array([1e-9, bad, 2e-9]))
+    last = omega_ladder(3e-10, 3e-9, 7)
+    for field, fresh in zip(forward(last), numeric_forward(config, scheme, probe)(last)):
+        assert np.array_equal(field, fresh)
+    for got, copies in kept:
+        for field, copy in zip(got, copies):
+            assert np.array_equal(field, copy)
+
+
+@pytest.mark.parametrize(
+    "scheme_name,paper_literal",
+    [("swm", False), ("bwm", False), ("bwm", True)],
+    ids=["swm", "bwm", "bwm-literal"],
+)
+@pytest.mark.parametrize(
+    "g", [G_SLOW, np.array([[-G_SLOW], [0.0], [3e3 * G_SLOW]])], ids=["scalar", "column"]
+)
+def test_postselected_spectrum_into_out_equals_the_literal_law(scheme_name, paper_literal, g):
+    config = _config(scheme=scheme_name, paper_literal=paper_literal, bias_order_m=1)
+    probe = config.probe()
+    phi, psi, _ = _law(config, SchemeKind(scheme_name))
+    literal = np.sin(probe.p_grid * (g + psi) + phi) ** 2 * probe.intensity
+    buf = np.full(literal.shape, np.nan)
+    assert postselected_spectrum(probe, g, phi, psi, out=buf) is buf
+    assert np.array_equal(buf, literal)
+    assert np.array_equal(postselected_spectrum(probe, g, phi, psi), literal)

@@ -193,7 +193,9 @@ _INTENSITY = (
 @example(start=7.5e6, steps=[0.5, 2.0, 1e-3, 7.0], rows=0, bind_widths=True, data=None)
 def test_integrals_equal_numpy_trapezoid(start, steps, rows, bind_widths, data):
     # 1-d and (rows, nodes) intensities on uniform and non-uniform grids,
-    # with tiny and subnormal values: numpy's own trapezoid, bit for bit
+    # with tiny and subnormal values: numpy's own trapezoid, bit for bit,
+    # both with new arrays and through a dirty scratch buffer (the halving
+    # is * 0.5 where numpy divides by 2.0)
     p = start + np.cumsum([0.0] + steps)
     assume(np.all(np.diff(p) > 0.0))
     shape = (p.size,) if rows == 0 else (rows, p.size)
@@ -209,11 +211,14 @@ def test_integrals_equal_numpy_trapezoid(start, steps, rows, bind_widths, data):
     widths = np.diff(p) if bind_widths else None
     total = np.trapezoid(y, p)
     first = np.trapezoid(p * y, p)
+    scratch = np.full(shape[:-1] + (p.size - 1,), np.nan)
     if np.all(np.isfinite(total) & (total > 1e-300)):
-        got_total, got_first = integrals(p, y, widths)
-        assert np.array_equal(got_total, total)
-        assert np.array_equal(got_first, first)
-        assert np.shape(got_total) == np.shape(total)
+        for extra in ((), (scratch,)):
+            got_total, got_first = integrals(p, y.copy(), widths, *extra)
+            assert np.array_equal(got_total, total)
+            assert np.array_equal(got_first, first)
+            assert np.shape(got_total) == np.shape(total)
     else:
-        with pytest.raises(ZeroTotalIntensity):
-            integrals(p, y, widths)
+        for extra in ((), (scratch,)):
+            with pytest.raises(ZeroTotalIntensity):
+                integrals(p, y.copy(), widths, *extra)
