@@ -128,10 +128,10 @@ def _cmd_spectrum(args) -> int:
             "scheme", "this subcommand needs a single scheme; pass --scheme swm|bwm"
         )
     scheme = SchemeKind(name)
-    probe = config.probe()
-    intensity = scheme_spectrum(config, scheme, probe, config.omega_rad_per_s)
+    intensity = scheme_spectrum(config, scheme, config.omega_rad_per_s)
     if not np.isfinite(intensity).all():
         raise NonFiniteResult(f"{scheme.value} intensity_post is not finite; no file written")
+    probe = config.probe
     # positional: perfbench counts output rows from the third argument
     write_table_csv(
         args.out,
@@ -164,11 +164,10 @@ def _cmd_sweep(args) -> int:
         else (SchemeKind(config.scheme),)
     )
     omegas = omega_ladder(args.omega_min, args.omega_max, args.points)
-    probe = config.probe()
     if args.mode == "analytic":
-        shifts = [analytic_shift(config, s, probe, omegas).delta_lambda for s in schemes]
+        shifts = [analytic_shift(config, s, omegas).delta_lambda for s in schemes]
     else:
-        shifts = [numeric_forward(config, s, probe)(omegas).delta_lambda for s in schemes]
+        shifts = [numeric_forward(config, s)(omegas).delta_lambda for s in schemes]
     if len(schemes) == 1:
         header = "omega_rad_per_s,delta_lambda_m"
     else:
@@ -198,13 +197,13 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_figure3(args) -> int:
     config = load_scenario(args.config)
-    probe = config.probe()
+    probe = config.probe
     schemes = (SchemeKind.SWM, SchemeKind.BWM)
     tables = []  # (header, columns), one per FIGURE3_FILES entry
 
     # panels A and B: probe plus normalized post-selected spectra, both schemes
     for omega in FIGURE3_OMEGAS:
-        posts = [normalize(probe.p_grid, scheme_spectrum(config, s, probe, omega)) for s in schemes]
+        posts = [normalize(probe.p_grid, scheme_spectrum(config, s, omega)) for s in schemes]
         tables.append((
             "p_inv_m,lambda_m,intensity_probe,intensity_post_swm,intensity_post_bwm",
             [probe.p_grid, momentum_to_wavelength(probe.p_grid), probe.intensity, *posts],
@@ -212,7 +211,7 @@ def _cmd_figure3(args) -> int:
 
     # panel C: analytic shifts of both schemes and their ratio across Omega
     omegas = np.geomspace(*FIGURE3_SWEEP)
-    swm_shift, bwm_shift = (analytic_shift(config, s, probe, omegas).delta_lambda for s in schemes)
+    swm_shift, bwm_shift = (analytic_shift(config, s, omegas).delta_lambda for s in schemes)
     ratio = bwm_shift / swm_shift
     if not np.isfinite(ratio).all():
         # e.g. both shifts underflowed to 0 (0/0) or both overflowed (inf/inf)
@@ -223,10 +222,8 @@ def _cmd_figure3(args) -> int:
     ))
 
     # panel D: survival probabilities across the same sweep
-    numeric = [numeric_forward(config, s, probe)(omegas).probability for s in schemes]
-    pointform = [
-        [pointform_probability(config, s, probe, omega) for omega in omegas] for s in schemes
-    ]
+    numeric = [numeric_forward(config, s)(omegas).probability for s in schemes]
+    pointform = [[pointform_probability(config, s, omega) for omega in omegas] for s in schemes]
     tables.append((
         "omega_rad_per_s,prob_swm_numeric,prob_bwm_numeric,prob_swm_pointform,prob_bwm_pointform",
         [omegas, *numeric, *pointform],

@@ -8,10 +8,13 @@ back to defaults.  Each field's own rules are checked here, the grid's in
 `spectrum.GridSpec`.  What the fields give together, the probe's p0, sigma_p
 and grid step, comes from `spectrum.probe_geometry`, the function that also
 builds every probe grid, so validation and the probe apply the same rules.
+A config builds its probe once, on first use of `ExperimentConfig.probe`,
+and every forward call of the scenario reads that one probe.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -84,8 +87,13 @@ class ExperimentConfig:
     def fwhm_m(self) -> float:
         return self.fwhm_nm * 1e-9
 
+    @functools.cached_property
     def probe(self) -> ProbeSpectrum:
-        return gaussian_probe(self.lambda0_m(), self.fwhm_m(), self.grid)
+        """The scenario's probe, built on first use and kept; its arrays are read-only."""
+        probe = gaussian_probe(self.lambda0_m(), self.fwhm_m(), self.grid)
+        probe.p_grid.flags.writeable = False
+        probe.intensity.flags.writeable = False
+        return probe
 
     def to_dict(self) -> dict:
         """Canonical plain-dict form with every default made explicit."""

@@ -15,8 +15,9 @@ never replace the numeric values.
 `numeric_forward` are the only code that turns (scenario, scheme, rotation
 rate) into a spectrum, a shift or a survival probability;
 `compare_schemes`, the estimators and the CLI all use them.  Each takes the
-scheme and the rate (or rates) as explicit arguments; a caller that runs
-the scenario's own rate passes `config.omega_rad_per_s`, and
+scheme and the rate (or rates) as explicit arguments and reads the probe
+from the scenario (`config.probe`, built once per config); a caller that
+runs the scenario's own rate passes `config.omega_rad_per_s`, and
 `single_scheme` reads the scenario's one scheme, refusing 'both'.
 
 `numeric_forward` is the batched numeric forward model behind `compare`,
@@ -27,14 +28,12 @@ np.diff(p), the probe mean and lambda0.  Each evaluation then computes only
 a column of coupling lengths, the sin^2 law on a (rates, nodes) block of at
 most NUMERIC_CHUNK_ELEMENTS elements at a time (one rate per block on a grid
 with more nodes than that) and two trapezoid sums per rate: the total and
-the first moment.  Every block runs in one workspace that the bound model
-owns: a (rows, nodes) array that takes the law and then the first-moment
-integrand, and a (rows, nodes - 1) array for the trapezoid pair sums.  The
-first evaluation allocates it and a later one grows it only for a larger
-block, so it holds the largest block evaluated so far (one row for a model
-that only ever sees one rate), and no returned array aliases it.  The law
-and the trapezoid run their usual ufuncs in place there, so every rate
-gets the bits a one-rate spectrum and `mean_shift_numeric` /
+the first moment.  Every block runs in one workspace that binding allocates
+and the bound model owns, sized to a full block of rows: a (rows, nodes)
+array that takes the law and then the first-moment integrand, and a (rows,
+nodes - 1) array for the trapezoid pair sums.  No returned array aliases
+it.  The law and the trapezoid run their usual ufuncs in place there, so
+every rate gets the bits a one-rate spectrum and `mean_shift_numeric` /
 `postselection_probability` would give it; those two stay as the
 per-spectrum reference that tests compare against.
 
@@ -74,9 +73,9 @@ from .jones import coupling_unitaries, postselection_state, preselection_state, 
 from .sagnac import bias_delay, coupling_length
 from .spectrum import FWHM_PER_SIGMA, ProbeSpectrum, integrals, moments, momentum_to_wavelength
 
-#: rates x grid nodes evaluated per block by `numeric_forward`; bounds each
-#: of the two float64 arrays of a bound model's workspace to 128 KiB
-#: whatever the number of rates (one row, of any size, on a wider grid)
+#: rates x grid nodes evaluated per block by `numeric_forward`; sizes each
+#: of the two float64 arrays of a bound model's workspace to at most 128 KiB
+#: (one row, of any size, on a wider grid)
 NUMERIC_CHUNK_ELEMENTS = 16384
 
 
@@ -269,40 +268,37 @@ def _law(config, scheme: SchemeKind) -> tuple[float, float, float]:
     return config.phi_rad, bias_delay(config.phi_rad, config.lambda0_m(), config.bias_order_m), 0.0
 
 
-def scheme_spectrum(config, scheme: SchemeKind, probe: ProbeSpectrum, omega) -> np.ndarray:
+def scheme_spectrum(config, scheme: SchemeKind, omega) -> np.ndarray:
     """Post-selected intensity of one scheme of a scenario at one rotation rate."""
     phi, psi_pre, _ = _law(config, scheme)
-    return postselected_spectrum(probe, _coupling_length(config, omega), phi, psi_pre)
+    return postselected_spectrum(config.probe, _coupling_length(config, omega), phi, psi_pre)
 
 
-def analytic_shift(config, scheme: SchemeKind, probe: ProbeSpectrum, omega) -> MeanShift:
+def analytic_shift(config, scheme: SchemeKind, omega) -> MeanShift:
     """Closed-form shifts of one scheme; broadcasts over an array of rates."""
     return mean_shift_analytic(
-        scheme, _coupling_length(config, omega), probe, config.phi_rad,
+        scheme, _coupling_length(config, omega), config.probe, config.phi_rad,
         config.delta_lambda_means, config.paper_literal,
     )
 
 
-def pointform_probability(config, scheme: SchemeKind, probe: ProbeSpectrum, omega) -> float:
+def pointform_probability(config, scheme: SchemeKind, omega) -> float:
     """Survival probability read at p0 alone: sin^2(g*p0 + phi_at_p0)."""
-    theta0 = _coupling_length(config, omega) * probe.p0 + _law(config, scheme)[2]
+    theta0 = _coupling_length(config, omega) * config.probe.p0 + _law(config, scheme)[2]
     return float(np.sin(theta0) ** 2)
 
 
-def numeric_forward(config, scheme: SchemeKind, probe: ProbeSpectrum):
-    """Bind the numeric forward model of one scheme to a scenario and probe.
+def numeric_forward(config, scheme: SchemeKind):
+    """Bind the numeric forward model of one scheme to a scenario.
 
     Returns `evaluate(omegas) -> NumericForward`, flat arrays with one entry
     per rate of `omegas` (a scalar or any array).  Everything that does not
     depend on Omega is worked out here, once: the loop constants, the bias,
-    the trapezoid widths, the probe mean and lambda0.  `evaluate` computes
-    the coupling lengths and spectra of at most NUMERIC_CHUNK_ELEMENTS //
-    nodes rates at a time (at least one) and integrates each row once for its
-    total and first moment.
-
-    Every block runs in the model's own workspace (see the module
-    docstring), grown to the largest block evaluated so far; no returned
-    array aliases it.
+    the trapezoid widths, the probe mean, lambda0 and the workspace (see the
+    module docstring).  `evaluate` computes the coupling lengths and spectra
+    of at most NUMERIC_CHUNK_ELEMENTS // nodes rates at a time (at least
+    one) in that workspace and integrates each row once for its total and
+    first moment; no returned array aliases the workspace.
 
     Raises, from `evaluate`, for the first block that holds a rate whose
     spectrum does not integrate to a positive finite total: NonFiniteResult
@@ -311,20 +307,17 @@ def numeric_forward(config, scheme: SchemeKind, probe: ProbeSpectrum):
     """
     area, loop_lambda0 = config.area_m2, config.lambda0_m()
     phi, psi_pre, _ = _law(config, scheme)
+    probe = config.probe
     p = probe.p_grid
     widths = np.diff(p)
     probe_total, probe_first = integrals(p, probe.intensity, widths)
     probe_mean = float(probe_first / probe_total)
     lambda0 = momentum_to_wavelength(probe.p0)
     rows = max(1, NUMERIC_CHUNK_ELEMENTS // p.size)
-    law = pairs = np.empty((0, 0))  # the workspace, grown by evaluate
+    law, pairs = np.empty((rows, p.size)), np.empty((rows, p.size - 1))
 
     def evaluate(omegas) -> NumericForward:
-        nonlocal law, pairs
         omegas = np.asarray(omegas, dtype=float).reshape(-1)
-        block_rows = min(rows, omegas.size)
-        if len(law) < block_rows:
-            law, pairs = np.empty((block_rows, p.size)), np.empty((block_rows, p.size - 1))
         totals = np.empty(omegas.size)
         firsts = np.empty(omegas.size)
         for start in range(0, omegas.size, rows):
@@ -349,12 +342,12 @@ def compare_schemes(config) -> tuple[MeasurementResult, MeasurementResult]:
     Returns the (standard, biased) results with every numeric and analytic
     field filled in.
     """
-    probe, omega = config.probe(), config.omega_rad_per_s
-    amp = amplification_factor(probe, config.delta_lambda_means)
+    omega = config.omega_rad_per_s
+    amp = amplification_factor(config.probe, config.delta_lambda_means)
     results = []
     for scheme in (SchemeKind.SWM, SchemeKind.BWM):
-        numeric = numeric_forward(config, scheme, probe)(omega)
-        analytic = analytic_shift(config, scheme, probe, omega)
+        numeric = numeric_forward(config, scheme)(omega)
+        analytic = analytic_shift(config, scheme, omega)
         results.append(
             MeasurementResult(
                 scheme=scheme,
@@ -363,7 +356,7 @@ def compare_schemes(config) -> tuple[MeasurementResult, MeasurementResult]:
                 delta_p_analytic=analytic.delta_p,
                 delta_lambda_analytic=analytic.delta_lambda,
                 postselect_prob_numeric=float(numeric.probability[0]),
-                postselect_prob_pointform=pointform_probability(config, scheme, probe, omega),
+                postselect_prob_pointform=pointform_probability(config, scheme, omega),
                 amplification_factor=amp,
             )
         )

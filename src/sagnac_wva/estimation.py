@@ -12,10 +12,10 @@ that model must be built first (`calibration_curve`, on the log-spaced
 rates of `omega_ladder`; the only curve this package builds).  The curve
 keeps the bound `numeric_forward` model it was sampled with, and the
 inverter evaluates that same model.  Building the curve is the one place
-that decides whether it can be inverted: a curve whose sampled shifts are
-not strictly monotone is refused there, and the inverter then refuses only
-an observation outside the calibrated range.  No silent extrapolation,
-ever.
+that decides whether it can be inverted: a curve whose sampled shifts do
+not step in one direction by more than their rounding floor is refused
+there, and the inverter then refuses only an observation outside the
+calibrated range.  No silent extrapolation, ever.
 
 The numeric solve starts from the calibration interval whose sample shifts
 straddle the observation (found among the samples, with no forward call)
@@ -24,9 +24,7 @@ TOMS 47(1), 2020): a regula-falsi point, truncated towards the midpoint and
 projected into bisection's minmax radius, so it never needs more than one
 step over bisecting that interval and on these smooth curves converges
 superlinearly (about 8 forward evaluations per estimate against 24 for
-bisecting the whole ladder).  The stop rule, the step cap, the midpoint
-estimate with its one residual evaluation and the "numeric-bisection"
-label are those of the plain bisection it replaced.
+bisecting the whole ladder).
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from .errors import (
     OutOfRangeObservation,
     ValidationError,
 )
-from .spectrum import MAX_GRID_POINTS, finite_real
+from .spectrum import MAX_GRID_POINTS, finite_real, momentum_to_wavelength
 
 #: the numeric inversion stops when the bracket shrinks below this relative
 #: width in Omega, or after this many steps
@@ -105,20 +103,25 @@ def calibration_curve(
     """Sample the numeric forward model on an `omega_ladder`.
 
     This is the one place that decides whether a curve can be inverted: a
-    curve is returned only when its sampled shifts are strictly monotone
-    (either direction).
+    curve is returned only when every step between its sampled shifts
+    clears the rounding floor 16*ulp(p0)*lambda0^2/(2*pi) in one direction.
 
     Raises
     ------
     NonMonotonicCalibration
-        If the sampled shifts are not strictly monotone.
+        If a step of the sampled shifts does not clear that floor in the
+        direction of the others.
     """
     omegas = omega_ladder(omega_min, omega_max, n_points)
     scheme = single_scheme(config)
-    forward = numeric_forward(config, scheme, config.probe())
+    forward = numeric_forward(config, scheme)
     values = forward(omegas).delta_lambda
     diffs = np.diff(values)
-    if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
+    # the shift is a mean momentum near p0 less the probe's, so a step under
+    # a few ulps of p0 (here 16, as a wavelength shift) is rounding, not signal
+    p0 = config.probe.p0
+    floor = 16.0 * math.ulp(p0) * momentum_to_wavelength(p0) ** 2 / (2.0 * np.pi)
+    if not (np.all(diffs > floor) or np.all(diffs < -floor)):
         raise NonMonotonicCalibration(
             f"{scheme.value} numeric calibration on "
             f"[{omegas[0]:.3e}, {omegas[-1]:.3e}] rad/s is "
@@ -151,7 +154,7 @@ def estimate_omega_analytic(delta_lambda_obs: float, config) -> OmegaEstimate:
     """
     check_observation(delta_lambda_obs)
     scheme = single_scheme(config)
-    coefficient = float(analytic_shift(config, scheme, config.probe(), 1.0).delta_lambda)
+    coefficient = float(analytic_shift(config, scheme, 1.0).delta_lambda)
     if coefficient == 0.0 or not math.isfinite(coefficient):
         raise NonFiniteResult(
             f"{scheme.value} closed-form shift per unit rate is {coefficient} m s/rad; "

@@ -239,7 +239,7 @@ def moments(p: np.ndarray, intensity: np.ndarray) -> Moments:
     ZeroTotalIntensity
         If the intensity integrates to zero or underflows.
     """
-    total, first = integrals(p, intensity)
+    total, first = integrals(p, intensity, np.diff(p))
     mean = float(first / total)
     variance = float(np.trapezoid((p - mean) ** 2 * intensity, p) / total)
     return Moments(mean=mean, variance=variance)
@@ -248,15 +248,15 @@ def moments(p: np.ndarray, intensity: np.ndarray) -> Moments:
 def integrals(
     p_grid: np.ndarray,
     intensity: np.ndarray,
-    widths: np.ndarray | None = None,
+    widths: np.ndarray,
     scratch: np.ndarray | None = None,
 ):
     """Trapezoidal total and first moment of each row of `intensity`.
 
     `intensity` is one spectrum on `p_grid` or a (rows, nodes) stack of
     them; both sums run along the last axis, so each row gets the bits a
-    1-d call on that row would.  `widths` is `np.diff(p_grid)`, passed in by
-    callers that integrate many spectra on one grid.  The sums are
+    1-d call on that row would.  `widths` is `np.diff(p_grid)`, worked out
+    once by a caller that integrates many spectra on one grid.  The sums are
     `np.trapezoid`'s own arithmetic, so they equal it bit for bit.
 
     `scratch`, an array of `intensity`'s shape less one node on the last
@@ -272,8 +272,6 @@ def integrals(
     ZeroTotalIntensity
         Otherwise, if any row integrates to zero or underflows.
     """
-    if widths is None:
-        widths = np.diff(p_grid)
     total = _trapezoid(intensity, widths, scratch)
     # a Python pass over the row totals: a block holds few rows, and this is
     # several times cheaper than numpy reductions on so small an array

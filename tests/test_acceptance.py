@@ -221,7 +221,7 @@ def test_criterion_08_estimator_round_trips():
     for scheme_name in ("swm", "bwm"):
         config = _config(scheme=scheme_name)
         scheme = SchemeKind(scheme_name)
-        probe = config.probe()
+        probe = config.probe
         for omega in (1e-12, 1e-9, 1e-6):
             obs = mean_shift_analytic(
                 scheme, _g(omega), probe, PHI, config.delta_lambda_means
@@ -230,7 +230,7 @@ def test_criterion_08_estimator_round_trips():
             worst_analytic = max(worst_analytic, abs(est.omega_hat - omega) / omega)
 
     def numeric_obs(config, omega):
-        probe = config.probe()
+        probe = config.probe
         psi_pre = (
             bias_delay(PHI, config.lambda0_m(), config.bias_order_m)
             if config.scheme == "bwm" else 0.0

@@ -544,10 +544,10 @@ def test_figure3_probabilities_match_per_rate_spectra(tmp_path):
     lines = (out_dir / FIGURE3_FILES[3]).read_text(encoding="utf-8").splitlines()[1:]
     rows = [[float(x) for x in line.split(",")] for line in lines]
     config = load_scenario(config_path)
-    probe = config.probe()
+    probe = config.probe
     for row in rows:
         expected = [
-            postselection_probability(probe, scheme_spectrum(config, scheme, probe, row[0]))
+            postselection_probability(probe, scheme_spectrum(config, scheme, row[0]))
             for scheme in (SchemeKind.SWM, SchemeKind.BWM)
         ]
         assert row[1:3] == expected

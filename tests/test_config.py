@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -38,8 +39,24 @@ def test_derived_helpers():
     cfg = config_from_dict(_raw())
     assert cfg.lambda0_m() == pytest.approx(833e-9, rel=1e-15)
     assert cfg.fwhm_m() == pytest.approx(20e-9, rel=1e-15)
-    probe = cfg.probe()
+    probe = cfg.probe
     assert probe.p_grid.size == 4001
+
+
+def test_probe_is_built_once_and_read_only():
+    cfg = config_from_dict(_raw())
+    before = cfg.to_dict()
+    probe = cfg.probe
+    assert cfg.probe is probe
+    for array in (probe.p_grid, probe.intensity):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    # the probe is no field: the canonical form, equality and hash ignore it
+    assert cfg.to_dict() == before
+    assert cfg == config_from_dict(_raw()) and hash(cfg) == hash(config_from_dict(_raw()))
+    other = dataclasses.replace(cfg, grid=GridSpec(points=101))
+    assert other.probe is not probe
+    assert other.probe.p_grid.size == 101
 
 
 @pytest.mark.parametrize(
@@ -209,4 +226,4 @@ def test_every_accepted_line_width_builds_a_probe(relative_width, lambda0_nm, po
     except ValidationError as exc:
         assert exc.field == "fwhm_nm"
         return
-    assert cfg.probe().p_grid.size == points
+    assert cfg.probe.p_grid.size == points

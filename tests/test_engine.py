@@ -167,7 +167,7 @@ def test_law_phase_at_p0(scheme_name, paper_literal, order):
             scheme=scheme_name, paper_literal=paper_literal, bias_order_m=order, phi_rad=phi,
             grid=GridSpec(points=101),
         )
-        p0 = config.probe().p0
+        p0 = config.probe.p0
         phi_law, psi_pre, phi_at_p0 = _law(config, SchemeKind(scheme_name))
         for g in (0.0, G_SLOW, -G_SLOW, 1e-9):
             delayed = p0 * (g + psi_pre)
@@ -283,9 +283,9 @@ def test_compare_schemes_fills_both_results():
 def test_compare_schemes_numeric_fields_match_per_spectrum_reference(overrides):
     # compare reads the bound kernel; the one-spectrum route is its reference
     config = _config(**overrides)
-    probe = config.probe()
+    probe = config.probe
     for res in compare_schemes(config):
-        spec = scheme_spectrum(config, res.scheme, probe, config.omega_rad_per_s)
+        spec = scheme_spectrum(config, res.scheme, config.omega_rad_per_s)
         shift = mean_shift_numeric(probe, spec)
         assert res.delta_p_numeric == shift.delta_p
         assert res.delta_lambda_numeric == shift.delta_lambda
@@ -334,24 +334,23 @@ def test_numeric_forward_matches_per_rate_loop(scheme_name, paper_literal, point
         grid=GridSpec(points=points),
     )
     scheme = SchemeKind(scheme_name)
-    probe = config.probe()
+    probe = config.probe
     omegas = np.geomspace(1e-10, 1e-8, n_rates)
     assert n_rates > 2 * (NUMERIC_CHUNK_ELEMENTS // points)  # three blocks or more
-    spectra = [scheme_spectrum(config, scheme, probe, omega) for omega in omegas]
+    spectra = [scheme_spectrum(config, scheme, omega) for omega in omegas]
     loop_shift = [mean_shift_numeric(probe, spec).delta_lambda for spec in spectra]
     loop_prob = [postselection_probability(probe, spec) for spec in spectra]
-    batched = numeric_forward(config, scheme, probe)(omegas).delta_lambda
+    batched = numeric_forward(config, scheme)(omegas).delta_lambda
     assert np.array_equal(batched, loop_shift)
-    assert np.array_equal(numeric_forward(config, scheme, probe)(omegas).probability, loop_prob)
+    assert np.array_equal(numeric_forward(config, scheme)(omegas).probability, loop_prob)
     # one rate at a time, as the bisection calls it
-    assert float(numeric_forward(config, scheme, probe)(omegas[3]).delta_lambda[0]) == loop_shift[3]
+    assert float(numeric_forward(config, scheme)(omegas[3]).delta_lambda[0]) == loop_shift[3]
 
 
 def test_numeric_forward_flattens_a_rate_array():
     config = _config(grid=GridSpec(points=401))
-    probe = config.probe()
     omegas = np.geomspace(1e-10, 1e-8, 6).reshape(2, 3)
-    forward = numeric_forward(config, SchemeKind.SWM, probe)
+    forward = numeric_forward(config, SchemeKind.SWM)
     shifts = forward(omegas).delta_lambda
     assert shifts.shape == (6,)
     assert np.array_equal(shifts, forward(omegas.ravel()).delta_lambda)
@@ -360,15 +359,14 @@ def test_numeric_forward_flattens_a_rate_array():
 def test_zero_intensity_rate_inside_a_block_raises():
     # at zero rotation the paper-literal biased density sin^2(p*g) vanishes
     config = _config(scheme="bwm", paper_literal=True, grid=GridSpec(points=1001))
-    probe = config.probe()
     omegas = np.array([1e-9, 2e-9, 0.0, 3e-9])
     assert NUMERIC_CHUNK_ELEMENTS // 1001 > omegas.size  # one block
-    forward = numeric_forward(config, SchemeKind.BWM, probe)
+    forward = numeric_forward(config, SchemeKind.BWM)
     assert np.all(forward(np.delete(omegas, 2)).probability > 0.0)
     with pytest.raises(ZeroTotalIntensity):
         forward(omegas)
     with pytest.raises(ZeroTotalIntensity):
-        numeric_forward(config, SchemeKind.BWM, probe)(omegas).delta_lambda
+        numeric_forward(config, SchemeKind.BWM)(omegas).delta_lambda
 
 
 def _traced_peak(call):
@@ -381,15 +379,14 @@ def _traced_peak(call):
 
 
 def test_numeric_forward_reuses_its_workspace():
-    # once a bound model has evaluated a block, the same evaluations
-    # allocate nothing of a block's size: a calibration ladder holds one
-    # (rates, nodes) array, one rate not even one spectrum
+    # binding allocates the workspace, so no evaluation, the first one
+    # included, allocates anything of a block's size: a calibration ladder
+    # holds one (rates, nodes) array, one rate not even one spectrum
     config = _config(scheme="bwm", bias_order_m=1, grid=GridSpec(points=1501))
-    forward = numeric_forward(config, SchemeKind.BWM, config.probe())
+    forward = numeric_forward(config, SchemeKind.BWM)
     ladder = omega_ladder(1e-10, 1e-8, 10)  # the default `estimate` ladder
     assert NUMERIC_CHUNK_ELEMENTS // 1501 >= ladder.size  # one block
-    forward(ladder)
-    forward(ladder[3])
+    assert _traced_peak(lambda: forward(ladder)) < 2 * ladder.size * 1501 * 8
     assert _traced_peak(lambda: forward(ladder)) < 2 * ladder.size * 1501 * 8
     assert _traced_peak(lambda: forward(ladder[3])) < 8 * 1024
 
@@ -400,22 +397,22 @@ def test_numeric_forward_reuses_its_workspace():
     ids=["swm", "bwm", "bwm-literal"],
 )
 def test_numeric_forward_workspace_never_leaks_into_results(scheme_name, paper_literal):
-    # one model through calls of every block size, a workspace that grows
-    # and a block that raises: each call gives a fresh model's bits, and no
-    # result changes under a later call
+    # one model through calls of every block size and a block that raises:
+    # each call gives a fresh model's bits, and no result changes under a
+    # later call
     config = _config(
         scheme=scheme_name, paper_literal=paper_literal, bias_order_m=1,
         grid=GridSpec(points=201),
     )
-    scheme, probe = SchemeKind(scheme_name), config.probe()
+    scheme = SchemeKind(scheme_name)
     assert NUMERIC_CHUNK_ELEMENTS // 201 >= 25  # 25 rates in one block
-    forward = numeric_forward(config, scheme, probe)
+    forward = numeric_forward(config, scheme)
     ladder = omega_ladder(1e-10, 1e-8, 10)
     kept = []
     for omegas in (ladder, ladder[4], omega_ladder(1e-10, 1e-7, 25)):
         got = forward(omegas)
         kept.append((got, [field.copy() for field in got]))
-        for field, fresh in zip(got, numeric_forward(config, scheme, probe)(omegas)):
+        for field, fresh in zip(got, numeric_forward(config, scheme)(omegas)):
             assert np.array_equal(field, fresh)
     # paper-literal bwm vanishes at zero rotation; an overflowed coupling
     # (4*Omega*S is inf) makes any law NaN
@@ -423,7 +420,7 @@ def test_numeric_forward_workspace_never_leaks_into_results(scheme_name, paper_l
     with pytest.raises(error), np.errstate(over="ignore", invalid="ignore"):
         forward(np.array([1e-9, bad, 2e-9]))
     last = omega_ladder(3e-10, 3e-9, 7)
-    for field, fresh in zip(forward(last), numeric_forward(config, scheme, probe)(last)):
+    for field, fresh in zip(forward(last), numeric_forward(config, scheme)(last)):
         assert np.array_equal(field, fresh)
     for got, copies in kept:
         for field, copy in zip(got, copies):
@@ -440,7 +437,7 @@ def test_numeric_forward_workspace_never_leaks_into_results(scheme_name, paper_l
 )
 def test_postselected_spectrum_into_out_equals_the_literal_law(scheme_name, paper_literal, g):
     config = _config(scheme=scheme_name, paper_literal=paper_literal, bias_order_m=1)
-    probe = config.probe()
+    probe = config.probe
     phi, psi, _ = _law(config, SchemeKind(scheme_name))
     literal = np.sin(probe.p_grid * (g + psi) + phi) ** 2 * probe.intensity
     buf = np.full(literal.shape, np.nan)

@@ -46,7 +46,7 @@ def _config(**overrides):
 def _forward_analytic(config, scheme, omega):
     g = coupling_length(omega, config.area_m2, config.lambda0_m())
     return mean_shift_analytic(
-        scheme, g, config.probe(), config.phi_rad,
+        scheme, g, config.probe, config.phi_rad,
         config.delta_lambda_means, config.paper_literal,
     ).delta_lambda
 
@@ -122,15 +122,18 @@ def test_numeric_round_trip_biased_full_law():
 
 def test_biased_literal_calibration_is_not_monotone():
     # the simplified sin^2(p*g) density is even around its vanishing mean
-    # shift at these couplings, so the sampled curve cannot be monotone; the
-    # curve itself refuses, before any observation is read
-    config = _config(scheme="bwm", paper_literal=True)
-    with pytest.raises(
-        NonMonotonicCalibration,
-        match=r"^bwm numeric calibration on \[1\.000e-10, 1\.000e-08\] rad/s is "
-        r"not strictly monotone; refusing to invert$",
-    ):
-        calibration_curve(config, 1e-10, 1e-8, 8)
+    # shift at these couplings, so the sampled curve is rounding noise: it
+    # cannot be monotone, and even two samples (equal at 4001 nodes, apart
+    # by a few ulps at 16001) step by less than the rounding floor; the curve
+    # itself refuses, before any observation is read
+    for nodes, points in ((4001, 8), (4001, 2), (16001, 2)):
+        config = _config(scheme="bwm", paper_literal=True, grid=GridSpec(points=nodes))
+        with pytest.raises(
+            NonMonotonicCalibration,
+            match=r"^bwm numeric calibration on \[1\.000e-10, 1\.000e-08\] rad/s is "
+            r"not strictly monotone; refusing to invert$",
+        ):
+            calibration_curve(config, 1e-10, 1e-8, points)
 
 
 def test_out_of_range_observation_refused():
@@ -144,7 +147,7 @@ def test_out_of_range_observation_refused():
 def test_analytic_curves_are_monotone(scheme_name):
     config = _config(scheme=scheme_name)
     omegas = omega_ladder(1e-10, 1e-8, 12)
-    shifts = analytic_shift(config, SchemeKind(scheme_name), config.probe(), omegas).delta_lambda
+    shifts = analytic_shift(config, SchemeKind(scheme_name), omegas).delta_lambda
     diffs = np.diff(shifts)
     assert np.all(diffs > 0.0) or np.all(diffs < 0.0)
     assert np.all(np.diff(omegas) > 0.0)
@@ -403,7 +406,7 @@ def test_curve_turning_between_samples_is_refused(scheme_name):
     # the 3 log-spaced samples are monotone, yet the curve turns between
     # them; an estimate here returns 3.1224e-2 rad/s, 23 % below the truth
     config = _config(scheme=scheme_name)
-    evaluate = numeric_forward(config, SchemeKind(scheme_name), config.probe())
+    evaluate = numeric_forward(config, SchemeKind(scheme_name))
     obs = float(evaluate(4.06e-2).delta_lambda[0])
     with pytest.raises(NonMonotonicCalibration):
         curve = calibration_curve(config, 6.2e-3, 0.19, 3)

@@ -48,7 +48,7 @@ def _config():
 
 
 def _spectra(config):
-    probe = config.probe()
+    probe = config.probe
     g = coupling_length(config.omega_rad_per_s, config.area_m2, config.lambda0_m())
     return probe, postselected_spectrum(probe, g, config.phi_rad)
 
