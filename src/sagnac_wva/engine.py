@@ -28,12 +28,14 @@ np.diff(p), the probe mean and lambda0.  Each evaluation then computes only
 a column of coupling lengths, the sin^2 law on a (rates, nodes) block of at
 most NUMERIC_CHUNK_ELEMENTS elements at a time (one rate per block on a grid
 with more nodes than that) and two trapezoid sums per rate: the total and
-the first moment.  Every block runs in one workspace that binding allocates
-and the bound model owns, sized to a full block of rows: a (rows, nodes)
-array that takes the law and then the first-moment integrand, and a (rows,
-nodes - 1) array for the trapezoid pair sums.  No returned array aliases
-it.  The law and the trapezoid run their usual ufuncs in place there, so
-every rate gets the bits a one-rate spectrum and `mean_shift_numeric` /
+the first moment.  Every block runs in one workspace that the bound model
+owns: a (rows, nodes) array that takes the law and then the first-moment
+integrand, and a (rows, nodes - 1) array for the trapezoid pair sums.  The
+first evaluation allocates it and a later one grows it only for a larger
+block, so it holds the largest block evaluated so far (one row for a model
+that only ever sees one rate), and no returned array aliases it.  The law
+and the trapezoid run their usual ufuncs in place there, so every rate
+gets the bits a one-rate spectrum and `mean_shift_numeric` /
 `postselection_probability` would give it; those two stay as the
 per-spectrum reference that tests compare against.
 
@@ -73,9 +75,9 @@ from .jones import coupling_unitaries, postselection_state, preselection_state, 
 from .sagnac import bias_delay, coupling_length
 from .spectrum import FWHM_PER_SIGMA, ProbeSpectrum, integrals, moments, momentum_to_wavelength
 
-#: rates x grid nodes evaluated per block by `numeric_forward`; sizes each
-#: of the two float64 arrays of a bound model's workspace to at most 128 KiB
-#: (one row, of any size, on a wider grid)
+#: rates x grid nodes evaluated per block by `numeric_forward`; bounds each
+#: of the two float64 arrays of a bound model's workspace to 128 KiB
+#: whatever the number of rates (one row, of any size, on a wider grid)
 NUMERIC_CHUNK_ELEMENTS = 16384
 
 
@@ -294,11 +296,14 @@ def numeric_forward(config, scheme: SchemeKind):
     Returns `evaluate(omegas) -> NumericForward`, flat arrays with one entry
     per rate of `omegas` (a scalar or any array).  Everything that does not
     depend on Omega is worked out here, once: the loop constants, the bias,
-    the trapezoid widths, the probe mean, lambda0 and the workspace (see the
-    module docstring).  `evaluate` computes the coupling lengths and spectra
-    of at most NUMERIC_CHUNK_ELEMENTS // nodes rates at a time (at least
-    one) in that workspace and integrates each row once for its total and
-    first moment; no returned array aliases the workspace.
+    the trapezoid widths, the probe mean and lambda0.  `evaluate` computes
+    the coupling lengths and spectra of at most NUMERIC_CHUNK_ELEMENTS //
+    nodes rates at a time (at least one) and integrates each row once for its
+    total and first moment.
+
+    Every block runs in the model's own workspace (see the module
+    docstring), grown to the largest block evaluated so far; no returned
+    array aliases it.
 
     Raises, from `evaluate`, for the first block that holds a rate whose
     spectrum does not integrate to a positive finite total: NonFiniteResult
@@ -314,10 +319,14 @@ def numeric_forward(config, scheme: SchemeKind):
     probe_mean = float(probe_first / probe_total)
     lambda0 = momentum_to_wavelength(probe.p0)
     rows = max(1, NUMERIC_CHUNK_ELEMENTS // p.size)
-    law, pairs = np.empty((rows, p.size)), np.empty((rows, p.size - 1))
+    law = pairs = np.empty((0, 0))  # the workspace, grown by evaluate
 
     def evaluate(omegas) -> NumericForward:
+        nonlocal law, pairs
         omegas = np.asarray(omegas, dtype=float).reshape(-1)
+        block_rows = min(rows, omegas.size)
+        if len(law) < block_rows:
+            law, pairs = np.empty((block_rows, p.size)), np.empty((block_rows, p.size - 1))
         totals = np.empty(omegas.size)
         firsts = np.empty(omegas.size)
         for start in range(0, omegas.size, rows):

@@ -43,7 +43,7 @@ from .errors import (
     OutOfRangeObservation,
     ValidationError,
 )
-from .spectrum import MAX_GRID_POINTS, finite_real, momentum_to_wavelength
+from .spectrum import MAX_GRID_POINTS, finite_real
 
 #: the numeric inversion stops when the bracket shrinks below this relative
 #: width in Omega, or after this many steps
@@ -103,8 +103,8 @@ def calibration_curve(
     """Sample the numeric forward model on an `omega_ladder`.
 
     This is the one place that decides whether a curve can be inverted: a
-    curve is returned only when every step between its sampled shifts
-    clears the rounding floor 16*ulp(p0)*lambda0^2/(2*pi) in one direction.
+    curve is returned only when every step between its sampled momentum
+    shifts clears the rounding floor 16*ulp(p0) in one direction.
 
     Raises
     ------
@@ -115,19 +115,18 @@ def calibration_curve(
     omegas = omega_ladder(omega_min, omega_max, n_points)
     scheme = single_scheme(config)
     forward = numeric_forward(config, scheme)
-    values = forward(omegas).delta_lambda
-    diffs = np.diff(values)
+    shift = forward(omegas)
+    diffs = np.diff(shift.delta_p)
     # the shift is a mean momentum near p0 less the probe's, so a step under
-    # a few ulps of p0 (here 16, as a wavelength shift) is rounding, not signal
-    p0 = config.probe.p0
-    floor = 16.0 * math.ulp(p0) * momentum_to_wavelength(p0) ** 2 / (2.0 * np.pi)
+    # a few ulps of p0 (here 16) is rounding, not signal
+    floor = 16.0 * math.ulp(config.probe.p0)
     if not (np.all(diffs > floor) or np.all(diffs < -floor)):
         raise NonMonotonicCalibration(
             f"{scheme.value} numeric calibration on "
             f"[{omegas[0]:.3e}, {omegas[-1]:.3e}] rad/s is "
             f"not strictly monotone; refusing to invert"
         )
-    return CalibrationCurve(omega_values=omegas, delta_lambda_values=values, forward=forward)
+    return CalibrationCurve(omegas, shift.delta_lambda, forward)
 
 
 def check_observation(delta_lambda_obs) -> None:
