@@ -15,8 +15,11 @@ never replace the numeric values.
 `numeric_forward` are the only code that turns (scenario, scheme, rotation
 rate) into a spectrum, a shift or a survival probability;
 `compare_schemes`, the estimators and the CLI all use them.  Each takes the
-scheme and the rate (or rates) as explicit arguments and reads the probe
-from the scenario (`config.probe`, built once per config); a caller that
+scheme and the rate (or rates) as explicit arguments and reads everything
+else from the scenario: the probe (`config.probe`, built once per config),
+phi and, for the closed forms, `paper_literal` and `delta_lambda_means`.
+`analytic_shift` is the one home of the published shift formulas, and
+`amplification_factor(config)` reads the width the same way.  A caller that
 runs the scenario's own rate passes `config.omega_rad_per_s`, and
 `single_scheme` reads the scenario's one scheme, refusing 'both'.
 
@@ -204,56 +207,21 @@ def mean_shift_numeric(probe: ProbeSpectrum, intensity: np.ndarray) -> MeanShift
     return MeanShift(delta_p=delta_p, delta_lambda=delta_lambda)
 
 
-def _width_ratio_sq(probe: ProbeSpectrum, delta_lambda_means: str) -> float:
-    """(spectral width / centre)^2 with the width read as FWHM or as sigma.
+def _width_ratio_sq(config) -> float:
+    """(spectral width / centre)^2 with the width read per `delta_lambda_means`.
 
     Uses sigma_p/p0, which equals sigma_lambda/lambda0 exactly under the
     linearized conversion.
     """
-    ratio = probe.sigma_p / probe.p0
-    if delta_lambda_means == "fwhm":
+    ratio = config.probe.sigma_p / config.probe.p0
+    if config.delta_lambda_means == "fwhm":
         ratio *= FWHM_PER_SIGMA
     return ratio**2
 
 
-def amplification_factor(probe: ProbeSpectrum, delta_lambda_means: str = "fwhm") -> float:
+def amplification_factor(config) -> float:
     """(lambda0 / width)^2: biased-over-standard analytic sensitivity gain."""
-    return 1.0 / _width_ratio_sq(probe, delta_lambda_means)
-
-
-def mean_shift_analytic(
-    scheme: SchemeKind,
-    g: float,
-    probe: ProbeSpectrum,
-    phi: float,
-    delta_lambda_means: str = "fwhm",
-    paper_literal: bool = False,
-) -> MeanShift:
-    """Closed-form mean shifts for either scheme.
-
-    Standard scheme: delta_p = 2*g*sigma_p^2*cot(phi) and
-    delta_lambda = 4*pi*g*cot(phi)*(width/lambda0)^2, the width read per
-    `delta_lambda_means`.  Biased scheme: delta_p = 2*g*p0^2*cot(phi) and
-    delta_lambda = 4*pi*g*cot(phi).  In paper-literal mode cot(phi) becomes
-    the published small-angle 1/phi.  The delta_lambda forms quote the shift
-    magnitude with the published sign; the numeric delta_lambda carries the
-    opposite sign through -lambda0^2/(2*pi).
-    """
-    with np.errstate(over="ignore"):
-        cot = 1.0 / phi if paper_literal else 1.0 / np.tan(phi)
-    if not np.isfinite(cot):
-        # a valid but tiny phi (e.g. 1e-310) overflows 1/tan(phi)
-        raise NonFiniteResult(f"cot(phi) is not finite for phi = {phi}")
-    # a huge g*cot overflows to inf silently; callers that publish a single
-    # record refuse non-finite values, tables carry them as `inf`
-    with np.errstate(over="ignore"):
-        if scheme is SchemeKind.SWM:
-            delta_p = 2.0 * g * probe.sigma_p**2 * cot
-            delta_lambda = 4.0 * np.pi * g * cot * _width_ratio_sq(probe, delta_lambda_means)
-        else:
-            delta_p = 2.0 * g * probe.p0**2 * cot
-            delta_lambda = 4.0 * np.pi * g * cot
-    return MeanShift(delta_p=delta_p, delta_lambda=delta_lambda)
+    return 1.0 / _width_ratio_sq(config)
 
 
 def _coupling_length(config, omega):
@@ -277,11 +245,32 @@ def scheme_spectrum(config, scheme: SchemeKind, omega) -> np.ndarray:
 
 
 def analytic_shift(config, scheme: SchemeKind, omega) -> MeanShift:
-    """Closed-form shifts of one scheme; broadcasts over an array of rates."""
-    return mean_shift_analytic(
-        scheme, _coupling_length(config, omega), config.probe, config.phi_rad,
-        config.delta_lambda_means, config.paper_literal,
-    )
+    """Closed-form mean shifts of one scheme; broadcasts over an array of rates.
+
+    Standard scheme: delta_p = 2*g*sigma_p^2*cot(phi) and
+    delta_lambda = 4*pi*g*cot(phi)*(width/lambda0)^2, the width read per
+    `delta_lambda_means`.  Biased scheme: delta_p = 2*g*p0^2*cot(phi) and
+    delta_lambda = 4*pi*g*cot(phi).  In paper-literal mode cot(phi) becomes
+    the published small-angle 1/phi.  The delta_lambda forms quote the shift
+    magnitude with the published sign; the numeric delta_lambda carries the
+    opposite sign through -lambda0^2/(2*pi).
+    """
+    g = _coupling_length(config, omega)
+    probe, phi = config.probe, config.phi_rad
+    # a huge g*cot overflows to inf silently; callers that publish a single
+    # record refuse non-finite values, tables carry them as `inf`
+    with np.errstate(over="ignore"):
+        cot = 1.0 / phi if config.paper_literal else 1.0 / np.tan(phi)
+        if not np.isfinite(cot):
+            # a valid but tiny phi (e.g. 1e-310) overflows 1/tan(phi)
+            raise NonFiniteResult(f"cot(phi) is not finite for phi = {phi}")
+        if scheme is SchemeKind.SWM:
+            delta_p = 2.0 * g * probe.sigma_p**2 * cot
+            delta_lambda = 4.0 * np.pi * g * cot * _width_ratio_sq(config)
+        else:
+            delta_p = 2.0 * g * probe.p0**2 * cot
+            delta_lambda = 4.0 * np.pi * g * cot
+    return MeanShift(delta_p=delta_p, delta_lambda=delta_lambda)
 
 
 def pointform_probability(config, scheme: SchemeKind, omega) -> float:
@@ -352,7 +341,6 @@ def compare_schemes(config) -> tuple[MeasurementResult, MeasurementResult]:
     field filled in.
     """
     omega = config.omega_rad_per_s
-    amp = amplification_factor(config.probe, config.delta_lambda_means)
     results = []
     for scheme in (SchemeKind.SWM, SchemeKind.BWM):
         numeric = numeric_forward(config, scheme)(omega)
@@ -366,7 +354,7 @@ def compare_schemes(config) -> tuple[MeasurementResult, MeasurementResult]:
                 delta_lambda_analytic=analytic.delta_lambda,
                 postselect_prob_numeric=float(numeric.probability[0]),
                 postselect_prob_pointform=pointform_probability(config, scheme, omega),
-                amplification_factor=amp,
+                amplification_factor=amplification_factor(config),
             )
         )
     return results[0], results[1]

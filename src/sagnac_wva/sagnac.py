@@ -18,19 +18,19 @@ from .spectrum import wavelength_to_momentum
 SPEED_OF_LIGHT = 299792458.0
 
 
-def fringe_shift(omega, area: float, lambda0: float, c: float):
+def fringe_shift(omega, area: float, lambda0: float):
     """Fringe shift 4*Omega*S/(lambda0*c); odd in Omega, broadcasts over rates."""
-    return 4.0 * omega * area / (lambda0 * c)
+    return 4.0 * omega * area / (lambda0 * SPEED_OF_LIGHT)
 
 
-def coupling_length(omega, area: float, lambda0: float, c: float = SPEED_OF_LIGHT):
+def coupling_length(omega, area: float, lambda0: float):
     """Coupling length g = 2*pi*fringe_shift/p0 = 4*S*Omega/c, m.
 
     Broadcasts over an array of rates.  The operation order is that of the
     fringe shift -> phase -> length chain, so every route to g gets the
     same bits.
     """
-    return 2.0 * np.pi * fringe_shift(omega, area, lambda0, c) / wavelength_to_momentum(lambda0)
+    return 2.0 * np.pi * fringe_shift(omega, area, lambda0) / wavelength_to_momentum(lambda0)
 
 
 def bias_delay(phi: float, lambda0: float, order_m: int) -> float:

@@ -9,6 +9,7 @@ relative at the reference parameters; that gap is reported in the detail line
 and pinned in tests/test_engine.py.
 """
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -22,9 +23,9 @@ from sagnac_wva.config import ExperimentConfig
 from sagnac_wva.engine import (
     SchemeKind,
     amplification_factor,
+    analytic_shift,
     compare_schemes,
     discrepancy_from_results,
-    mean_shift_analytic,
     mean_shift_numeric,
     postselected_spectrum,
     postselection_probability,
@@ -84,7 +85,7 @@ def _g(omega):
 
 
 def test_criterion_01_coupling_chain():
-    dz = fringe_shift(OMEGA_SLOW, AREA, _config().lambda0_m(), SPEED_OF_LIGHT)
+    dz = fringe_shift(OMEGA_SLOW, AREA, _config().lambda0_m())
     rels = (
         abs(dz - DZ_REF) / DZ_REF,
         abs(2.0 * np.pi * dz - DPHI_REF) / DPHI_REF,
@@ -137,21 +138,25 @@ def test_criterion_03_standard_shift_closed_form():
 
 def test_criterion_04_amplification_identity():
     rng = np.random.default_rng(41)
+    base = _config(grid=GridSpec(points=401))
     worst = 0.0
     for _ in range(10):
         lam = rng.uniform(4e-7, 1.6e-6)
         fwhm = rng.uniform(0.005, 0.08) * lam
         phi = rng.uniform(1e-4, 1.0)
         g = rng.uniform(1e-16, 1e-12)
-        probe = gaussian_probe(lam, fwhm, GridSpec(points=401))
+        omega = g * SPEED_OF_LIGHT / (4.0 * AREA)
         for reading in ("fwhm", "sigma"):
-            swm = mean_shift_analytic(SchemeKind.SWM, g, probe, phi, reading)
-            bwm = mean_shift_analytic(SchemeKind.BWM, g, probe, phi, reading)
+            config = dataclasses.replace(
+                base, lambda0_nm=lam * 1e9, fwhm_nm=fwhm * 1e9, phi_rad=phi,
+                delta_lambda_means=reading,
+            )
+            swm = analytic_shift(config, SchemeKind.SWM, omega)
+            bwm = analytic_shift(config, SchemeKind.BWM, omega)
             ratio = bwm.delta_lambda / swm.delta_lambda
-            expected = amplification_factor(probe, reading)
+            expected = amplification_factor(config)
             worst = max(worst, abs(ratio - expected) / expected)
-    probe = gaussian_probe(LAMBDA0, FWHM)
-    factor = amplification_factor(probe, "fwhm")
+    factor = amplification_factor(_config())
     readme = README.read_text(encoding="utf-8")
     documented = "1734.7" in readme and "about 40" in readme
     ok = (
@@ -221,11 +226,8 @@ def test_criterion_08_estimator_round_trips():
     for scheme_name in ("swm", "bwm"):
         config = _config(scheme=scheme_name)
         scheme = SchemeKind(scheme_name)
-        probe = config.probe
         for omega in (1e-12, 1e-9, 1e-6):
-            obs = mean_shift_analytic(
-                scheme, _g(omega), probe, PHI, config.delta_lambda_means
-            ).delta_lambda
+            obs = analytic_shift(config, scheme, omega).delta_lambda
             est = estimate_omega_analytic(obs, config)
             worst_analytic = max(worst_analytic, abs(est.omega_hat - omega) / omega)
 

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,10 +10,10 @@ from sagnac_wva.engine import (
     SchemeKind,
     _law,
     amplification_factor,
+    analytic_shift,
     compare_schemes,
     discrepancy_from_results,
     discrepancy_report,
-    mean_shift_analytic,
     mean_shift_numeric,
     numeric_forward,
     postselected_spectrum,
@@ -22,7 +24,7 @@ from sagnac_wva.engine import (
 from sagnac_wva.config import ExperimentConfig
 from sagnac_wva.errors import NonFiniteResult, ZeroTotalIntensity
 from sagnac_wva.estimation import omega_ladder
-from sagnac_wva.sagnac import bias_delay
+from sagnac_wva.sagnac import SPEED_OF_LIGHT, bias_delay
 from sagnac_wva.spectrum import GridSpec, gaussian_probe
 
 LAMBDA0 = 833e-9
@@ -180,9 +182,9 @@ def test_law_phase_at_p0(scheme_name, paper_literal, order):
 
 
 def test_analytic_shifts_frozen_values():
-    probe = _probe()
-    swm = mean_shift_analytic(SchemeKind.SWM, G_SLOW, probe, PHI)
-    bwm = mean_shift_analytic(SchemeKind.BWM, G_SLOW, probe, PHI)
+    config = _config()
+    swm = analytic_shift(config, SchemeKind.SWM, config.omega_rad_per_s)
+    bwm = analytic_shift(config, SchemeKind.BWM, config.omega_rad_per_s)
     assert swm.delta_p == pytest.approx(SWM_DP_ANALYTIC, rel=1e-12)
     assert bwm.delta_p == pytest.approx(BWM_DP_ANALYTIC, rel=1e-12)
     assert swm.delta_lambda == pytest.approx(SWM_DL_ANALYTIC, rel=1e-12)
@@ -190,38 +192,74 @@ def test_analytic_shifts_frozen_values():
 
 
 def test_analytic_literal_uses_inverse_angle():
-    probe = _probe()
-    lit = mean_shift_analytic(SchemeKind.BWM, G_SLOW, probe, PHI, paper_literal=True)
+    config = dataclasses.replace(_config(), paper_literal=True)
+    lit = analytic_shift(config, SchemeKind.BWM, config.omega_rad_per_s)
     assert lit.delta_lambda == pytest.approx(4.0 * np.pi * G_SLOW / PHI, rel=1e-12)
     assert lit.delta_lambda == pytest.approx(1.6766760175613455e-09, rel=1e-12)
 
 
 def test_analytic_sigma_reading():
-    probe = _probe()
-    swm = mean_shift_analytic(SchemeKind.SWM, G_SLOW, probe, PHI, delta_lambda_means="sigma")
+    config = dataclasses.replace(_config(), delta_lambda_means="sigma")
+    swm = analytic_shift(config, SchemeKind.SWM, config.omega_rad_per_s)
+    probe = config.probe
     expected = 4.0 * np.pi * G_SLOW / np.tan(PHI) * (probe.sigma_p / probe.p0) ** 2
     assert swm.delta_lambda == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("reading", ["fwhm", "sigma"])
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_analytic_shift_is_the_published_formula(scheme, literal, reading):
+    # every input of the closed form comes from the scenario's own fields
+    config = dataclasses.replace(
+        _config(), paper_literal=literal, delta_lambda_means=reading, phi_rad=0.3
+    )
+    omegas = np.array([1e-9, -1.9e-8, 7.29e-5])
+    shift = analytic_shift(config, scheme, omegas)
+    lambda0 = config.lambda0_nm * 1e-9
+    width = config.fwhm_nm * 1e-9
+    sigma_lambda = width / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    if reading == "sigma":
+        width = sigma_lambda
+    p0 = 2.0 * math.pi / lambda0
+    sigma_p = 2.0 * math.pi * sigma_lambda / lambda0**2
+    g = 4.0 * config.area_m2 * omegas / SPEED_OF_LIGHT
+    cot = 1.0 / config.phi_rad if literal else 1.0 / math.tan(config.phi_rad)
+    if scheme is SchemeKind.SWM:
+        delta_p = 2.0 * g * sigma_p**2 * cot
+        delta_lambda = 4.0 * math.pi * g * cot * (width / lambda0) ** 2
+    else:
+        delta_p = 2.0 * g * p0**2 * cot
+        delta_lambda = 4.0 * math.pi * g * cot
+    np.testing.assert_allclose(shift.delta_p, delta_p, rtol=1e-12)
+    np.testing.assert_allclose(shift.delta_lambda, delta_lambda, rtol=1e-12)
+
+
 def test_amplification_factor_reference():
-    probe = _probe()
-    assert amplification_factor(probe, "fwhm") == pytest.approx(1734.7225, rel=1e-12)
-    assert amplification_factor(probe, "sigma") == pytest.approx(9619.3440794312, rel=1e-10)
+    config = _config()
+    assert amplification_factor(config) == pytest.approx(1734.7225, rel=1e-12)
+    sigma = dataclasses.replace(config, delta_lambda_means="sigma")
+    assert amplification_factor(sigma) == pytest.approx(9619.3440794312, rel=1e-10)
 
 
 def test_amplification_equals_analytic_ratio():
     rng = np.random.default_rng(23)
+    base = _config(grid=GridSpec(points=401))
     for _ in range(10):
         lam = rng.uniform(4e-7, 1.6e-6)
         fwhm = rng.uniform(0.005, 0.08) * lam
         phi = rng.uniform(1e-4, 1.0)
         g = rng.uniform(1e-16, 1e-12)
-        probe = gaussian_probe(lam, fwhm, GridSpec(points=401))
+        omega = g * SPEED_OF_LIGHT / (4.0 * base.area_m2)
         for reading in ("fwhm", "sigma"):
-            swm = mean_shift_analytic(SchemeKind.SWM, g, probe, phi, reading)
-            bwm = mean_shift_analytic(SchemeKind.BWM, g, probe, phi, reading)
+            config = dataclasses.replace(
+                base, lambda0_nm=lam * 1e9, fwhm_nm=fwhm * 1e9, phi_rad=phi,
+                delta_lambda_means=reading,
+            )
+            swm = analytic_shift(config, SchemeKind.SWM, omega)
+            bwm = analytic_shift(config, SchemeKind.BWM, omega)
             ratio = bwm.delta_lambda / swm.delta_lambda
-            assert ratio == pytest.approx(amplification_factor(probe, reading), rel=1e-12)
+            assert ratio == pytest.approx(amplification_factor(config), rel=1e-12)
 
 
 def test_small_coupling_law():

@@ -9,7 +9,6 @@ from sagnac_wva.engine import (
     NumericForward,
     SchemeKind,
     analytic_shift,
-    mean_shift_analytic,
     numeric_forward,
 )
 from sagnac_wva.errors import (
@@ -26,7 +25,6 @@ from sagnac_wva.estimation import (
     estimate_omega_numeric,
     omega_ladder,
 )
-from sagnac_wva.sagnac import coupling_length
 from sagnac_wva.spectrum import GridSpec
 
 
@@ -43,20 +41,12 @@ def _config(**overrides):
     return ExperimentConfig(**base)
 
 
-def _forward_analytic(config, scheme, omega):
-    g = coupling_length(omega, config.area_m2, config.lambda0_m())
-    return mean_shift_analytic(
-        scheme, g, config.probe, config.phi_rad,
-        config.delta_lambda_means, config.paper_literal,
-    ).delta_lambda
-
-
 @pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
 def test_analytic_round_trip(scheme_name):
     config = _config(scheme=scheme_name)
     scheme = SchemeKind(scheme_name)
     for omega in np.geomspace(1e-12, 1e-6, 7):
-        obs = _forward_analytic(config, scheme, omega)
+        obs = analytic_shift(config, scheme, omega).delta_lambda
         est = estimate_omega_analytic(obs, config)
         assert est.omega_hat == pytest.approx(omega, rel=1e-9)
         assert est.residual <= 1e-15 * abs(obs)
@@ -66,7 +56,7 @@ def test_analytic_round_trip(scheme_name):
 def test_analytic_round_trip_in_literal_and_sigma_modes():
     for overrides in ({"paper_literal": True}, {"delta_lambda_means": "sigma"}):
         config = _config(scheme="bwm", **overrides)
-        obs = _forward_analytic(config, SchemeKind.BWM, 3e-9)
+        obs = analytic_shift(config, SchemeKind.BWM, 3e-9).delta_lambda
         est = estimate_omega_analytic(obs, config)
         assert est.omega_hat == pytest.approx(3e-9, rel=1e-9)
 
