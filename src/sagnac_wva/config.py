@@ -6,22 +6,21 @@ A scenario file is a single JSON object.  Units are encoded in the key
 names; unknown keys anywhere are rejected so typos cannot silently fall
 back to defaults.  Each field's own rules are checked here, the grid's in
 `spectrum.GridSpec`.  What the fields give together, the probe's p0, sigma_p
-and grid step, comes from `spectrum.probe_geometry`, the function that also
-builds every probe grid, so validation and the probe apply the same rules.
-A config builds its probe once, on first use of `ExperimentConfig.probe`,
-and every forward call of the scenario reads that one probe.
+and grid step, is checked by `spectrum.gaussian_probe` as it builds the
+probe, so validation and the probe are one call.  A config builds its probe
+once, when it is validated, and every forward call of the scenario reads
+that one probe, `ExperimentConfig.probe`.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .spectrum import GridSpec, ProbeSpectrum, finite_real, gaussian_probe, probe_geometry
+from .spectrum import GridSpec, finite_real, gaussian_probe
 
 SCHEMES = ("swm", "bwm", "both")
 WIDTH_READINGS = ("fwhm", "sigma")
@@ -29,7 +28,12 @@ WIDTH_READINGS = ("fwhm", "sigma")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One validated scenario.  Field names carry the units."""
+    """One validated scenario.  Field names carry the units.
+
+    `probe`, the scenario's `spectrum.ProbeSpectrum`, is built with the
+    config and kept; its arrays are read-only.  It is no field, so the
+    canonical form, equality and hash ignore it.
+    """
 
     lambda0_nm: float
     fwhm_nm: float
@@ -72,12 +76,18 @@ class ExperimentConfig:
             )
         if not isinstance(self.grid, GridSpec):
             raise ValidationError("grid", f"must be a GridSpec, got {self.grid!r}")
-        # then what the fields give together: an SI probe with a finite
-        # lambda0^2 and sigma_p, and grid nodes that are distinct, positive momenta
-        probe_geometry(self.lambda0_m(), self.fwhm_m(), self.grid, lambda0_nm=self.lambda0_nm)
         # stored as floats, so that asdict (to_dict) gives the canonical form
         for name in ("lambda0_nm", "fwhm_nm", "area_m2", "phi_rad", "omega_rad_per_s"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        # then what the fields give together: an SI probe with a finite
+        # lambda0^2 and sigma_p, and grid nodes that are distinct, positive
+        # momenta
+        probe = gaussian_probe(
+            self.lambda0_m(), self.fwhm_m(), self.grid, lambda0_nm=self.lambda0_nm
+        )
+        probe.p_grid.flags.writeable = False
+        probe.intensity.flags.writeable = False
+        object.__setattr__(self, "probe", probe)
 
     # -- derived quantities ------------------------------------------------
 
@@ -86,14 +96,6 @@ class ExperimentConfig:
 
     def fwhm_m(self) -> float:
         return self.fwhm_nm * 1e-9
-
-    @functools.cached_property
-    def probe(self) -> ProbeSpectrum:
-        """The scenario's probe, built on first use and kept; its arrays are read-only."""
-        probe = gaussian_probe(self.lambda0_m(), self.fwhm_m(), self.grid)
-        probe.p_grid.flags.writeable = False
-        probe.intensity.flags.writeable = False
-        return probe
 
     def to_dict(self) -> dict:
         """Canonical plain-dict form with every default made explicit."""

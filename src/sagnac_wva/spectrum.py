@@ -7,11 +7,11 @@ intensity as probability density per unit momentum.  The probe is Gaussian
 in p; the grid is symmetric about the centre momentum with an odd point
 count so the centre lands exactly on a node.
 
-`GridSpec` holds every grid rule.  `probe_geometry` alone derives p0,
-sigma_p and the node step from a line and a grid, both for the scenario
-config's validation and for `gaussian_probe`'s grid.  Those are the
-module's only checks of their arguments: the unit conversions and the
-integrals take theirs as valid.
+`GridSpec` holds every grid rule.  `gaussian_probe` alone checks what a
+line and a grid give together (p0, sigma_p and the node step) as it builds
+the probe; the scenario config calls it once, when it is validated.  Those
+are the module's only checks of their arguments: the unit conversions and
+the integrals take theirs as valid.
 """
 
 from __future__ import annotations
@@ -140,16 +140,33 @@ def sigma_lambda_to_sigma_p(sigma_lambda: float, lambda0: float) -> float:
     return 2.0 * np.pi * sigma_lambda / lambda0**2
 
 
-def probe_geometry(
+def gaussian_probe(
     lambda0: float, fwhm_lambda: float, grid: GridSpec = DEFAULT_GRID, lambda0_nm=None
-) -> tuple[np.float64, np.float64, float]:
-    """Centre momentum p0, momentum width sigma_p and node step of a probe grid.
+) -> ProbeSpectrum:
+    """Normalized Gaussian momentum spectrum of a source centred at lambda0.
 
-    The one place that turns a line (wavelengths in m) and a grid into the
-    grid nodes p0 + k*step, k = -(points//2) .. points//2, with step =
-    half_width_sigmas*sigma_p/(points//2).  Warns as sigma_lambda_to_sigma_p
-    does on a wide line.  `lambda0_nm` is the scenario's own wavelength,
-    quoted when the step is refused (default: lambda0 in nm).
+    The one place that turns a line and a grid into grid nodes: p0 +
+    k*step, k = -(points//2) .. points//2, with step =
+    half_width_sigmas*sigma_p/(points//2), so p0 lands exactly on the
+    middle node.  Warns as sigma_lambda_to_sigma_p does on a wide line.
+
+    Parameters
+    ----------
+    lambda0 : float
+        Centre wavelength, m.
+    fwhm_lambda : float
+        Full width at half maximum of the wavelength spectrum, m.
+    grid : GridSpec
+        Half-width in units of sigma_p and (odd) point count.
+    lambda0_nm : float, optional
+        The scenario's own wavelength, quoted when the step is refused
+        (default: lambda0 in nm).
+
+    Returns
+    -------
+    ProbeSpectrum
+        Intensity on p0 +- half_width_sigmas*sigma_p, trapezoid-normalized
+        to 1.
 
     Raises
     ------
@@ -191,39 +208,8 @@ def probe_geometry(
     # numpy scalars, converted only here so the messages above keep a float's
     # repr: the closed forms square both, and a float's ** raises
     # OverflowError where numpy's gives inf
-    return np.float64(p0), np.float64(sigma_p), step
-
-
-def gaussian_probe(
-    lambda0: float, fwhm_lambda: float, grid: GridSpec = DEFAULT_GRID
-) -> ProbeSpectrum:
-    """Normalized Gaussian momentum spectrum of a source centred at lambda0.
-
-    Parameters
-    ----------
-    lambda0 : float
-        Centre wavelength, m.
-    fwhm_lambda : float
-        Full width at half maximum of the wavelength spectrum, m.
-    grid : GridSpec
-        Half-width in units of sigma_p and (odd) point count.
-
-    Returns
-    -------
-    ProbeSpectrum
-        Intensity on p0 +- half_width_sigmas*sigma_p, trapezoid-normalized
-        to 1, with p0 exactly on the middle node.
-
-    Raises
-    ------
-    ValidationError
-        What probe_geometry raises: for a negative lambda0 or fwhm_lambda,
-        for a lambda0^2 or sigma_p that underflows or overflows, and for
-        nodes that are not distinct positive momenta.
-    """
-    p0, sigma_p, step = probe_geometry(lambda0, fwhm_lambda, grid)
+    p0, sigma_p = np.float64(p0), np.float64(sigma_p)
     # integer offsets from the middle node keep p0 exactly representable
-    half_nodes = grid.points // 2
     p = p0 + step * np.arange(-half_nodes, half_nodes + 1)
     intensity = np.exp(-0.5 * ((p - p0) / sigma_p) ** 2) / (
         sigma_p * np.sqrt(2.0 * np.pi)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,18 @@ def test_probe_is_built_once_and_read_only():
     other = dataclasses.replace(cfg, grid=GridSpec(points=101))
     assert other.probe is not probe
     assert other.probe.p_grid.size == 101
+
+
+def test_wide_line_warns_once_per_config():
+    # the line is checked and its probe built in one call, so a wide line
+    # (sigma_lambda/lambda0 = 0.26) warns once, however often the probe is read
+    raw = _raw(fwhm_nm=500.0, grid={"points": 101, "half_width_sigmas": 3.0})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = config_from_dict(raw)
+        assert cfg.probe is cfg.probe
+    assert [w.category for w in caught] == [UserWarning]
+    assert "linearized width conversion is inaccurate" in str(caught[0].message)
 
 
 @pytest.mark.parametrize(
