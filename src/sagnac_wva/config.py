@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from numbers import Integral
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -61,7 +62,7 @@ class ExperimentConfig:
             )
         if self.scheme not in SCHEMES:
             raise ValidationError("scheme", f"must be one of {SCHEMES}, got {self.scheme!r}")
-        if not isinstance(self.bias_order_m, int) or not finite_real(self.bias_order_m):
+        if not isinstance(self.bias_order_m, Integral) or not finite_real(self.bias_order_m):
             raise ValidationError(
                 "bias_order_m", f"must be an integer a float holds, got {self.bias_order_m!r}"
             )
@@ -76,9 +77,10 @@ class ExperimentConfig:
             )
         if not isinstance(self.grid, GridSpec):
             raise ValidationError("grid", f"must be a GridSpec, got {self.grid!r}")
-        # stored as floats, so that asdict (to_dict) gives the canonical form
+        # stored as floats and an int, so that asdict (to_dict) gives the canonical form
         for name in ("lambda0_nm", "fwhm_nm", "area_m2", "phi_rad", "omega_rad_per_s"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "bias_order_m", int(self.bias_order_m))
         # then what the fields give together: an SI probe with a finite
         # lambda0^2 and sigma_p, and grid nodes that are distinct, positive
         # momenta

@@ -82,9 +82,9 @@ def omega_ladder(omega_min: float, omega_max: float, n_points: int) -> np.ndarra
     """
     if not finite_real(omega_max):
         raise ValidationError("omega_max", f"must be finite, got {omega_max}")
-    if not (finite_real(omega_min) and 0.0 <= omega_min < omega_max):
+    if not (finite_real(omega_min) and 0.0 < omega_min < omega_max):
         raise ValidationError(
-            "omega_min", f"need 0 <= omega_min < omega_max, got [{omega_min}, {omega_max}]"
+            "omega_min", f"need 0 < omega_min < omega_max, got [{omega_min}, {omega_max}]"
         )
     if not isinstance(n_points, Integral) or isinstance(n_points, bool):
         raise ValidationError("points", f"must be an integer, got {n_points!r}")
@@ -92,8 +92,6 @@ def omega_ladder(omega_min: float, omega_max: float, n_points: int) -> np.ndarra
         raise ValidationError("points", f"must be >= 2, got {n_points!r}")
     if n_points > MAX_GRID_POINTS:
         raise ValidationError("points", f"must be at most {MAX_GRID_POINTS}, got {n_points!r}")
-    if omega_min <= 0.0:
-        raise ValidationError("omega_min", "log spacing requires omega_min > 0")
     return np.geomspace(omega_min, omega_max, n_points)
 
 

@@ -258,6 +258,13 @@ def integrals(
     ZeroTotalIntensity
         Otherwise, if any row integrates to zero or underflows.
     """
+    total = _checked_total(intensity, widths, scratch)
+    weighted = np.multiply(p_grid, intensity, out=None if scratch is None else intensity)
+    return total, _trapezoid(weighted, widths, scratch)
+
+
+def _checked_total(intensity: np.ndarray, widths: np.ndarray, scratch=None):
+    """Trapezoidal total of each row (`_trapezoid`), refused as `integrals` documents."""
     total = _trapezoid(intensity, widths, scratch)
     # a Python pass over the row totals: a block holds few rows, and this is
     # several times cheaper than numpy reductions on so small an array
@@ -265,8 +272,7 @@ def integrals(
         if not np.isfinite(total).all():
             raise NonFiniteResult("intensity is not finite on this grid")
         raise ZeroTotalIntensity("intensity integrates to zero on this grid")
-    weighted = np.multiply(p_grid, intensity, out=None if scratch is None else intensity)
-    return total, _trapezoid(weighted, widths, scratch)
+    return total
 
 
 def _trapezoid(y: np.ndarray, widths: np.ndarray, out: np.ndarray | None = None):
@@ -287,11 +293,6 @@ def normalize(p_grid: np.ndarray, intensity: np.ndarray) -> np.ndarray:
     """`intensity` rescaled so its trapezoidal integral over `p_grid` is 1 (idempotent).
 
     Raises NonFiniteResult for a NaN or infinite total and ZeroTotalIntensity
-    for one that is zero or underflows.
+    for one that is zero or underflows, as `integrals` does.
     """
-    total = float(np.trapezoid(intensity, p_grid))
-    if not np.isfinite(total):
-        raise NonFiniteResult("cannot normalize: intensity is not finite")
-    if total <= _UNDERFLOW:
-        raise ZeroTotalIntensity("cannot normalize: intensity integrates to zero")
-    return intensity / total
+    return intensity / _checked_total(intensity, np.diff(p_grid))

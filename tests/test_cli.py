@@ -923,7 +923,7 @@ LITERAL_BWM = {"scheme": "bwm", "paper_literal": True, "grid": {"points": 1001}}
     "overrides,message",
     [
         ({**LITERAL_BWM, "area_m2": 1e-140}, "intensity integrates to zero on this grid"),
-        ({**LITERAL_BWM, "area_m2": 1e-160}, "cannot normalize: intensity integrates to zero"),
+        ({**LITERAL_BWM, "area_m2": 1e-160}, "intensity integrates to zero on this grid"),
         ({"area_m2": 1e-310}, "bwm_to_swm_ratio is not finite; no files written"),
         ({"area_m2": 1e30, "phi_rad": 1e-300}, "bwm_to_swm_ratio is not finite; no files written"),
     ],

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sagnac_wva.config import ExperimentConfig, config_from_dict, load_scenario
 from sagnac_wva.errors import ParseError, ValidationError
+from sagnac_wva.output import record_to_json
 from sagnac_wva.spectrum import MAX_GRID_POINTS, GridSpec
 
 BASE = {
@@ -182,6 +183,19 @@ def test_grid_values_accepted():
     cfg = config_from_dict(_raw(grid={"points": 801, "half_width_sigmas": 4.0}))
     assert cfg.grid == GridSpec(half_width_sigmas=4.0, points=801)
     assert GridSpec(points=np.int64(801)) == GridSpec(points=801)
+
+
+def test_numpy_integer_bias_order_is_accepted_and_stored_as_int():
+    # any integer type (not a bool) is an integer, as for `grid.points`
+    cfg = ExperimentConfig(**BASE, bias_order_m=np.int64(1))
+    plain = ExperimentConfig(**BASE, bias_order_m=1)
+    assert cfg == plain and hash(cfg) == hash(plain)
+    record = cfg.to_dict()
+    assert type(record["bias_order_m"]) is int
+    assert record_to_json(record) == record_to_json(plain.to_dict())
+    with pytest.raises(ValidationError) as exc:
+        ExperimentConfig(**BASE, bias_order_m=True)
+    assert exc.value.field == "bias_order_m"
 
 
 def test_to_dict_round_trip():

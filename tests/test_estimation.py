@@ -166,7 +166,9 @@ def test_curve_validation():
         calibration_curve(_config(), 1e-8, 1e-10, 5)
     with pytest.raises(ValueError):
         calibration_curve(_config(), 1e-10, 1e-8, 1)
-    with pytest.raises(ValueError, match="log spacing requires omega_min > 0"):
+    with pytest.raises(
+        ValueError, match=r"^omega_min: need 0 < omega_min < omega_max, got \[0.0, 1e-08\]$"
+    ):
         calibration_curve(_config(), 0.0, 1e-8, 5)
     with pytest.raises(ValidationError):
         calibration_curve(_config(scheme="both"), 1e-10, 1e-8, 5)
@@ -203,7 +205,7 @@ def test_ladder_keeps_its_refusal_texts_for_float_arguments():
     with pytest.raises(ValidationError, match=r"^omega_max: must be finite, got inf$"):
         omega_ladder(1e-10, math.inf, 5)
     with pytest.raises(
-        ValidationError, match=r"^omega_min: need 0 <= omega_min < omega_max, got \[nan, 1e-08\]$"
+        ValidationError, match=r"^omega_min: need 0 < omega_min < omega_max, got \[nan, 1e-08\]$"
     ):
         omega_ladder(math.nan, 1e-8, 5)
     assert np.array_equal(omega_ladder(1e-10, 1e-8, np.int64(3)), np.geomspace(1e-10, 1e-8, 3))
