@@ -9,15 +9,21 @@ the grid from the closed-form sin^2(p*(g + psi_pre) + phi) law.
 stacked 2x2 transfer matrices of the `jones` algebra; it is a cross-check
 that tests call, not part of any forward evaluation.  Closed-form
 mean-shift and probability expressions are always labelled analytic and
-never replace the numeric values.
+never replace the numeric values.  `exact_gaussian` integrates the same
+full law over the untruncated Gaussian probe in closed form: a reference,
+not ground truth.  It differs from the grid by the 6-sigma truncation
+(about 7e-8 of the shift) and the grid's rounding; the numeric inversion
+uses it only to place the grid block it then evaluates, and no output
+reports it.
 
-`scheme_spectrum`, `analytic_shift`, `pointform_probability` and
-`numeric_forward` are the only code that turns (scenario, scheme, rotation
-rate) into a spectrum, a shift or a survival probability;
-`compare_schemes`, the estimators and the CLI all use them.  Each takes the
-scheme and the rate (or rates) as explicit arguments and reads everything
-else from the scenario: the probe (`config.probe`, built once per config),
-phi and, for the closed forms, `paper_literal` and `delta_lambda_means`.
+`scheme_spectrum`, `analytic_shift`, `pointform_probability`,
+`numeric_forward` and `exact_gaussian` are the only code that turns
+(scenario, scheme, rotation rate) into a spectrum, a shift or a survival
+probability; `compare_schemes`, the estimators and the CLI all use them.
+Each takes the scheme and the rate (or rates) as explicit arguments and
+reads everything else from the scenario: the probe (`config.probe`, built
+once per config), phi and, for the closed forms, `paper_literal` and
+`delta_lambda_means`.
 `analytic_shift` is the one home of the published shift formulas, and
 `amplification_factor(config)` reads the width the same way.  A caller that
 runs the scenario's own rate passes `config.omega_rad_per_s`, and
@@ -105,11 +111,12 @@ class MeanShift(NamedTuple):
 
 
 class NumericForward(NamedTuple):
-    """Numeric forward results, one entry per rotation rate."""
+    """Forward results, one entry per rotation rate: the grid's
+    (`numeric_forward`) or the untruncated reference's (`exact_gaussian`)."""
 
-    delta_p: np.ndarray  # 1/m, mean momentum shift of the gridded spectrum
+    delta_p: np.ndarray  # 1/m, mean momentum shift of the post-selected spectrum
     delta_lambda: np.ndarray  # m, the same shift as a wavelength
-    probability: np.ndarray  # trapezoidal survival probability
+    probability: np.ndarray  # survival probability (trapezoidal on the grid)
 
 
 @dataclass(frozen=True)
@@ -271,6 +278,33 @@ def analytic_shift(config, scheme: SchemeKind, omega) -> MeanShift:
             delta_p = 2.0 * g * probe.p0**2 * cot
             delta_lambda = 4.0 * np.pi * g * cot
     return MeanShift(delta_p=delta_p, delta_lambda=delta_lambda)
+
+
+def exact_gaussian(config, scheme: SchemeKind, omegas) -> NumericForward:
+    """Untruncated Gaussian integrals of one scheme's law, one entry per rate; a reference.
+
+    With a = g + psi_pre, theta/2 = g*p0 + phi_at_p0 (see `_law`) and
+    x = 2*a^2*sigma_p^2, the probe's integrals of sin^2(a*p + phi) give
+    P = (-expm1(-x) + 2*exp(-x)*sin^2(theta/2)) / 2 and
+    delta_p = 2*a*sigma_p^2*exp(-x)*sin(theta) / (2*P), converted to
+    delta_lambda as `numeric_forward` does.  These are integrals over the
+    whole line, not the grid: a labelled exact-gaussian reference that
+    seeds the numeric inversion, never a result.  An overflow
+    (sigma_p^2 on a tiny lambda0) gives a non-finite value, not a warning.
+    """
+    _, psi_pre, phi_at_p0 = _law(config, scheme)
+    probe = config.probe
+    g = _coupling_length(config, np.asarray(omegas, dtype=float).reshape(-1))
+    with np.errstate(all="ignore"):
+        a = g + psi_pre
+        half_theta = g * probe.p0 + phi_at_p0
+        variance = probe.sigma_p**2
+        x = 2.0 * a**2 * variance
+        decay = np.exp(-x)
+        twice_p = -np.expm1(-x) + 2.0 * decay * np.sin(half_theta) ** 2
+        delta_p = 2.0 * a * variance * decay * np.sin(2.0 * half_theta) / twice_p
+        delta_lambda = -delta_p * momentum_to_wavelength(probe.p0) ** 2 / (2.0 * np.pi)
+    return NumericForward(delta_p=delta_p, delta_lambda=delta_lambda, probability=0.5 * twice_p)
 
 
 def pointform_probability(config, scheme: SchemeKind, omega) -> float:

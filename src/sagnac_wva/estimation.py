@@ -18,17 +18,27 @@ there, and the inverter then refuses only an observation outside the
 calibrated range.  No silent extrapolation, ever.
 
 The numeric solve starts from the calibration interval whose sample shifts
-straddle the observation (found among the samples, with no forward call)
-and closes it with ITP, an enhanced bisection (Oliveira & Takahashi, ACM
-TOMS 47(1), 2020): a regula-falsi point, truncated towards the midpoint and
-projected into bisection's minmax radius, so it never needs more than one
-step over bisecting that interval and on these smooth curves converges
-superlinearly (about 8 forward evaluations per estimate against 24 for
-bisecting the whole ladder).
+straddle the observation (found among the samples, with no forward call).
+It then seeds the root from closed-form evaluations alone: the curve also
+keeps the scheme's `engine.exact_gaussian` reference, and the seed is the
+root of that closed form plus the grid-minus-exact gap at the interval's
+ends, interpolated linearly.  One forward call evaluates the grid block
+[lo, hi, mid] around the seed, a bracket just narrower than the stop test;
+when lo and hi straddle the observation, mid is the estimate, with that
+block's residual.  Otherwise (a seed off the grid's root, which happens
+where the grid curve is ragged at the scale of the stop test, a non-finite
+closed form or a curve built without the reference) ITP, an enhanced
+bisection (Oliveira & Takahashi, ACM TOMS 47(1), 2020), closes the block's
+first sign change or the whole interval: a regula-falsi point, truncated
+towards the midpoint and projected into bisection's minmax radius, so it
+never needs more than one step over bisecting that interval.  The grid is
+the only model whose root is returned; the closed form only places the
+block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -36,7 +46,13 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import NumericForward, analytic_shift, numeric_forward, single_scheme
+from .engine import (
+    NumericForward,
+    analytic_shift,
+    exact_gaussian,
+    numeric_forward,
+    single_scheme,
+)
 from .errors import (
     NonFiniteResult,
     NonMonotonicCalibration,
@@ -52,6 +68,13 @@ BISECTION_MAX_ITER = 60
 #: ITP truncation: the regula-falsi point moves towards the midpoint by
 #: ITP_KAPPA1 * width**2 / initial width (kappa1 = 0.2 / (b - a), kappa2 = 2)
 ITP_KAPPA1 = 0.2
+#: the seeded grid block [s*(1 - h), s*(1 + h)] is just narrower than the
+#: stop test, so a block that straddles the observation ends the search
+SEED_HALF_WIDTH = 0.4999 * BISECTION_REL_TOL
+#: closed-form samples across the calibration interval that bracket the
+#: seed, and the most Illinois steps that may then settle it
+SEED_SAMPLES = 17
+SEED_MAX_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -70,6 +93,9 @@ class CalibrationCurve:
     #: the bound `numeric_forward` model the curve was sampled with; the
     #: inverter reuses it, so an estimate binds the model once
     forward: Callable[[object], NumericForward]
+    #: the scheme's `exact_gaussian` reference on the same scenario, which
+    #: seeds the inversion; a curve without one is inverted by ITP alone
+    exact: Callable[[object], NumericForward] | None = None
 
 
 def omega_ladder(omega_min: float, omega_max: float, n_points: int) -> np.ndarray:
@@ -102,7 +128,9 @@ def calibration_curve(
 
     This is the one place that decides whether a curve can be inverted: a
     curve is returned only when every step between its sampled momentum
-    shifts clears the rounding floor 16*ulp(p0) in one direction.
+    shifts clears the rounding floor 16*ulp(p0) in one direction.  The curve
+    keeps the bound model and the scheme's `exact_gaussian` reference, which
+    seeds the inversion.
 
     Raises
     ------
@@ -124,13 +152,51 @@ def calibration_curve(
             f"[{omegas[0]:.3e}, {omegas[-1]:.3e}] rad/s is "
             f"not strictly monotone; refusing to invert"
         )
-    return CalibrationCurve(omegas, shift.delta_lambda, forward)
+    return CalibrationCurve(
+        omegas, shift.delta_lambda, forward, functools.partial(exact_gaussian, config, scheme)
+    )
 
 
 def check_observation(delta_lambda_obs) -> None:
     """Refuse an observed shift that is not a finite real number (or is a bool)."""
     if not finite_real(delta_lambda_obs):
         raise ValidationError("delta_lambda_m", f"must be a finite number, got {delta_lambda_obs}")
+
+
+def _seed(exact, a: float, b: float, ya: float, yb: float) -> float | None:
+    """A rate in (a, b) where the closed form, corrected to the grid, meets the observation.
+
+    `ya` and `yb` are the grid's excess over the observation at a and b.
+    The closed form `exact` plus the grid-minus-exact gap at a and b,
+    interpolated linearly in omega, is a model that equals the grid at both
+    ends.  One call samples it at SEED_SAMPLES rates across [a, b]; the
+    first sign change brackets its root, and Illinois steps (false position
+    whose stale end has its value halved), one closed-form evaluation each,
+    close in on it.  None when a step is not finite or does not settle.
+    Python floats throughout, so a non-finite closed form warns nowhere.
+    """
+    omegas = np.linspace(a, b, SEED_SAMPLES).tolist()
+    closed = exact(omegas).delta_lambda.tolist()
+    offset_a = ya - closed[0]
+    slope = (yb - closed[-1] - offset_a) / (b - a)
+    model = [c + offset_a + slope * (x - a) for c, x in zip(closed, omegas)]
+    model[0], model[-1] = ya, yb
+    j = next(j for j, y in enumerate(model) if (y < 0.0) != (ya < 0.0))
+    x0, y0, x1, y1 = omegas[j - 1], model[j - 1], omegas[j], model[j]
+    for _ in range(SEED_MAX_STEPS):
+        x = x1 - y1 * (x1 - x0) / (y1 - y0)
+        if not a < x < b:
+            return None
+        # a step this far inside the block's half-width leaves the seed settled
+        if abs(x - x1) <= 0.1 * SEED_HALF_WIDTH * x:
+            return x
+        y = float(exact(x).delta_lambda[0]) + offset_a + slope * (x - a)
+        if (y < 0.0) != (y1 < 0.0):
+            x0, y0 = x1, y1
+        else:
+            y0 *= 0.5
+        x1, y1 = x, y
+    return None
 
 
 def estimate_omega_analytic(delta_lambda_obs: float, config) -> OmegaEstimate:
@@ -172,20 +238,31 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
 
     Trusts `curve` to be strictly monotone, as `calibration_curve` builds
     it, and requires it to bracket the observation.  The search starts from
-    the calibration interval [omega_k, omega_k+1] whose sample shifts
-    straddle the observation, found among the samples without a forward
-    call; an observation equal to a sample returns that sample's rate with
-    zero residual.  The interval is closed by ITP (interpolate, truncate,
-    project; Oliveira & Takahashi, ACM TOMS 47(1), 2020), an enhanced
-    bisection: each step evaluates a truncated regula-falsi point kept
-    within the bisection's minmax radius, so it never takes more than one
-    step over bisection of that interval down to BISECTION_REL_TOL *
-    omega_k (or the smallest subnormal, where that product underflows).  It
-    stops once the bracket is no wider than BISECTION_REL_TOL * |midpoint|
-    or after BISECTION_MAX_ITER steps, and returns the midpoint with the
-    residual of one forward evaluation there; a step that hits the
-    observation exactly returns its rate.  The method label stays
-    "numeric-bisection".
+    the calibration interval [a, b] = [omega_k, omega_k+1] whose sample
+    shifts straddle the observation, found among the samples without a
+    forward call; an observation equal to a sample returns that sample's
+    rate with zero residual.
+
+    With the curve's `exact` reference, a seed s in (a, b) comes from
+    closed-form evaluations alone (`_seed`), and one call of the curve's
+    model evaluates the block [lo, hi, mid], lo = s*(1 - SEED_HALF_WIDTH),
+    hi = s*(1 + SEED_HALF_WIDTH), mid = (lo + hi)/2 evaluated last.  If lo
+    and hi straddle the observation, the estimate is mid with the block's
+    residual there.  Otherwise [a, b] narrows to the block's first sign
+    change.  A seed that is not finite, or would put the block outside
+    (a, b), skips the block.
+
+    What is left is closed by ITP (interpolate, truncate, project; Oliveira
+    & Takahashi, ACM TOMS 47(1), 2020), an enhanced bisection: each step
+    evaluates a truncated regula-falsi point kept within the bisection's
+    minmax radius, so it never takes more than one step over bisection of
+    that interval down to BISECTION_REL_TOL * a (or the smallest subnormal,
+    where that product underflows).  It stops once the bracket is no wider
+    than BISECTION_REL_TOL * |midpoint| or after BISECTION_MAX_ITER steps,
+    and returns the midpoint with the residual of one forward evaluation
+    there; a step that hits the observation exactly returns its rate.
+    Otherwise the estimate is the midpoint of a grid-verified straddling
+    bracket.  The method label stays "numeric-bisection".
 
     Raises
     ------
@@ -213,12 +290,30 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
             omega_hat=float(curve.omega_values[k]), method="numeric-bisection", residual=0.0
         )
 
-    def excess(om: float) -> float:
-        # each step is a one-rate evaluation of the curve's model
-        return float(curve.forward(om).delta_lambda[0]) - delta_lambda_obs
-
     a, b = float(curve.omega_values[k - 1]), float(curve.omega_values[k])
     ya, yb = float(values[k - 1]) - delta_lambda_obs, float(values[k]) - delta_lambda_obs
+    seed = None if curve.exact is None else _seed(curve.exact, a, b, ya, yb)
+    if seed is not None:
+        lo, hi = seed * (1.0 - SEED_HALF_WIDTH), seed * (1.0 + SEED_HALF_WIDTH)
+        mid = 0.5 * (lo + hi)
+        if a < lo < mid < hi < b:
+            # one grid block; the midpoint goes last, so its residual is the last call
+            block = curve.forward(np.array([lo, hi, mid])).delta_lambda - delta_lambda_obs
+            ylo, yhi, ymid = block.tolist()
+            straddles = min(ylo, yhi) <= 0.0 <= max(ylo, yhi)
+            if straddles and hi - lo <= BISECTION_REL_TOL * mid:
+                return OmegaEstimate(omega_hat=mid, method="numeric-bisection", residual=abs(ymid))
+            # a miss: keep the block's first sign change for ITP
+            for x, y in ((lo, ylo), (mid, ymid), (hi, yhi)):
+                if (y < 0.0) != (ya < 0.0):
+                    b, yb = x, y
+                    break
+                a, ya = x, y
+
+    def excess(om: float) -> float:
+        # each ITP step is a one-rate evaluation of the curve's model
+        return float(curve.forward(om).delta_lambda[0]) - delta_lambda_obs
+
     width0 = b - a
     # ITP's projection radius is eps * 2**(n_half + n0 - j) - width/2 at step j,
     # where bisection needs n_half steps to shrink the interval to 2 * eps =

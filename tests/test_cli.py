@@ -471,14 +471,15 @@ def test_negative_exponent_value_reaches_the_command(
 
 #: SHA-256 of CLI outputs for the BASE scenario, frozen from the per-value
 #: writer and, for the numeric sweep, from the per-rate numeric forward loop;
-#: the numeric estimates are frozen from the ITP inversion.  A change to the
+#: the numeric estimates are frozen from the inversion's seeded grid block
+#: (exact-Gaussian seed, one [lo, hi, mid] forward call).  A change to the
 #: writer or the forward path must keep every byte
 FROZEN_SHA256 = {
     "spectrum.csv": "0a5162b9682ab66b7a95dcc88f52d158235c5cbcb8d3801bd62c240d64c020c0",
     "sweep.csv": "70bcf1da849868dd4f44c48dedac6638a1fd932ed797fa819403ac45a9f63c5a",
     "sweep_numeric.csv": "fcdeef17a6ab63f98c75832e52a8e0d825ce6d3c1d3ec982eb211364309af932",
-    "estimate_swm.stdout": "51395e4b0da274ca636430ecd0782077e6ed19d344853ad2a4b568218a09e8d9",
-    "estimate_bwm.stdout": "240447f01b20a277723280e71f1336e81faa9a780c6aa8d2eaddde0b48380628",
+    "estimate_swm.stdout": "6e3bbbf3c6006c628b00f014b40dd794c20962298aef2768366ea3a72f38a26b",
+    "estimate_bwm.stdout": "a3c1950f4429deea2704ec2734981e94796f629d58bf96dbf54dacf89210c92c",
     FIGURE3_FILES[0]: "c8e28c681f3a8a8f5e5c8edc5a73d6f55e16f2114226d70a2ca1ed4592293013",
     FIGURE3_FILES[1]: "977509f44e0ec949af6453f28abeeadd1483401873ab9dcd2a41f34d051bae41",
     FIGURE3_FILES[2]: "49205daa2a1b82a3c01898c76b0e86757d817221ee94eee9bb94901756d42cd7",

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from sagnac_wva.engine import (
     compare_schemes,
     discrepancy_from_results,
     discrepancy_report,
+    exact_gaussian,
     mean_shift_numeric,
     numeric_forward,
     postselected_spectrum,
@@ -25,7 +28,7 @@ from sagnac_wva.config import ExperimentConfig
 from sagnac_wva.errors import NonFiniteResult, ZeroTotalIntensity
 from sagnac_wva.estimation import omega_ladder
 from sagnac_wva.sagnac import SPEED_OF_LIGHT, bias_delay
-from sagnac_wva.spectrum import GridSpec, gaussian_probe
+from sagnac_wva.spectrum import GridSpec, gaussian_probe, momentum_to_wavelength
 
 LAMBDA0 = 833e-9
 FWHM = 20e-9
@@ -483,3 +486,50 @@ def test_postselected_spectrum_into_out_equals_the_literal_law(scheme_name, pape
     assert postselected_spectrum(probe, g, phi, psi, out=buf) is buf
     assert np.array_equal(buf, literal)
     assert np.array_equal(postselected_spectrum(probe, g, phi, psi), literal)
+
+
+@pytest.mark.parametrize("points", [1001, 4001])
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize(
+    "scheme_name,paper_literal",
+    [("swm", False), ("bwm", False), ("bwm", True)],
+    ids=["swm", "bwm", "bwm-literal"],
+)
+def test_exact_gaussian_matches_the_grid_within_the_truncation_gap(
+    scheme_name, paper_literal, order, points
+):
+    # a 6-sigma grid drops the tails' share of the shift's second-moment
+    # weight, ~7.3e-8; below that, the grid's shift is a difference of two
+    # means near p0 and is rounded to a few ulps of p0 (the floor that
+    # calibration_curve's steps clear)
+    config = _config(
+        scheme=scheme_name, paper_literal=paper_literal, bias_order_m=order,
+        grid=GridSpec(points=points),
+    )
+    scheme = SchemeKind(scheme_name)
+    omegas = omega_ladder(1e-10, 1e-8, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = exact_gaussian(config, scheme, omegas)
+    grid = numeric_forward(config, scheme)(omegas)
+    floor = 16.0 * math.ulp(config.probe.p0)
+    assert np.all(np.abs(grid.delta_p - exact.delta_p) <= 7.5e-8 * np.abs(exact.delta_p) + floor)
+    assert np.all(np.abs(grid.probability - exact.probability) <= 7.5e-8 * exact.probability)
+    # the wavelength shift converts as the grid's does
+    lambda0 = momentum_to_wavelength(config.probe.p0)
+    assert np.array_equal(exact.delta_lambda, -exact.delta_p * lambda0**2 / (2.0 * np.pi))
+    # one entry per rate, as numeric_forward gives them
+    assert exact_gaussian(config, scheme, omegas[3]).delta_lambda.tolist() == [
+        exact.delta_lambda[3]
+    ]
+
+
+def test_exact_gaussian_is_not_finite_and_silent_where_sigma_p_squared_overflows():
+    # the golden matrix's edge-tiny-lambda scenario: sigma_p ~ 1e157 1/m
+    config = _config(lambda0_nm=1e-150, fwhm_nm=1e-152, grid=GridSpec(points=1001))
+    assert config.probe.sigma_p > math.sqrt(sys.float_info.max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scheme in SchemeKind:
+            exact = exact_gaussian(config, scheme, omega_ladder(1e-10, 1e-8, 3))
+            assert not np.any(np.isfinite(exact.delta_lambda))

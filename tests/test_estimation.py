@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,7 +156,7 @@ def test_curve_is_log_spaced():
     with pytest.raises(TypeError):
         calibration_curve(_config(), 1e-10, 1e-8, 5, spacing="log")
     assert [f.name for f in dataclasses.fields(CalibrationCurve)] == [
-        "omega_values", "delta_lambda_values", "forward",
+        "omega_values", "delta_lambda_values", "forward", "exact",
     ]
 
 
@@ -386,6 +387,92 @@ def test_ladder_from_a_subnormal_rate_is_inverted():
     est = estimate_omega_numeric(obs, curve)
     assert curve.omega_values[0] < est.omega_hat < curve.omega_values[1]
     assert math.isfinite(est.residual)
+
+
+def _counting(curve):
+    """`curve` with its forward model wrapped to log the number of rates of every call."""
+    sizes = []
+
+    def forward(omegas):
+        sizes.append(np.size(omegas))
+        return curve.forward(omegas)
+
+    return dataclasses.replace(curve, forward=forward), sizes
+
+
+def _assert_bracket_contract(curve, obs, calls, est):
+    """The estimate is the midpoint of a grid-verified straddling bracket no wider
+    than the stop test, and every evaluated rate lies inside the straddling
+    calibration interval."""
+    assert est.method == "numeric-bisection"
+    a0, b0 = _straddling_interval(curve, obs)
+    assert all(a0 < rate < b0 for rate, _ in calls)
+    (a, value_a), (b, value_b) = _final_bracket(curve, obs, calls, est.omega_hat)
+    assert min(value_a, value_b) <= obs <= max(value_a, value_b)
+    assert est.omega_hat == 0.5 * (a + b)
+    assert b - a <= BISECTION_REL_TOL * est.omega_hat
+    assert est.residual == abs(calls[-1][1] - obs)
+
+
+@pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
+def test_a_seeded_estimate_makes_one_forward_call(scheme_name):
+    # the exact-Gaussian seed puts one 3-rate grid block [lo, hi, mid] on the
+    # root; lo and hi straddle it, so no ITP step runs
+    config = _config(scheme=scheme_name, grid=GridSpec(points=1501))
+    curve = calibration_curve(config, 1e-10, 1e-8, 10)
+    for omega in (2.2e-10, 7.1e-10, 3.3e-9, 9.1e-9):
+        obs = float(curve.forward(omega).delta_lambda[0])
+        recorded, calls = _recording(curve)
+        counted, sizes = _counting(recorded)
+        est = estimate_omega_numeric(obs, counted)
+        assert sizes == [3]
+        _assert_bracket_contract(curve, obs, calls, est)
+        assert abs(est.omega_hat - omega) <= BISECTION_REL_TOL * omega
+
+
+def test_a_missed_block_leaves_the_bracket_to_itp():
+    # a closed form that bows away from the grid between the samples, by a
+    # term the linear gap correction cannot absorb, seeds off the root: the
+    # block's ends do not straddle it, and ITP closes the block's sign change
+    config = _config(scheme="swm", grid=GridSpec(points=801))
+    curve = calibration_curve(config, 1e-10, 1e-8, 10)
+
+    def bowed(omegas):
+        exact = curve.exact(omegas)
+        bow = 1.0 + 1e-2 * np.square(np.log(np.asarray(omegas) / 1e-10))
+        return exact._replace(delta_lambda=exact.delta_lambda * bow)
+
+    bowed_curve = dataclasses.replace(curve, exact=bowed)
+    for omega in (1.3e-10, 7.1e-10, 3.3e-9, 9.1e-9):
+        obs = float(curve.forward(omega).delta_lambda[0])
+        recorded, calls = _recording(bowed_curve)
+        counted, sizes = _counting(recorded)
+        est = estimate_omega_numeric(obs, counted)
+        assert sizes[0] == 3 and len(sizes) > 1 and set(sizes[1:]) == {1}
+        (lo, value_lo), (hi, value_hi), (mid, _) = calls[:3]
+        assert lo < mid < hi and not min(value_lo, value_hi) <= obs <= max(value_lo, value_hi)
+        _assert_bracket_contract(curve, obs, calls, est)
+        assert len(calls) <= _full_ladder_bisection_evals(curve, obs) + 1
+
+
+@pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
+def test_a_non_finite_closed_form_leaves_the_estimate_to_itp(scheme_name):
+    # the golden matrix's edge-tiny-lambda scenario, whose sigma_p^2
+    # overflows: the closed form is NaN, so no block is seeded and every
+    # call is a one-rate ITP step, with no numpy warning on the way
+    config = _config(
+        scheme=scheme_name, lambda0_nm=1e-150, fwhm_nm=1e-152, grid=GridSpec(points=1001)
+    )
+    curve = calibration_curve(config, 1e-10, 1e-8, 3)
+    assert not np.isfinite(curve.exact(curve.omega_values).delta_lambda).any()
+    obs = 0.5 * float(curve.delta_lambda_values[0] + curve.delta_lambda_values[1])
+    recorded, calls = _recording(curve)
+    counted, sizes = _counting(recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_omega_numeric(obs, counted)
+    assert sizes and set(sizes) == {1}
+    _assert_bracket_contract(curve, obs, calls, est)
 
 
 @pytest.mark.xfail(
