@@ -26,14 +26,13 @@ ends, interpolated linearly.  One forward call evaluates the grid block
 [lo, hi, mid] around the seed, a bracket just narrower than the stop test;
 when lo and hi straddle the observation, mid is the estimate, with that
 block's residual.  Otherwise (a seed off the grid's root, which happens
-where the grid curve is ragged at the scale of the stop test, a non-finite
-closed form or a curve built without the reference) ITP, an enhanced
-bisection (Oliveira & Takahashi, ACM TOMS 47(1), 2020), closes the block's
-first sign change or the whole interval: a regula-falsi point, truncated
-towards the midpoint and projected into bisection's minmax radius, so it
-never needs more than one step over bisecting that interval.  The grid is
-the only model whose root is returned; the closed form only places the
-block.
+where the grid curve is ragged at the scale of the stop test) one-rate
+steps go out from the seed, each SEED_STEP_FACTOR times as far as the
+last, until one passes the root, and plain bisection closes the bracket
+that leaves; with no seed (a non-finite closed form, or a curve built
+without the reference) bisection closes the whole interval.  Every rate
+evaluated narrows one straddling bracket.  The grid is the only model
+whose root is returned; the closed form only places the block.
 """
 
 from __future__ import annotations
@@ -65,12 +64,12 @@ from .spectrum import MAX_GRID_POINTS, finite_real
 #: width in Omega, or after this many steps
 BISECTION_REL_TOL = 1e-6
 BISECTION_MAX_ITER = 60
-#: ITP truncation: the regula-falsi point moves towards the midpoint by
-#: ITP_KAPPA1 * width**2 / initial width (kappa1 = 0.2 / (b - a), kappa2 = 2)
-ITP_KAPPA1 = 0.2
 #: the seeded grid block [s*(1 - h), s*(1 + h)] is just narrower than the
 #: stop test, so a block that straddles the observation ends the search
 SEED_HALF_WIDTH = 0.4999 * BISECTION_REL_TOL
+#: after a missed block, each step from the seed goes this many times as far
+#: as the last, starting from the block's end
+SEED_STEP_FACTOR = 8.0
 #: closed-form samples across the calibration interval that bracket the
 #: seed, and the most Illinois steps that may then settle it
 SEED_SAMPLES = 17
@@ -94,7 +93,7 @@ class CalibrationCurve:
     #: inverter reuses it, so an estimate binds the model once
     forward: Callable[[object], NumericForward]
     #: the scheme's `exact_gaussian` reference on the same scenario, which
-    #: seeds the inversion; a curve without one is inverted by ITP alone
+    #: seeds the inversion; a curve without one is inverted by bisection alone
     exact: Callable[[object], NumericForward] | None = None
 
 
@@ -248,21 +247,19 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
     model evaluates the block [lo, hi, mid], lo = s*(1 - SEED_HALF_WIDTH),
     hi = s*(1 + SEED_HALF_WIDTH), mid = (lo + hi)/2 evaluated last.  If lo
     and hi straddle the observation, the estimate is mid with the block's
-    residual there.  Otherwise [a, b] narrows to the block's first sign
-    change.  A seed that is not finite, or would put the block outside
-    (a, b), skips the block.
+    residual there.  Otherwise the block's rates narrow [a, b], mid first,
+    so it keeps the sign change nearest the seed; if that lies past the
+    block, one-rate steps go out from the seed to s + (e - s)*8**j,
+    j = 1, 2, ... (e the block's end on that side, 8 = SEED_STEP_FACTOR),
+    each narrowing [a, b], while the step is inside it.  A seed that is not
+    finite, or would put the block outside (a, b), skips the block and the
+    steps.
 
-    What is left is closed by ITP (interpolate, truncate, project; Oliveira
-    & Takahashi, ACM TOMS 47(1), 2020), an enhanced bisection: each step
-    evaluates a truncated regula-falsi point kept within the bisection's
-    minmax radius, so it never takes more than one step over bisection of
-    that interval down to BISECTION_REL_TOL * a (or the smallest subnormal,
-    where that product underflows).  It stops once the bracket is no wider
-    than BISECTION_REL_TOL * |midpoint| or after BISECTION_MAX_ITER steps,
-    and returns the midpoint with the residual of one forward evaluation
-    there; a step that hits the observation exactly returns its rate.
-    Otherwise the estimate is the midpoint of a grid-verified straddling
-    bracket.  The method label stays "numeric-bisection".
+    Plain bisection closes what is left.  It stops once the bracket is no
+    wider than BISECTION_REL_TOL * |midpoint| or after BISECTION_MAX_ITER
+    steps, and returns the midpoint with the residual of one forward
+    evaluation there, so the estimate is the midpoint of a grid-verified
+    straddling bracket.  The method label stays "numeric-bisection".
 
     Raises
     ------
@@ -292,6 +289,20 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
 
     a, b = float(curve.omega_values[k - 1]), float(curve.omega_values[k])
     ya, yb = float(values[k - 1]) - delta_lambda_obs, float(values[k]) - delta_lambda_obs
+
+    def excess(om: float) -> float:
+        # every step is a one-rate evaluation of the curve's model
+        return float(curve.forward(om).delta_lambda[0]) - delta_lambda_obs
+
+    def narrow(x: float, y: float) -> None:
+        # a rate inside (a, b) replaces the end whose excess has its sign
+        nonlocal a, b
+        if a < x < b:
+            if (y < 0.0) == (ya < 0.0):
+                a = x
+            else:
+                b = x
+
     seed = None if curve.exact is None else _seed(curve.exact, a, b, ya, yb)
     if seed is not None:
         lo, hi = seed * (1.0 - SEED_HALF_WIDTH), seed * (1.0 + SEED_HALF_WIDTH)
@@ -303,49 +314,20 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
             straddles = min(ylo, yhi) <= 0.0 <= max(ylo, yhi)
             if straddles and hi - lo <= BISECTION_REL_TOL * mid:
                 return OmegaEstimate(omega_hat=mid, method="numeric-bisection", residual=abs(ymid))
-            # a miss: keep the block's first sign change for ITP
-            for x, y in ((lo, ylo), (mid, ymid), (hi, yhi)):
-                if (y < 0.0) != (ya < 0.0):
-                    b, yb = x, y
-                    break
-                a, ya = x, y
+            # a miss: mid first, so [a, b] keeps the sign change nearest the
+            # seed; when that is past the block, step out towards it
+            for x, y in ((mid, ymid), (lo, ylo), (hi, yhi)):
+                narrow(x, y)
+            reach = SEED_STEP_FACTOR * ((hi if a >= hi else lo) - seed)
+            while a < seed + reach < b:
+                narrow(seed + reach, excess(seed + reach))
+                reach *= SEED_STEP_FACTOR
 
-    def excess(om: float) -> float:
-        # each ITP step is a one-rate evaluation of the curve's model
-        return float(curve.forward(om).delta_lambda[0]) - delta_lambda_obs
-
-    width0 = b - a
-    # ITP's projection radius is eps * 2**(n_half + n0 - j) - width/2 at step j,
-    # where bisection needs n_half steps to shrink the interval to 2 * eps =
-    # BISECTION_REL_TOL * a; with n0 = 1, eps * 2**(n_half + n0) is `budget`.
-    # A subnormal a underflows that product to 0; the smallest subnormal
-    # stands in, so log2 has a positive argument
-    floor = max(BISECTION_REL_TOL * a, math.ulp(0.0))
-    excess_log2 = math.log2(width0) - math.log2(floor)
-    budget = width0 * 2.0 ** (math.ceil(excess_log2) - excess_log2)
     for _ in range(BISECTION_MAX_ITER):
-        width = b - a
         mid = 0.5 * (a + b)
-        if width <= BISECTION_REL_TOL * abs(mid):
+        if b - a <= BISECTION_REL_TOL * abs(mid):
             break
-        # interpolate: the regula-falsi point of the bracket
-        x = a + width * (ya / (ya - yb))
-        # truncate: move it towards the midpoint by ITP_KAPPA1 * width**2 / width0
-        offset = mid - x
-        step = ITP_KAPPA1 * width * width / width0
-        x = x + math.copysign(step, offset) if step <= abs(offset) else mid
-        # project: keep it within the minmax radius of the midpoint
-        radius = budget - 0.5 * width
-        if abs(x - mid) > radius:
-            x = mid - math.copysign(radius, offset)
-        budget *= 0.5
-        y = excess(x)
-        if y == 0.0:
-            return OmegaEstimate(omega_hat=x, method="numeric-bisection", residual=0.0)
-        if (y < 0.0) == (ya < 0.0):
-            a, ya = x, y
-        else:
-            b, yb = x, y
+        narrow(mid, excess(mid))
     omega_hat = 0.5 * (a + b)
     residual = abs(excess(omega_hat))
     return OmegaEstimate(omega_hat=omega_hat, method="numeric-bisection", residual=residual)

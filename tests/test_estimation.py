@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sagnac_wva import estimation
 from sagnac_wva.config import ExperimentConfig
 from sagnac_wva.engine import (
     NumericForward,
@@ -20,6 +21,8 @@ from sagnac_wva.errors import (
 from sagnac_wva.estimation import (
     BISECTION_MAX_ITER,
     BISECTION_REL_TOL,
+    SEED_HALF_WIDTH,
+    SEED_STEP_FACTOR,
     CalibrationCurve,
     calibration_curve,
     estimate_omega_analytic,
@@ -339,8 +342,8 @@ def test_noise_floor_inversion_keeps_its_bracket():
 
 
 def test_wide_bracket_stops_at_the_iteration_cap():
-    # a shift that steps from -1 to +1 at 2e-20 rad/s: regula falsi lands on
-    # the midpoint, so the search bisects [1e-20, 1], and shrinking that to
+    # a shift that steps from -1 to +1 at 2e-20 rad/s: with no seed the
+    # search bisects [1e-20, 1], and shrinking that to
     # BISECTION_REL_TOL of the root takes more halvings than
     # BISECTION_MAX_ITER allows
     def shift(omegas):
@@ -361,9 +364,9 @@ def test_wide_bracket_stops_at_the_iteration_cap():
 
 
 def test_itp_keeps_the_bisection_bound_where_interpolation_crawls():
-    # on a steep convex curve regula falsi creeps in from one end; the ITP
-    # projection still closes the interval within bisection's step count + 1
-    # (n0 = 1), plus the residual evaluation
+    # on a steep convex curve an interpolating step would creep in from one
+    # end; with no seed, plain bisection closes the interval within its step
+    # count (+ 1 to spare), plus the residual evaluation
     def shift(omegas):
         return np.atleast_1d(np.exp(30.0 * np.asarray(omegas, dtype=float)))
 
@@ -380,7 +383,8 @@ def test_itp_keeps_the_bisection_bound_where_interpolation_crawls():
 
 
 def test_ladder_from_a_subnormal_rate_is_inverted():
-    # BISECTION_REL_TOL * 5e-324 underflows to 0; the search must still run
+    # BISECTION_REL_TOL * 5e-324 underflows to 0, and the interval spans
+    # over 300 decades; the seed and the bisection must still close it
     config = _config(scheme="swm", grid=GridSpec(points=801))
     curve = calibration_curve(config, 5e-324, 1e-8, 2)
     obs = float(curve.forward(1e-9).delta_lambda[0])
@@ -417,7 +421,7 @@ def _assert_bracket_contract(curve, obs, calls, est):
 @pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
 def test_a_seeded_estimate_makes_one_forward_call(scheme_name):
     # the exact-Gaussian seed puts one 3-rate grid block [lo, hi, mid] on the
-    # root; lo and hi straddle it, so no ITP step runs
+    # root; lo and hi straddle it, so no step and no bisection runs
     config = _config(scheme=scheme_name, grid=GridSpec(points=1501))
     curve = calibration_curve(config, 1e-10, 1e-8, 10)
     for omega in (2.2e-10, 7.1e-10, 3.3e-9, 9.1e-9):
@@ -433,7 +437,8 @@ def test_a_seeded_estimate_makes_one_forward_call(scheme_name):
 def test_a_missed_block_leaves_the_bracket_to_itp():
     # a closed form that bows away from the grid between the samples, by a
     # term the linear gap correction cannot absorb, seeds off the root: the
-    # block's ends do not straddle it, and ITP closes the block's sign change
+    # block's ends do not straddle it, so one-rate steps out from the seed
+    # and then bisection close the bracket
     config = _config(scheme="swm", grid=GridSpec(points=801))
     curve = calibration_curve(config, 1e-10, 1e-8, 10)
 
@@ -459,7 +464,7 @@ def test_a_missed_block_leaves_the_bracket_to_itp():
 def test_a_non_finite_closed_form_leaves_the_estimate_to_itp(scheme_name):
     # the golden matrix's edge-tiny-lambda scenario, whose sigma_p^2
     # overflows: the closed form is NaN, so no block is seeded and every
-    # call is a one-rate ITP step, with no numpy warning on the way
+    # call is a one-rate bisection step, with no numpy warning on the way
     config = _config(
         scheme=scheme_name, lambda0_nm=1e-150, fwhm_nm=1e-152, grid=GridSpec(points=1001)
     )
@@ -473,6 +478,26 @@ def test_a_non_finite_closed_form_leaves_the_estimate_to_itp(scheme_name):
         est = estimate_omega_numeric(obs, counted)
     assert sizes and set(sizes) == {1}
     _assert_bracket_contract(curve, obs, calls, est)
+
+
+@pytest.mark.parametrize("k", [-40, -6, -3, 3, 6, 40])
+@pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
+def test_a_missed_block_steps_out_from_the_seed(monkeypatch, scheme_name, k):
+    # a seed k block half-widths off the root misses it; the steps go out
+    # from the seed, SEED_STEP_FACTOR times as far each time, so the first
+    # to pass the root lies within SEED_STEP_FACTOR times the seed's error,
+    # and the search never evaluates a rate farther from the seed than that
+    config = _config(scheme=scheme_name, grid=GridSpec(points=801))
+    curve = calibration_curve(config, 1e-10, 1e-8, 10)
+    for omega in (1.3e-10, 7.1e-10, 3.3e-9, 9.1e-9):
+        seed = omega * (1.0 + k * SEED_HALF_WIDTH)
+        monkeypatch.setattr(estimation, "_seed", lambda *_, seed=seed: seed)
+        obs = float(curve.forward(omega).delta_lambda[0])
+        recorded, calls = _recording(curve)
+        est = estimate_omega_numeric(obs, recorded)
+        reach = SEED_STEP_FACTOR * abs(k) * SEED_HALF_WIDTH * seed
+        assert all(abs(rate - seed) <= reach for rate, _ in calls)
+        _assert_bracket_contract(curve, obs, calls, est)
 
 
 @pytest.mark.xfail(

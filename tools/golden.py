@@ -147,8 +147,9 @@ ONE_OFFS = [
     # an observation whose closed-form rate overflows
     ("estimate-swm-analytic-huge", ["estimate", "--config", "swm.json", "--delta-lambda-m",
                                     "1e308", "--method", "analytic"]),
-    # a ladder from the smallest subnormal rate, where BISECTION_REL_TOL times
-    # the interval's lower end underflows to 0
+    # a ladder from the smallest subnormal rate: its one interval spans over
+    # 300 decades, and BISECTION_REL_TOL times its lower end underflows to 0;
+    # the seeded block still lands on the root
     ("estimate-swm-subnormal-ladder", ["estimate", "--config", "swm.json", "--delta-lambda-m",
                                        "-1e-12", "--method", "numeric", "--omega-min",
                                        "5e-324", "--omega-max", "1e-8", "--points", "2"]),
