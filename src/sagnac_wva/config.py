@@ -150,9 +150,7 @@ def load_scenario(path) -> ExperimentConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            lineno=exc.lineno,
-            colno=exc.colno,
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except FileNotFoundError:
         raise

@@ -30,12 +30,7 @@ class ValidationError(SagnacWvaError, ValueError):
 
 
 class ParseError(SagnacWvaError, ValueError):
-    """Scenario file is not valid JSON.  Carries the parser position."""
-
-    def __init__(self, message: str, lineno: int | None = None, colno: int | None = None):
-        super().__init__(message)
-        self.lineno = lineno
-        self.colno = colno
+    """Scenario file is not valid JSON, or cannot be read; the message says where."""
 
 
 class IoError(SagnacWvaError, OSError):

@@ -29,8 +29,8 @@ block's residual.  Otherwise (a seed off the grid's root, which happens
 where the grid curve is ragged at the scale of the stop test) one-rate
 steps go out from the seed, each SEED_STEP_FACTOR times as far as the
 last, until one passes the root, and plain bisection closes the bracket
-that leaves; with no seed (a non-finite closed form, or a curve built
-without the reference) bisection closes the whole interval.  Every rate
+that leaves; with no seed (a non-finite closed form) bisection closes
+the whole interval.  Every rate
 evaluated narrows one straddling bracket.  The grid is the only model
 whose root is returned; the closed form only places the block.
 """
@@ -93,8 +93,8 @@ class CalibrationCurve:
     #: inverter reuses it, so an estimate binds the model once
     forward: Callable[[object], NumericForward]
     #: the scheme's `exact_gaussian` reference on the same scenario, which
-    #: seeds the inversion; a curve without one is inverted by bisection alone
-    exact: Callable[[object], NumericForward] | None = None
+    #: seeds the inversion
+    exact: Callable[[object], NumericForward]
 
 
 def omega_ladder(omega_min: float, omega_max: float, n_points: int) -> np.ndarray:
@@ -242,8 +242,8 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
     forward call; an observation equal to a sample returns that sample's
     rate with zero residual.
 
-    With the curve's `exact` reference, a seed s in (a, b) comes from
-    closed-form evaluations alone (`_seed`), and one call of the curve's
+    A seed s in (a, b) comes from the curve's `exact` reference alone
+    (`_seed`, no grid call), and one call of the curve's
     model evaluates the block [lo, hi, mid], lo = s*(1 - SEED_HALF_WIDTH),
     hi = s*(1 + SEED_HALF_WIDTH), mid = (lo + hi)/2 evaluated last.  If lo
     and hi straddle the observation, the estimate is mid with the block's
@@ -303,7 +303,7 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
             else:
                 b = x
 
-    seed = None if curve.exact is None else _seed(curve.exact, a, b, ya, yb)
+    seed = _seed(curve.exact, a, b, ya, yb)
     if seed is not None:
         lo, hi = seed * (1.0 - SEED_HALF_WIDTH), seed * (1.0 + SEED_HALF_WIDTH)
         mid = 0.5 * (lo + hi)

@@ -419,27 +419,22 @@ def build_run_record(config, results, discrepancy_rows) -> dict:
     """Everything one `compare` run produced, as the plain dict of its JSON record.
 
     Keys: `config`, `results` (each scheme's result fields but `scheme`,
-    under the scheme's name), `discrepancy`, `tool_version` and `timestamp`.
+    under the scheme's name), `discrepancy` (each row's fields, `scheme` as
+    its name), `tool_version` and `timestamp`.
     """
     results_dict = {}
     for res in results:
         block = dataclasses.asdict(res)
         del block["scheme"]
         results_dict[res.scheme.value] = block
-    discrepancy = [
-        {
-            "scheme": row.scheme.value,
-            "quantity": row.quantity,
-            "numeric": row.numeric,
-            "analytic": row.analytic,
-            # a zero analytic value against a nonzero numeric one has no
-            # finite relative difference; serialize that as null
-            "relative_difference": (
-                row.relative_difference if math.isfinite(row.relative_difference) else None
-            ),
-        }
-        for row in discrepancy_rows
-    ]
+    discrepancy = []
+    for row in discrepancy_rows:
+        entry = dataclasses.asdict(row) | {"scheme": row.scheme.value}
+        # a zero analytic value against a nonzero numeric one has no
+        # finite relative difference; serialize that as null
+        if not math.isfinite(row.relative_difference):
+            entry["relative_difference"] = None
+        discrepancy.append(entry)
     return {
         "config": config.to_dict(),
         "results": results_dict,

@@ -222,8 +222,7 @@ def test_load_scenario_bad_json_reports_position(tmp_path):
     path.write_text('{\n  "lambda0_nm": ,\n}\n', encoding="utf-8")
     with pytest.raises(ParseError) as exc:
         load_scenario(path)
-    assert exc.value.lineno == 2
-    assert exc.value.colno is not None
+    assert str(exc.value).startswith("invalid JSON at line 2, column ")
 
 
 def test_validation_error_message_names_field():

@@ -247,6 +247,10 @@ def _model(shift):
     return forward
 
 
+#: a reference that is NaN at every rate, so a hand-built curve gets no seed
+_NAN_REFERENCE = _model(lambda omegas: np.full(np.size(omegas), np.nan))
+
+
 def _straddling_interval(curve, obs):
     """The calibration interval whose sample shifts straddle `obs`."""
     omegas, values = curve.omega_values.tolist(), curve.delta_lambda_values.tolist()
@@ -351,7 +355,10 @@ def test_wide_bracket_stops_at_the_iteration_cap():
 
     omegas = np.array([1e-20, 1.0])
     curve = CalibrationCurve(
-        omega_values=omegas, delta_lambda_values=shift(omegas), forward=_model(shift)
+        omega_values=omegas,
+        delta_lambda_values=shift(omegas),
+        forward=_model(shift),
+        exact=_NAN_REFERENCE,
     )
     obs = 0.0
     recorded, calls = _recording(curve)
@@ -374,7 +381,10 @@ def test_itp_keeps_the_bisection_bound_where_interpolation_crawls():
     n_half = math.ceil(math.log2((omegas[1] - omegas[0]) / (BISECTION_REL_TOL * omegas[0])))
     for target in (1.5, 1.9):
         curve = CalibrationCurve(
-            omega_values=omegas, delta_lambda_values=shift(omegas), forward=_model(shift)
+            omega_values=omegas,
+            delta_lambda_values=shift(omegas),
+            forward=_model(shift),
+            exact=_NAN_REFERENCE,
         )
         recorded, calls = _recording(curve)
         est = estimate_omega_numeric(float(shift(target)[0]), recorded)
