@@ -13,8 +13,9 @@ rates of `omega_ladder`; the only curve this package builds).  The curve
 keeps the bound `numeric_forward` model it was sampled with, and the
 inverter evaluates that same model.  Building the curve is the one place
 that decides whether it can be inverted: a curve whose sampled shifts do
-not step in one direction by more than their rounding floor is refused
-there, and the inverter then refuses only an observation outside the
+not step in one direction by more than their rounding floor, or whose
+exact-Gaussian reference is not finite on the ladder, is refused there,
+and the inverter then refuses only an observation outside the
 calibrated range.  No silent extrapolation, ever.
 
 The numeric solve starts from the calibration interval whose sample shifts
@@ -29,10 +30,10 @@ block's residual.  Otherwise (a seed off the grid's root, which happens
 where the grid curve is ragged at the scale of the stop test) one-rate
 steps go out from the seed, each SEED_STEP_FACTOR times as far as the
 last, until one passes the root, and plain bisection closes the bracket
-that leaves; with no seed (a non-finite closed form) bisection closes
-the whole interval.  Every rate
-evaluated narrows one straddling bracket.  The grid is the only model
-whose root is returned; the closed form only places the block.
+that leaves; with no seed (closed-form steps that do not settle)
+bisection closes the whole interval.  Every rate evaluated narrows one
+straddling bracket.  The grid is the only model whose root is returned;
+the closed form only places the block.
 """
 
 from __future__ import annotations
@@ -127,15 +128,17 @@ def calibration_curve(
 
     This is the one place that decides whether a curve can be inverted: a
     curve is returned only when every step between its sampled momentum
-    shifts clears the rounding floor 16*ulp(p0) in one direction.  The curve
-    keeps the bound model and the scheme's `exact_gaussian` reference, which
-    seeds the inversion.
+    shifts clears the rounding floor 16*ulp(p0) in one direction, and the
+    scheme's `exact_gaussian` reference is finite at every ladder rate.  The
+    curve keeps the bound model and that reference, which seeds the
+    inversion.
 
     Raises
     ------
     NonMonotonicCalibration
         If a step of the sampled shifts does not clear that floor in the
-        direction of the others.
+        direction of the others, or the reference is not finite at a
+        ladder rate.
     """
     omegas = omega_ladder(omega_min, omega_max, n_points)
     scheme = single_scheme(config)
@@ -151,9 +154,13 @@ def calibration_curve(
             f"[{omegas[0]:.3e}, {omegas[-1]:.3e}] rad/s is "
             f"not strictly monotone; refusing to invert"
         )
-    return CalibrationCurve(
-        omegas, shift.delta_lambda, forward, functools.partial(exact_gaussian, config, scheme)
-    )
+    exact = functools.partial(exact_gaussian, config, scheme)
+    if not np.all(np.isfinite(exact(omegas).delta_lambda)):
+        raise NonMonotonicCalibration(
+            f"{scheme.value} exact-Gaussian reference on "
+            f"[{omegas[0]:.3e}, {omegas[-1]:.3e}] rad/s is not finite; refusing to invert"
+        )
+    return CalibrationCurve(omegas, shift.delta_lambda, forward, exact)
 
 
 def check_observation(delta_lambda_obs) -> None:
@@ -171,7 +178,7 @@ def _seed(exact, a: float, b: float, ya: float, yb: float) -> float | None:
     ends.  One call samples it at SEED_SAMPLES rates across [a, b]; the
     first sign change brackets its root, and Illinois steps (false position
     whose stale end has its value halved), one closed-form evaluation each,
-    close in on it.  None when a step is not finite or does not settle.
+    close in on it.  None when the steps do not settle.
     Python floats throughout, so a non-finite closed form warns nowhere.
     """
     omegas = np.linspace(a, b, SEED_SAMPLES).tolist()
@@ -184,8 +191,6 @@ def _seed(exact, a: float, b: float, ya: float, yb: float) -> float | None:
     x0, y0, x1, y1 = omegas[j - 1], model[j - 1], omegas[j], model[j]
     for _ in range(SEED_MAX_STEPS):
         x = x1 - y1 * (x1 - x0) / (y1 - y0)
-        if not a < x < b:
-            return None
         # a step this far inside the block's half-width leaves the seed settled
         if abs(x - x1) <= 0.1 * SEED_HALF_WIDTH * x:
             return x
@@ -251,9 +256,9 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
     so it keeps the sign change nearest the seed; if that lies past the
     block, one-rate steps go out from the seed to s + (e - s)*8**j,
     j = 1, 2, ... (e the block's end on that side, 8 = SEED_STEP_FACTOR),
-    each narrowing [a, b], while the step is inside it.  A seed that is not
-    finite, or would put the block outside (a, b), skips the block and the
-    steps.
+    each narrowing [a, b], while the step is inside it.  No seed (steps
+    that do not settle), or one that would put the block outside (a, b),
+    skips the block and the steps.
 
     Plain bisection closes what is left.  It stops once the bracket is no
     wider than BISECTION_REL_TOL * |midpoint| or after BISECTION_MAX_ITER

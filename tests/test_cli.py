@@ -294,6 +294,26 @@ def test_estimate_numeric_on_a_curve_turning_between_samples_fails(
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("scheme", ["swm", "bwm"])
+def test_estimate_numeric_with_a_non_finite_reference_fails(tmp_path, capsys, scheme):
+    # the golden edge-tiny-lambda `estimate-<scheme>-3-point` run: its grid
+    # aliases the law and its exact-Gaussian reference is NaN, so it is
+    # refused instead of printing 1e-8 rad/s with residual 0
+    config = _scenario(
+        tmp_path, lambda0_nm=1e-150, fwhm_nm=1e-152, scheme=scheme, grid={"points": 1001}
+    )
+    code = cli_main(
+        [
+            "estimate", "--config", str(config), "--delta-lambda-m", "-6.901930055575093e-164",
+            "--method", "numeric", "--points", "3",
+        ]
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exact-Gaussian reference" in captured.err
+
+
 def test_figure3_emits_four_files(tmp_path):
     config = _scenario(tmp_path)
     out_dir = tmp_path / "fig3"

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from sagnac_wva.engine import (
     NumericForward,
     SchemeKind,
     analytic_shift,
+    exact_gaussian,
     numeric_forward,
 )
 from sagnac_wva.errors import (
@@ -474,11 +476,20 @@ def test_a_missed_block_leaves_the_bracket_to_itp():
 def test_a_non_finite_closed_form_leaves_the_estimate_to_itp(scheme_name):
     # the golden matrix's edge-tiny-lambda scenario, whose sigma_p^2
     # overflows: the closed form is NaN, so no block is seeded and every
-    # call is a one-rate bisection step, with no numpy warning on the way
+    # call is a one-rate bisection step, with no numpy warning on the way;
+    # `calibration_curve` refuses this curve, so it is built by hand
     config = _config(
         scheme=scheme_name, lambda0_nm=1e-150, fwhm_nm=1e-152, grid=GridSpec(points=1001)
     )
-    curve = calibration_curve(config, 1e-10, 1e-8, 3)
+    scheme = SchemeKind(scheme_name)
+    forward = numeric_forward(config, scheme)
+    omegas = omega_ladder(1e-10, 1e-8, 3)
+    curve = CalibrationCurve(
+        omega_values=omegas,
+        delta_lambda_values=forward(omegas).delta_lambda,
+        forward=forward,
+        exact=functools.partial(exact_gaussian, config, scheme),
+    )
     assert not np.isfinite(curve.exact(curve.omega_values).delta_lambda).any()
     obs = 0.5 * float(curve.delta_lambda_values[0] + curve.delta_lambda_values[1])
     recorded, calls = _recording(curve)
@@ -488,6 +499,40 @@ def test_a_non_finite_closed_form_leaves_the_estimate_to_itp(scheme_name):
         est = estimate_omega_numeric(obs, counted)
     assert sizes and set(sizes) == {1}
     _assert_bracket_contract(curve, obs, calls, est)
+
+
+@pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
+def test_a_non_finite_reference_is_refused(scheme_name):
+    # the golden matrix's edge-tiny-lambda scenario: the aliased grid samples
+    # clear the step floor, but sigma_p^2 overflows, so the exact-Gaussian
+    # reference is NaN at every ladder rate
+    config = _config(
+        scheme=scheme_name, lambda0_nm=1e-150, fwhm_nm=1e-152, grid=GridSpec(points=1001)
+    )
+    with pytest.raises(NonMonotonicCalibration) as exc:
+        calibration_curve(config, 1e-10, 1e-8, 3)
+    assert str(exc.value) == (
+        f"{scheme_name} exact-Gaussian reference on [1.000e-10, 1.000e-08] rad/s "
+        f"is not finite; refusing to invert"
+    )
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP direction 1: fringe cap")
+@pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
+def test_an_aliased_grid_with_a_finite_reference_is_refused(scheme_name):
+    # the golden matrix's edge-aliased-lambda scenario: the law crosses about
+    # 2.6e136 fringes across the bracket, which 1001 nodes alias, while the
+    # reference is finite (0); an observation midway between the first two
+    # samples returns 5.5e-10 rad/s, its residual 120 times the observation
+    config = _config(
+        scheme=scheme_name, lambda0_nm=1e-140, fwhm_nm=1e-142, grid=GridSpec(points=1001)
+    )
+    evaluate = numeric_forward(config, SchemeKind(scheme_name))
+    samples = evaluate(omega_ladder(1e-10, 1e-8, 3)).delta_lambda
+    obs = 0.5 * float(samples[0] + samples[1])
+    with pytest.raises(NonMonotonicCalibration):
+        curve = calibration_curve(config, 1e-10, 1e-8, 3)
+        estimate_omega_numeric(obs, curve)
 
 
 @pytest.mark.parametrize("k", [-40, -6, -3, 3, 6, 40])

@@ -90,6 +90,9 @@ EDGES = [
     ("edge-grid-below-zero", {"fwhm_nm": 353.0, "scheme": "both"}),
     # a valid line so short that p0^2 overflows a double (p0 ~ 6.3e159 1/m)
     ("edge-tiny-lambda", {"lambda0_nm": 1e-150, "fwhm_nm": 1e-152, "scheme": "both"}),
+    # a line short enough that the grid aliases the law's fringes while the
+    # exact-Gaussian reference stays finite (ROADMAP standing defect 1.3)
+    ("edge-aliased-lambda", {"lambda0_nm": 1e-140, "fwhm_nm": 1e-142, "scheme": "both"}),
     # one scenario per remaining config or grid refusal, so that byte identity
     # covers every refusal message
     ("edge-phi-above-range", {"phi_rad": 2.0, "scheme": "bwm"}),
