@@ -248,8 +248,8 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
     rate with zero residual.
 
     A seed s in (a, b) comes from the curve's `exact` reference alone
-    (`_seed`, no grid call), and one call of the curve's
-    model evaluates the block [lo, hi, mid], lo = s*(1 - SEED_HALF_WIDTH),
+    (`_seed`, no grid call), and one call of the curve's model evaluates
+    the block [lo, hi, mid], lo = s*(1 - SEED_HALF_WIDTH),
     hi = s*(1 + SEED_HALF_WIDTH), mid = (lo + hi)/2 evaluated last.  If lo
     and hi straddle the observation, the estimate is mid with the block's
     residual there.  Otherwise the block's rates narrow [a, b], mid first,
