@@ -6,6 +6,9 @@ Subcommands: spectrum, compare, sweep, estimate, figure3.  Exit codes:
 (zero intensity, non-monotone or out-of-range inversion), 4 output I/O
 failure.  Diagnostics go to stderr, a failure as one `error:` line and no
 warning of any kind; machine-readable output goes to files or stdout only.
+An argv that starts with a command name is parsed by that command's
+sub-parser alone; any other argv (none, `--help`, `--version`, an unknown
+command) goes through the top-level parser.
 """
 
 from __future__ import annotations
@@ -70,8 +73,9 @@ FIGURE3_FILES = (
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser, built on first use and shared by every call."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI's argument parser and its command name -> sub-parser map, built
+    on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="sagnac-wva",
         description=(
@@ -117,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     fg.add_argument("--config", required=True)
     fg.add_argument("--out", required=True, help="output directory")
 
-    return parser
+    return parser, sub.choices
 
 
 def _cmd_spectrum(args) -> int:
@@ -287,9 +291,18 @@ def _join_float_values(argv: list[str]) -> list[str]:
 
 
 def cli_main(argv: list[str]) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
+    argv = _join_float_values(argv)
     try:
-        args = parser.parse_args(_join_float_values(argv))
+        if argv and argv[0] in commands:
+            # the top-level parser would hand every token after the command to
+            # its sub-parser and refuse what that leaves over; do both directly
+            args, extras = commands[argv[0]].parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse already printed usage/help; fold its exit status through
         return int(exc.code) if exc.code is not None else EXIT_OK

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -337,7 +338,7 @@ def test_figure3_output_path_collision(tmp_path):
 @pytest.mark.skipif(
     shutil.which("sagnac-wva") is None,
     reason="console script 'sagnac-wva' not on PATH; "
-    "install with `pip install -e . --no-build-isolation`",
+    "test_entry_point_declaration_runs_main checks the same entry point without an install",
 )
 def test_console_script_entry_point():
     result = subprocess.run(
@@ -763,6 +764,47 @@ def test_ambiguous_float_flag_prefix_stays_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert "ambiguous option: --omega" in captured.err
     assert captured.out == ""
+
+
+def test_command_argv_is_parsed_once_by_its_own_sub_parser(tmp_path, monkeypatch):
+    # through the top-level parser, the command's tokens would be parsed
+    # twice: once there and again by the sub-parser it hands them to
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    config = str(_scenario(tmp_path, scheme="swm"))
+    argv = ["estimate", "--config", config, "--delta-lambda-m", "-1.2e-13", "--method", "numeric"]
+    assert cli_main(argv) == 0
+    assert len(calls) == 1
+    parser, commands = build_parser()
+    assert calls[0] is commands["estimate"]
+    # every other argv still goes through the top-level parser
+    for argv, code in (([], 2), (["--version"], 0), (["frobnicate"], 2)):
+        calls.clear()
+        assert cli_main(argv) == code
+        assert len(calls) == 1 and calls[0] is parser
+
+
+def test_leftover_token_after_a_command_gets_the_top_level_usage(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+    config = str(_scenario(tmp_path, scheme="swm"))
+    code = cli_main(
+        ["estimate", "--config", config, "--delta-lambda-m", "1e-13", "--method", "analytic",
+         "extra"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "usage: sagnac-wva [-h] [--version]\n"
+        "                  {spectrum,compare,sweep,estimate,figure3} ...\n"
+        "sagnac-wva: error: unrecognized arguments: extra\n"
+    )
 
 
 @pytest.mark.parametrize(

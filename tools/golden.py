@@ -25,8 +25,10 @@ commands for the refusals no scenario reaches: unreadable or malformed
 scenario files, single-scheme commands on a `both` scenario, refused flag
 values, an overflowing closed-form estimate, a calibration ladder from a
 subnormal rate, the numeric estimates of ROADMAP standing defect 1 (on the
-README scenario and its default 4001-node grid) and output paths that
-cannot be written.
+README scenario and its default 4001-node grid), output paths that
+cannot be written and the front end's parse routes (no arguments, help,
+version, an unknown command, a leftover token, an abbreviated or an
+ambiguous float flag).
 
 For every command it writes the files the command wrote plus a `.run` file
 with the exit code, stdout and stderr.  The `compare` record's `timestamp`
@@ -39,7 +41,7 @@ two checkouts of equal behaviour give identical trees.  Compare two checkouts wi
     diff -r /tmp/golden-parent /tmp/golden-change
 
 Needs only the package's own dependencies.  The full matrix runs about
-2058 commands, writes about 128 MB and takes 6-13 s on one core.
+2110 commands, writes about 128 MB and takes 6-13 s on one core.
 """
 
 from __future__ import annotations
@@ -169,6 +171,23 @@ ONE_OFFS = [
     ("spectrum-missing-directory", ["spectrum", "--config", "swm.json", "--out",
                                     "missing/x.csv"]),
     ("figure3-onto-a-file", ["figure3", "--config", "both.json", "--out", "taken"]),
+    # the front end: argvs the top-level parser takes (none, help, version, an
+    # unknown command) and command argvs with a help flag, a leftover token,
+    # a top-level flag after the command, an abbreviated float flag with a
+    # negative value as its own token and an ambiguous float flag prefix
+    ("front-no-arguments", []),
+    ("front-version", ["--version"]),
+    ("front-help", ["--help"]),
+    ("front-estimate-help", ["estimate", "--help"]),
+    ("front-unknown-command", ["frobnicate", "--config", "swm.json"]),
+    ("front-leftover-token", ["estimate", "--config", "swm.json", "--delta-lambda-m", "1e-13",
+                              "--method", "analytic", "extra"]),
+    ("front-version-after-command", ["compare", "--config", "swm.json", "--out", "x.json",
+                                     "--version"]),
+    ("front-abbreviated-negative-value", ["estimate", "--config", "swm.json", "--delta",
+                                          "-1.2e-09", "--method", "analytic"]),
+    ("front-ambiguous-float-flag", ["estimate", "--config", "swm.json", "--delta-lambda-m",
+                                    "1e-13", "--method", "numeric", "--omega", "1e-10"]),
 ]
 
 #: scenarios that also get a long analytic sweep: one per scheme setting
