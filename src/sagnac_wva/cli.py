@@ -4,8 +4,11 @@ Command-line interface.
 Subcommands: spectrum, compare, sweep, estimate, figure3.  Exit codes:
 0 success, 2 configuration or validation problem, 3 numerical failure
 (zero intensity, non-monotone or out-of-range inversion), 4 output I/O
-failure.  Diagnostics go to stderr, a failure as one `error:` line and no
-warning of any kind; machine-readable output goes to files or stdout only.
+failure.  A package error carries its own code (`errors`); of the OS
+errors the package passes on unwrapped, a missing scenario file exits 2
+and any other 4.  Diagnostics go to stderr, a failure as one `error:` line
+and no warning of any kind; machine-readable output goes to files or
+stdout only.
 An argv that starts with a command name is parsed by that command's
 sub-parser alone; any other argv (none, `--help`, `--version`, an unknown
 command) goes through the top-level parser.
@@ -14,9 +17,7 @@ command) goes through the top-level parser.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import math
 import sys
 import warnings
 from pathlib import Path
@@ -35,15 +36,7 @@ from .engine import (
     scheme_spectrum,
     single_scheme,
 )
-from .errors import (
-    IoError,
-    NonFiniteResult,
-    NonMonotonicCalibration,
-    OutOfRangeObservation,
-    ParseError,
-    ValidationError,
-    ZeroTotalIntensity,
-)
+from .errors import IoError, NonFiniteResult, SagnacWvaError, ValidationError
 from .estimation import (
     calibration_curve,
     check_observation,
@@ -56,7 +49,6 @@ from .spectrum import momentum_to_wavelength, normalize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 #: the two rotation rates the figure3 spectra are evaluated at, rad/s
@@ -148,13 +140,6 @@ def _cmd_spectrum(args) -> int:
 def _cmd_compare(args) -> int:
     config = load_scenario(args.config)
     results = compare_schemes(config)
-    for res in results:
-        for field in dataclasses.fields(res):
-            value = getattr(res, field.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise NonFiniteResult(
-                    f"{res.scheme.value} {field.name} is {value}; no record written"
-                )
     record = build_run_record(config, results, discrepancy_from_results(results))
     write_results_json(args.out, record)
     return EXIT_OK
@@ -313,17 +298,12 @@ def cli_main(argv: list[str]) -> int:
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return _COMMANDS[args.command](args)
-    except (ValidationError, ParseError, FileNotFoundError) as exc:
+    except SagnacWvaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (
-        ZeroTotalIntensity, NonFiniteResult, NonMonotonicCalibration, OutOfRangeObservation
-    ) as exc:
+        return exc.exit_code
+    except OSError as exc:  # passed on unwrapped, as load_scenario's FileNotFoundError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:  # IoError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_CONFIG if isinstance(exc, FileNotFoundError) else EXIT_IO
 
 
 def main() -> None:

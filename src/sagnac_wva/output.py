@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .errors import IoError
+from .errors import IoError, NonFiniteResult
 
 
 def format_float(x: float) -> str:
@@ -420,12 +420,18 @@ def build_run_record(config, results, discrepancy_rows) -> dict:
 
     Keys: `config`, `results` (each scheme's result fields but `scheme`,
     under the scheme's name), `discrepancy` (each row's fields, `scheme` as
-    its name), `tool_version` and `timestamp`.
+    its name), `tool_version` and `timestamp`.  A record holds no inf or
+    NaN: a result field that is not finite raises NonFiniteResult naming
+    the first one, in scheme order and then field order, and an infinite
+    relative difference is written as null.
     """
     results_dict = {}
     for res in results:
         block = dataclasses.asdict(res)
         del block["scheme"]
+        for field, value in block.items():
+            if not math.isfinite(value):
+                raise NonFiniteResult(f"{res.scheme.value} {field} is {value}; no record written")
         results_dict[res.scheme.value] = block
     discrepancy = []
     for row in discrepancy_rows:

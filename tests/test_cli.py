@@ -678,7 +678,8 @@ def _package_errors(cls=SagnacWvaError):
 
 @pytest.mark.parametrize("error", list(_package_errors()), ids=lambda cls: cls.__name__)
 def test_every_package_error_maps_to_an_exit_code(tmp_path, monkeypatch, capsys, error):
-    # whatever a command raises on purpose exits 2, 3 or 4 with one line
+    # whatever a command raises on purpose exits with the code the error
+    # carries, 2, 3 or 4, and one line
     exc = error("field", "refused") if error is ValidationError else error("refused")
 
     def command(args):
@@ -686,6 +687,7 @@ def test_every_package_error_maps_to_an_exit_code(tmp_path, monkeypatch, capsys,
 
     monkeypatch.setitem(sagnac_wva.cli._COMMANDS, "compare", command)
     code = cli_main(["compare", "--config", "unused.json", "--out", str(tmp_path / "r.json")])
+    assert code == error.exit_code
     assert code in (2, 3, 4)
     assert capsys.readouterr().err == f"error: {exc}\n"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from sagnac_wva.engine import (
     discrepancy_from_results,
     postselected_spectrum,
 )
-from sagnac_wva.errors import IoError
+from sagnac_wva.errors import IoError, NonFiniteResult
 from sagnac_wva.output import (
     CSV_CHUNK_VALUES,
     build_run_record,
@@ -346,3 +347,17 @@ def test_infinite_relative_difference_serialized_as_null():
     record = build_run_record(config, results, rigged)
     payload = json.loads(record_to_json(record))
     assert all(row["relative_difference"] is None for row in payload["discrepancy"])
+
+
+def test_run_record_refuses_a_non_finite_result_field():
+    # the first non-finite field, schemes in order and fields in dataclass
+    # order, is named; the record would otherwise hold an inf
+    config = _config()
+    swm, bwm = compare_schemes(config)
+    results = (
+        swm,
+        dataclasses.replace(bwm, delta_p_analytic=math.inf, postselect_prob_numeric=math.nan),
+    )
+    with pytest.raises(NonFiniteResult) as exc:
+        build_run_record(config, results, discrepancy_from_results(results))
+    assert str(exc.value) == "bwm delta_p_analytic is inf; no record written"

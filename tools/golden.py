@@ -24,8 +24,9 @@ machine could allocate).  A last directory, `one-off/`, holds single
 commands for the refusals no scenario reaches: unreadable or malformed
 scenario files, single-scheme commands on a `both` scenario, refused flag
 values, an overflowing closed-form estimate, a calibration ladder from a
-subnormal rate, the numeric estimates of ROADMAP standing defect 1 (on the
-README scenario and its default 4001-node grid), output paths that
+subnormal rate, the numeric estimates of ROADMAP standing defect 1 and two
+on ladders that end just below and just past a turning point of the
+curve (on the README scenario and its default 4001-node grid), output paths that
 cannot be written and the front end's parse routes (no arguments, help,
 version, an unknown command, a leftover token, an abbreviated or an
 ambiguous float flag).
@@ -166,6 +167,13 @@ ONE_OFFS = [
         "--method", "numeric", "--omega-min", "6.2e-3", "--omega-max", "0.19", "--points", "3"])
       for scheme, observed in (("swm", "-5.105890607060714e-10"),
                                ("bwm", "-5.106839577107428e-10"))],
+    # the bwm shift at 5e-9 rad/s on the README scenario, on a ladder that
+    # ends just below the k = 0 turning point of the curve (1.0017e-8 rad/s)
+    # and on one that crosses it
+    *[(f"estimate-bwm-{name}-turning-point",
+       ["estimate", "--config", "readme-bwm.json", "--delta-lambda-m", "6.7620148795770035e-09",
+        "--method", "numeric", "--omega-max", omega_max])
+      for name, omega_max in (("below", "9.9e-9"), ("across", "1.05e-8"))],
     # output I/O failures: a missing directory, and a file where figure3's
     # directory should go
     ("spectrum-missing-directory", ["spectrum", "--config", "swm.json", "--out",
