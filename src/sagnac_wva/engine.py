@@ -200,18 +200,20 @@ def postselection_probability(probe: ProbeSpectrum, intensity: np.ndarray) -> fl
     return float(np.trapezoid(intensity, probe.p_grid))
 
 
-def mean_shift_numeric(probe: ProbeSpectrum, intensity: np.ndarray) -> MeanShift:
-    """Shift of the mean momentum of `intensity`, on the probe grid, from the probe's.
+def _delta_lambda(delta_p, lambda0):
+    """A momentum shift as a wavelength shift at the probe centre lambda0:
+    -delta_p * lambda0^2 / (2*pi); the package's one such conversion."""
+    return -delta_p * lambda0**2 / (2.0 * np.pi)
 
-    delta_lambda converts the momentum shift at the probe centre:
-    delta_lambda = -delta_p * lambda0^2 / (2*pi).
-    """
+
+def mean_shift_numeric(probe: ProbeSpectrum, intensity: np.ndarray) -> MeanShift:
+    """Shift of the mean momentum of `intensity`, on the probe grid, from the
+    probe's, and the same shift as a wavelength (`_delta_lambda`)."""
     post_mean = moments(probe.p_grid, intensity).mean
     probe_mean = moments(probe.p_grid, probe.intensity).mean
     delta_p = post_mean - probe_mean
     lambda0 = momentum_to_wavelength(probe.p0)
-    delta_lambda = -delta_p * lambda0**2 / (2.0 * np.pi)
-    return MeanShift(delta_p=delta_p, delta_lambda=delta_lambda)
+    return MeanShift(delta_p=delta_p, delta_lambda=_delta_lambda(delta_p, lambda0))
 
 
 def _width_ratio_sq(config) -> float:
@@ -287,10 +289,11 @@ def exact_gaussian(config, scheme: SchemeKind, omegas) -> NumericForward:
     x = 2*a^2*sigma_p^2, the probe's integrals of sin^2(a*p + phi) give
     P = (-expm1(-x) + 2*exp(-x)*sin^2(theta/2)) / 2 and
     delta_p = 2*a*sigma_p^2*exp(-x)*sin(theta) / (2*P), converted to
-    delta_lambda as `numeric_forward` does.  These are integrals over the
-    whole line, not the grid: a labelled exact-gaussian reference that
-    seeds the numeric inversion, never a result.  An overflow
-    (sigma_p^2 on a tiny lambda0) gives a non-finite value, not a warning.
+    delta_lambda by `_delta_lambda` as in `numeric_forward`.  These are
+    integrals over the whole line, not the grid: a labelled exact-gaussian
+    reference that seeds the numeric inversion, never a result.  An
+    overflow (sigma_p^2 on a tiny lambda0) gives a non-finite value, not a
+    warning.
     """
     _, psi_pre, phi_at_p0 = _law(config, scheme)
     probe = config.probe
@@ -303,7 +306,7 @@ def exact_gaussian(config, scheme: SchemeKind, omegas) -> NumericForward:
         decay = np.exp(-x)
         twice_p = -np.expm1(-x) + 2.0 * decay * np.sin(half_theta) ** 2
         delta_p = 2.0 * a * variance * decay * np.sin(2.0 * half_theta) / twice_p
-        delta_lambda = -delta_p * momentum_to_wavelength(probe.p0) ** 2 / (2.0 * np.pi)
+        delta_lambda = _delta_lambda(delta_p, momentum_to_wavelength(probe.p0))
     return NumericForward(delta_p=delta_p, delta_lambda=delta_lambda, probability=0.5 * twice_p)
 
 
@@ -361,7 +364,7 @@ def numeric_forward(config, scheme: SchemeKind):
         delta_p = firsts / totals - probe_mean
         return NumericForward(
             delta_p=delta_p,
-            delta_lambda=-delta_p * lambda0**2 / (2.0 * np.pi),
+            delta_lambda=_delta_lambda(delta_p, lambda0),
             probability=totals,
         )
 
