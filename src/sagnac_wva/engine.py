@@ -12,8 +12,9 @@ mean-shift and probability expressions are always labelled analytic and
 never replace the numeric values.  `exact_gaussian` integrates the same
 full law over the untruncated Gaussian probe in closed form: a reference,
 not ground truth.  It differs from the grid by the 6-sigma truncation
-(about 7e-8 of the shift) and the grid's rounding; the numeric inversion
-uses it only to place the grid block it then evaluates, and no output
+(about 7e-8 of the shift) and the grid's rounding.  The numeric
+inversion uses it to certify a calibration curve, on the rates of
+`phase_samples`, and to place the grid block it then evaluates; no output
 reports it.
 
 `scheme_spectrum`, `analytic_shift`, `pointform_probability`,
@@ -73,6 +74,7 @@ undefined result, not an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -88,6 +90,12 @@ from .spectrum import FWHM_PER_SIGMA, ProbeSpectrum, integrals, moments, momentu
 #: of the two float64 arrays of a bound model's workspace to 128 KiB
 #: whatever the number of rates (one row, of any size, on a wider grid)
 NUMERIC_CHUNK_ELEMENTS = 16384
+#: rates per segment of `phase_samples`, and the most rates it places on a
+#: bracket; one that needs more is refused, not sampled
+PHASE_SEGMENT = 129
+PHASE_SAMPLE_CAP = 200_000
+#: PHASE_SEGMENT fractions evenly spaced from 0 to 1, one sample row's shape
+_UNIT = np.linspace(0.0, 1.0, PHASE_SEGMENT)
 
 
 class SchemeKind(Enum):
@@ -291,9 +299,9 @@ def exact_gaussian(config, scheme: SchemeKind, omegas) -> NumericForward:
     delta_p = 2*a*sigma_p^2*exp(-x)*sin(theta) / (2*P), converted to
     delta_lambda by `_delta_lambda` as in `numeric_forward`.  These are
     integrals over the whole line, not the grid: a labelled exact-gaussian
-    reference that seeds the numeric inversion, never a result.  An
-    overflow (sigma_p^2 on a tiny lambda0) gives a non-finite value, not a
-    warning.
+    reference that certifies and seeds the numeric inversion, never a
+    result.  An overflow (sigma_p^2 on a tiny lambda0) gives a non-finite
+    value, not a warning.
     """
     _, psi_pre, phi_at_p0 = _law(config, scheme)
     probe = config.probe
@@ -308,6 +316,57 @@ def exact_gaussian(config, scheme: SchemeKind, omegas) -> NumericForward:
         delta_p = 2.0 * a * variance * decay * np.sin(2.0 * half_theta) / twice_p
         delta_lambda = _delta_lambda(delta_p, momentum_to_wavelength(probe.p0))
     return NumericForward(delta_p=delta_p, delta_lambda=delta_lambda, probability=0.5 * twice_p)
+
+
+def phase_samples(config, scheme: SchemeKind, omega_lo: float, omega_hi: float):
+    """Rates that resolve one scheme's `exact_gaussian` curve on [omega_lo, omega_hi].
+
+    The law's phase theta/2 = g'*p0*Omega + phi_at_p0 is linear in Omega
+    (g', the coupling length per unit rate, and the rest from `_law`).  The
+    curve turns twice per fringe, each time within about
+    |a_k|*sigma_p/(g'*p0) of a rate Omega_k where theta/2 = k*pi
+    (a_k = g'*Omega_k + psi_pre), so sharply where that is small.  Returns
+    a (segments, PHASE_SEGMENT) array, each row increasing: rows of linear
+    samples across the bracket at most pi/16 of theta/2 apart, each row
+    starting where the one before ended; then, for each k whose window
+    Omega_k +- 8*|a_k|*sigma_p/(g'*p0) meets the bracket, one row of linear
+    and one of log-spaced samples across the window's part inside it.  The
+    k are looked for within the widest window of the bracket's own rates.
+    None when that would take more than PHASE_SAMPLE_CAP rates (a bracket
+    over about 740 fringes), or when g'*p0 is 0 or not finite.
+    """
+    _, psi_pre, phi_at_p0 = _law(config, scheme)
+    omega_lo, omega_hi, sigma_p = float(omega_lo), float(omega_hi), config.probe.sigma_p
+    slope = _coupling_length(config, 1.0)
+    rate = slope * config.probe.p0  # rad of theta/2 per rad/s
+    reach = 8.0 * sigma_p * max(abs(slope * omega_lo + psi_pre), abs(slope * omega_hi + psi_pre))
+    # rows of 128 steps of pi/16 span 8*pi of theta/2 each; k from the
+    # phases the widest window around the bracket reaches
+    bounds = (
+        rate * (omega_hi - omega_lo) / (8.0 * np.pi),
+        (rate * omega_lo + phi_at_p0 - reach) / np.pi,
+        (rate * omega_hi + phi_at_p0 + reach) / np.pi,
+    )
+    if not (rate > 0.0 and all(map(math.isfinite, bounds))):
+        return None
+    pieces = max(1, math.ceil(bounds[0]))
+    k_first, k_last = math.ceil(bounds[1]), math.floor(bounds[2])
+    if (pieces + 2 * max(0, k_last - k_first + 1)) * PHASE_SEGMENT > PHASE_SAMPLE_CAP:
+        return None
+    windows = []
+    for k in range(k_first, k_last + 1):
+        centre = (k * np.pi - phi_at_p0) / rate
+        half = 8.0 * sigma_p * abs(slope * centre + psi_pre) / rate
+        lo, hi = max(centre - half, omega_lo), min(centre + half, omega_hi)
+        if lo < hi:
+            windows.append((lo, hi))
+    linear = omega_lo + (omega_hi - omega_lo) / pieces * (np.arange(pieces)[:, None] + _UNIT)
+    if not windows:
+        return linear
+    lo, hi = np.transpose(windows)[:, :, None]
+    log_lo = np.log(lo)
+    log_rows = np.exp(log_lo + (np.log(hi) - log_lo) * _UNIT)
+    return np.concatenate([linear, lo + (hi - lo) * _UNIT, log_rows])
 
 
 def pointform_probability(config, scheme: SchemeKind, omega) -> float:

@@ -12,11 +12,14 @@ that model must be built first (`calibration_curve`, on the log-spaced
 rates of `omega_ladder`; the only curve this package builds).  The curve
 keeps the bound `numeric_forward` model it was sampled with, and the
 inverter evaluates that same model.  Building the curve is the one place
-that decides whether it can be inverted: a curve whose sampled shifts do
-not step in one direction by more than their rounding floor, or whose
-exact-Gaussian reference is not finite on the ladder, is refused there,
-and the inverter then refuses only an observation outside the
-calibrated range.  No silent extrapolation, ever.
+that decides whether it can be inverted, and it certifies the curve
+against the scheme's exact-Gaussian curve (`engine.exact_gaussian`),
+sampled finely enough in the law's phase (`engine.phase_samples`) to see
+every turn: a curve is refused there unless that exact curve is finite
+and goes the samples' way between them as well as at them, and the
+sampled shifts step in one direction by more than their distance from it
+plus their rounding floor.  The inverter then refuses only an observation
+outside the calibrated range.  No silent extrapolation, ever.
 
 The numeric solve starts from the calibration interval whose sample shifts
 straddle the observation (found among the samples, with no forward call).
@@ -47,10 +50,13 @@ from typing import Callable
 import numpy as np
 
 from .engine import (
+    PHASE_SAMPLE_CAP,
     NumericForward,
+    _delta_lambda,
     analytic_shift,
     exact_gaussian,
     numeric_forward,
+    phase_samples,
     single_scheme,
 )
 from .errors import (
@@ -59,7 +65,7 @@ from .errors import (
     OutOfRangeObservation,
     ValidationError,
 )
-from .spectrum import MAX_GRID_POINTS, finite_real
+from .spectrum import MAX_GRID_POINTS, finite_real, momentum_to_wavelength
 
 #: the numeric inversion stops when the bracket shrinks below this relative
 #: width in Omega, or after this many steps
@@ -124,41 +130,80 @@ def omega_ladder(omega_min: float, omega_max: float, n_points: int) -> np.ndarra
 def calibration_curve(
     config, omega_min: float, omega_max: float, n_points: int
 ) -> CalibrationCurve:
-    """Sample the numeric forward model on an `omega_ladder`.
+    """Sample the numeric forward model on an `omega_ladder` and certify it.
 
-    This is the one place that decides whether a curve can be inverted: a
-    curve is returned only when every step between its sampled momentum
-    shifts clears the rounding floor 16*ulp(p0) in one direction, and the
-    scheme's `exact_gaussian` reference is finite at every ladder rate.  The
-    curve keeps the bound model and that reference, which seeds the
-    inversion.
+    This is the one place that decides whether a curve can be inverted.
+    One `exact_gaussian` call evaluates the scheme's untruncated reference
+    at the ladder rates and at the rows of `engine.phase_samples`, which
+    resolve every turn the exact curve can take on the bracket.  A curve
+    is returned only when the exact curve never steps against the ladder's
+    direction, so it is monotone between the samples, not only at them, and
+    the sampled shifts clear both their rounding floor and their distance
+    from it.  The curve keeps the bound model and that reference, which
+    seeds the inversion.
 
     Raises
     ------
     NonMonotonicCalibration
-        If a step of the sampled shifts does not clear that floor in the
-        direction of the others, or the reference is not finite at a
-        ladder rate.
+        Each with its own message, checked in this order: a step of the
+        sampled momentum shifts does not clear the rounding floor
+        16*ulp(p0) in the direction of the others; the reference is not
+        finite at a ladder or sample rate; the bracket needs more than
+        PHASE_SAMPLE_CAP reference samples; the reference steps against
+        the ladder's direction on the ladder or along a sample row; or the
+        smallest sampled step does not exceed the margin, the largest
+        distance of the samples from the reference at the ladder rates
+        plus the floor.
     """
     omegas = omega_ladder(omega_min, omega_max, n_points)
     scheme = single_scheme(config)
     forward = numeric_forward(config, scheme)
     shift = forward(omegas)
     diffs = np.diff(shift.delta_p)
+    span = f"[{omegas[0]:.3e}, {omegas[-1]:.3e}] rad/s"
+
+    def refusal(subject: str, reason: str) -> NonMonotonicCalibration:
+        message = f"{scheme.value} {subject} on {span} {reason}; refusing to invert"
+        return NonMonotonicCalibration(message)
+
+    def metres(delta_p) -> str:
+        return f"{abs(_delta_lambda(delta_p, momentum_to_wavelength(config.probe.p0))):.3e} m"
+
     # the shift is a mean momentum near p0 less the probe's, so a step under
     # a few ulps of p0 (here 16) is rounding, not signal
     floor = 16.0 * math.ulp(config.probe.p0)
     if not (np.all(diffs > floor) or np.all(diffs < -floor)):
-        raise NonMonotonicCalibration(
-            f"{scheme.value} numeric calibration on "
-            f"[{omegas[0]:.3e}, {omegas[-1]:.3e}] rad/s is "
-            f"not strictly monotone; refusing to invert"
-        )
+        raise refusal("numeric calibration", "is not strictly monotone")
+    samples = phase_samples(config, scheme, omegas[0], omegas[-1])
     exact = functools.partial(exact_gaussian, config, scheme)
-    if not np.all(np.isfinite(exact(omegas).delta_lambda)):
-        raise NonMonotonicCalibration(
-            f"{scheme.value} exact-Gaussian reference on "
-            f"[{omegas[0]:.3e}, {omegas[-1]:.3e}] rad/s is not finite; refusing to invert"
+    reference = exact(omegas if samples is None else np.concatenate([omegas, samples.ravel()]))
+    if not np.isfinite(reference.delta_lambda).all():
+        raise refusal("exact-Gaussian reference", "is not finite")
+    if samples is None:
+        raise refusal("exact-Gaussian curve", f"cannot be resolved in {PHASE_SAMPLE_CAP} samples")
+    # no step of the exact curve goes against the ladder, on the ladder or
+    # along a sample row, else it turns somewhere the ladder cannot see; a
+    # zero step is no turn (rates so small that the coupling underflows
+    # give the same shift); past the ladder, each row's first difference
+    # is from the row before
+    n = omegas.size
+    directed = reference.delta_p if diffs[0] > 0.0 else -reference.delta_p
+    steps = directed[1:] - directed[:-1]
+    backward = -min(steps[: n - 1].min(), steps[n - 1 :].reshape(samples.shape)[:, 1:].min())
+    if backward > 0.0:
+        raise refusal(
+            "exact-Gaussian curve",
+            f"turns between the ladder rates (a step of {metres(backward)} against the "
+            f"ladder's direction)",
+        )
+    # the grid's steps must stand clear of its own distance from that curve
+    step = np.abs(diffs).min()
+    margin = np.abs(shift.delta_p - reference.delta_p[:n]).max() + floor
+    if step <= margin:
+        raise refusal(
+            "numeric calibration",
+            f"steps by as little as {metres(step)}, within its margin of {metres(margin)} "
+            f"(distance from the exact-Gaussian curve plus rounding floor)",
         )
     return CalibrationCurve(omegas, shift.delta_lambda, forward, exact)
 

@@ -267,11 +267,6 @@ def test_estimate_numeric_literal_biased_curve_fails(tmp_path, capsys):
     assert "monotone" in capsys.readouterr().err
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP direction 1: calibration_curve checks only the ladder samples, "
-    "and this curve turns between them",
-)
 @pytest.mark.parametrize(
     "scheme, observed",
     # each scheme's numeric shift at 4.06e-2 rad/s on the README scenario
@@ -282,7 +277,8 @@ def test_estimate_numeric_on_a_curve_turning_between_samples_fails(
     tmp_path, capsys, scheme, observed
 ):
     # the 3 log-spaced samples are monotone, the curve between them is not;
-    # today this prints 3.1224e-2 rad/s, 23 % below the truth, with exit 0
+    # inverted on the samples alone, this would print 3.1224e-2 rad/s, 23 %
+    # below the truth, with exit 0
     config = _scenario(tmp_path, scheme=scheme, grid={"points": 4001})
     code = cli_main(
         [

@@ -9,7 +9,9 @@ import pytest
 
 from sagnac_wva.engine import (
     NUMERIC_CHUNK_ELEMENTS,
+    PHASE_SEGMENT,
     SchemeKind,
+    _coupling_length,
     _law,
     amplification_factor,
     analytic_shift,
@@ -19,6 +21,7 @@ from sagnac_wva.engine import (
     exact_gaussian,
     mean_shift_numeric,
     numeric_forward,
+    phase_samples,
     postselected_spectrum,
     postselection_probability,
     scheme_spectrum,
@@ -533,3 +536,35 @@ def test_exact_gaussian_is_not_finite_and_silent_where_sigma_p_squared_overflows
         for scheme in SchemeKind:
             exact = exact_gaussian(config, scheme, omega_ladder(1e-10, 1e-8, 3))
             assert not np.any(np.isfinite(exact.delta_lambda))
+
+
+@pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
+def test_phase_samples_resolve_every_fringe_of_the_bracket(scheme_name):
+    # on 6.2e-3...0.19 rad/s the README scenario's phase theta/2 crosses
+    # k*pi for k = 1..6; the first row steps by at most pi/16 of it, and
+    # each crossing gets a linear row (then, after all those, a log row)
+    # across its window
+    config = _config(scheme=scheme_name)
+    scheme = SchemeKind(scheme_name)
+    rows = phase_samples(config, scheme, 6.2e-3, 0.19)
+    rate = _coupling_length(config, 1.0) * config.probe.p0
+    assert rows.shape == (1 + 2 * 6, PHASE_SEGMENT)
+    assert np.all(np.diff(rows, axis=1) > 0.0)
+    assert rows[0, 0] == 6.2e-3 and rows[0, -1] == pytest.approx(0.19, rel=1e-15)
+    assert np.diff(rows[0]).max() * rate <= np.pi / 16
+    phi_at_p0 = _law(config, scheme)[2]
+    for k, (linear, log) in enumerate(zip(rows[1:7], rows[7:]), 1):
+        centre = (k * np.pi - phi_at_p0) / rate
+        assert linear[0] < centre < linear[-1]
+        assert (log[0], log[-1]) == pytest.approx((linear[0], linear[-1]), rel=1e-12)
+        assert np.allclose(np.diff(np.log(log)), np.log(log[-1] / log[0]) / (PHASE_SEGMENT - 1))
+
+
+def test_phase_samples_refuse_a_bracket_past_the_cap():
+    # the golden edge-aliased-lambda scenario crosses ~2.6e136 fringes
+    config = _config(lambda0_nm=1e-140, fwhm_nm=1e-142, grid=GridSpec(points=1001))
+    assert phase_samples(config, SchemeKind.SWM, 1e-10, 1e-8) is None
+    # the README scenario: ~1.6e3 fringes need more than the cap, 160 do not
+    config = _config()
+    assert phase_samples(config, SchemeKind.SWM, 1e-3, 50.0) is None
+    assert phase_samples(config, SchemeKind.SWM, 1e-3, 5.0).size <= 200_000

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sagnac_wva import estimation
 from sagnac_wva.config import ExperimentConfig
@@ -405,6 +407,17 @@ def test_ladder_from_a_subnormal_rate_is_inverted():
     assert math.isfinite(est.residual)
 
 
+def test_biased_ladder_from_a_subnormal_rate_is_certified():
+    # below about 1e-318 rad/s the coupling underflows to 0, so the exact
+    # bwm curve is flat at 0 along its first log samples: equal steps, not
+    # a turn, and the curve is certified and inverted
+    config = _config(scheme="bwm", grid=GridSpec(points=801))
+    curve = calibration_curve(config, 5e-324, 1e-8, 2)
+    omega = 1e-9
+    est = estimate_omega_numeric(float(curve.forward(omega).delta_lambda[0]), curve)
+    assert abs(est.omega_hat - omega) <= BISECTION_REL_TOL * omega
+
+
 def _counting(curve):
     """`curve` with its forward model wrapped to log the number of rates of every call."""
     sizes = []
@@ -517,22 +530,26 @@ def test_a_non_finite_reference_is_refused(scheme_name):
     )
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP direction 1: fringe cap")
 @pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
 def test_an_aliased_grid_with_a_finite_reference_is_refused(scheme_name):
     # the golden matrix's edge-aliased-lambda scenario: the law crosses about
     # 2.6e136 fringes across the bracket, which 1001 nodes alias, while the
-    # reference is finite (0); an observation midway between the first two
-    # samples returns 5.5e-10 rad/s, its residual 120 times the observation
+    # reference is finite (0); were the curve inverted, an observation
+    # midway between the first two samples would return 5.5e-10 rad/s, its
+    # residual 120 times the observation.  No sample count resolves it
     config = _config(
         scheme=scheme_name, lambda0_nm=1e-140, fwhm_nm=1e-142, grid=GridSpec(points=1001)
     )
     evaluate = numeric_forward(config, SchemeKind(scheme_name))
     samples = evaluate(omega_ladder(1e-10, 1e-8, 3)).delta_lambda
     obs = 0.5 * float(samples[0] + samples[1])
-    with pytest.raises(NonMonotonicCalibration):
+    with pytest.raises(NonMonotonicCalibration) as exc:
         curve = calibration_curve(config, 1e-10, 1e-8, 3)
         estimate_omega_numeric(obs, curve)
+    assert str(exc.value) == (
+        f"{scheme_name} exact-Gaussian curve on [1.000e-10, 1.000e-08] rad/s cannot be "
+        f"resolved in 200000 samples; refusing to invert"
+    )
 
 
 @pytest.mark.parametrize("k", [-40, -6, -3, 3, 6, 40])
@@ -555,18 +572,70 @@ def test_a_missed_block_steps_out_from_the_seed(monkeypatch, scheme_name, k):
         _assert_bracket_contract(curve, obs, calls, est)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP direction 1: calibration_curve checks only the ladder samples, "
-    "and this curve turns between them",
+@pytest.mark.parametrize(
+    "scheme_name, backward", [("swm", "4.526e-09"), ("bwm", "4.520e-09")], ids=["swm", "bwm"]
 )
-@pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
-def test_curve_turning_between_samples_is_refused(scheme_name):
-    # the 3 log-spaced samples are monotone, yet the curve turns between
-    # them; an estimate here returns 3.1224e-2 rad/s, 23 % below the truth
+def test_curve_turning_between_samples_is_refused(scheme_name, backward):
+    # the 3 log-spaced samples are monotone, yet the curve turns 12 times
+    # between them; inverted on the samples alone, the shift at 4.06e-2
+    # rad/s gives 3.1224e-2 rad/s, 23 % below the truth
     config = _config(scheme=scheme_name)
     evaluate = numeric_forward(config, SchemeKind(scheme_name))
     obs = float(evaluate(4.06e-2).delta_lambda[0])
-    with pytest.raises(NonMonotonicCalibration):
+    with pytest.raises(NonMonotonicCalibration) as exc:
         curve = calibration_curve(config, 6.2e-3, 0.19, 3)
         estimate_omega_numeric(obs, curve)
+    assert str(exc.value) == (
+        f"{scheme_name} exact-Gaussian curve on [6.200e-03, 1.900e-01] rad/s turns between "
+        f"the ladder rates (a step of {backward} m against the ladder's direction); "
+        f"refusing to invert"
+    )
+
+
+def test_a_ladder_across_the_biased_turning_point_is_refused():
+    # the bwm curve of the README scenario peaks at 1.0017e-8 rad/s; every
+    # sample of a ladder to 1.05e-8 rises, but the curve falls past the peak
+    config = _config(scheme="bwm")
+    curve = calibration_curve(config, 1e-10, 9.9e-9, 10)
+    assert np.all(np.diff(curve.delta_lambda_values) > 0.0)
+    with pytest.raises(NonMonotonicCalibration, match="turns between the ladder rates"):
+        calibration_curve(config, 1e-10, 1.05e-8, 10)
+
+
+def test_a_grid_further_from_the_exact_curve_than_its_steps_is_refused():
+    # the golden edge-wide-line scenario: a 500 nm line on a 3-sigma grid,
+    # whose truncation puts the swm grid curve 2.9e-11 m off the exact one,
+    # more than its smallest ladder step
+    with pytest.warns(UserWarning):
+        config = _config(
+            fwhm_nm=500.0, grid=GridSpec(points=1001, half_width_sigmas=3.0)
+        )
+    with pytest.raises(NonMonotonicCalibration) as exc:
+        calibration_curve(config, 1e-10, 1e-8, 10)
+    assert str(exc.value) == (
+        "swm numeric calibration on [1.000e-10, 1.000e-08] rad/s steps by as little as "
+        "7.082e-12 m, within its margin of 2.876e-11 m (distance from the exact-Gaussian "
+        "curve plus rounding floor); refusing to invert"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scheme_name=st.sampled_from(["swm", "bwm"]),
+    log_lo=st.floats(math.log(1e-10), math.log(1e-9)),
+    ratio=st.floats(1.5, 9.9),
+    points=st.integers(2, 12),
+    where=st.floats(0.02, 0.98),
+)
+def test_numeric_round_trip_on_certified_brackets(scheme_name, log_lo, ratio, points, where):
+    # every bracket in the estimator's default range and below the bwm
+    # turning point of the README scenario is certified, and the grid's own
+    # shift at a rate inside it inverts back to that rate within the stop
+    # test (far smaller rates shift the mean by too few ulps of p0 for that)
+    config = _config(scheme=scheme_name, grid=GridSpec(points=801))
+    lo = math.exp(log_lo)
+    curve = calibration_curve(config, lo, lo * ratio, points)
+    omega = lo * ratio**where
+    obs = float(curve.forward(omega).delta_lambda[0])
+    est = estimate_omega_numeric(obs, curve)
+    assert abs(est.omega_hat - omega) <= BISECTION_REL_TOL * omega

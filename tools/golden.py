@@ -161,15 +161,15 @@ ONE_OFFS = [
                                        "5e-324", "--omega-max", "1e-8", "--points", "2"]),
     # ROADMAP standing defect 1 on the README scenario: the 3 log-spaced
     # samples are monotone, the curve turns between them, and the estimate
-    # of each scheme's shift at 4.06e-2 rad/s is a wrong rate
+    # of each scheme's shift at 4.06e-2 rad/s is refused
     *[(f"estimate-{scheme}-turning-between-samples",
        ["estimate", "--config", f"readme-{scheme}.json", "--delta-lambda-m", observed,
         "--method", "numeric", "--omega-min", "6.2e-3", "--omega-max", "0.19", "--points", "3"])
       for scheme, observed in (("swm", "-5.105890607060714e-10"),
                                ("bwm", "-5.106839577107428e-10"))],
     # the bwm shift at 5e-9 rad/s on the README scenario, on a ladder that
-    # ends just below the k = 0 turning point of the curve (1.0017e-8 rad/s)
-    # and on one that crosses it
+    # ends just below the k = 0 turning point of the curve (1.0017e-8 rad/s),
+    # which is inverted, and on one that crosses it, which is refused
     *[(f"estimate-bwm-{name}-turning-point",
        ["estimate", "--config", "readme-bwm.json", "--delta-lambda-m", "6.7620148795770035e-09",
         "--method", "numeric", "--omega-max", omega_max])
