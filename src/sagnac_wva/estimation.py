@@ -33,10 +33,10 @@ block's residual.  Otherwise (a seed off the grid's root, which happens
 where the grid curve is ragged at the scale of the stop test) one-rate
 steps go out from the seed, each SEED_STEP_FACTOR times as far as the
 last, until one passes the root, and plain bisection closes the bracket
-that leaves; with no seed (closed-form steps that do not settle)
-bisection closes the whole interval.  Every rate evaluated narrows one
-straddling bracket.  The grid is the only model whose root is returned;
-the closed form only places the block.
+that leaves; a seed that is not a rate inside the interval (a closed form
+that is not finite) leaves the whole interval to bisection.  Every rate
+evaluated narrows one straddling bracket.  The grid is the only model
+whose root is returned; the closed form only places the block.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def check_observation(delta_lambda_obs) -> None:
         raise ValidationError("delta_lambda_m", f"must be a finite number, got {delta_lambda_obs}")
 
 
-def _seed(exact, a: float, b: float, ya: float, yb: float) -> float | None:
+def _seed(exact, a: float, b: float, ya: float, yb: float) -> float:
     """A rate in (a, b) where the closed form, corrected to the grid, meets the observation.
 
     `ya` and `yb` are the grid's excess over the observation at a and b.
@@ -223,8 +223,9 @@ def _seed(exact, a: float, b: float, ya: float, yb: float) -> float | None:
     ends.  One call samples it at SEED_SAMPLES rates across [a, b]; the
     first sign change brackets its root, and Illinois steps (false position
     whose stale end has its value halved), one closed-form evaluation each,
-    close in on it.  None when the steps do not settle.
-    Python floats throughout, so a non-finite closed form warns nowhere.
+    close in on it; the last step is the seed when they do not settle.  A
+    non-finite closed form gives a NaN seed.  Python floats throughout, so
+    it warns nowhere.
     """
     omegas = np.linspace(a, b, SEED_SAMPLES).tolist()
     closed = exact(omegas).delta_lambda.tolist()
@@ -245,7 +246,7 @@ def _seed(exact, a: float, b: float, ya: float, yb: float) -> float | None:
         else:
             y0 *= 0.5
         x1, y1 = x, y
-    return None
+    return x1
 
 
 def estimate_omega_analytic(delta_lambda_obs: float, config) -> OmegaEstimate:
@@ -301,9 +302,9 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
     so it keeps the sign change nearest the seed; if that lies past the
     block, one-rate steps go out from the seed to s + (e - s)*8**j,
     j = 1, 2, ... (e the block's end on that side, 8 = SEED_STEP_FACTOR),
-    each narrowing [a, b], while the step is inside it.  No seed (steps
-    that do not settle), or one that would put the block outside (a, b),
-    skips the block and the steps.
+    each narrowing [a, b], while the step is inside it.  A seed that would
+    put the block outside (a, b), or a NaN one, skips the block and the
+    steps.
 
     Plain bisection closes what is left.  It stops once the bracket is no
     wider than BISECTION_REL_TOL * |midpoint| or after BISECTION_MAX_ITER
@@ -354,24 +355,23 @@ def estimate_omega_numeric(delta_lambda_obs: float, curve: CalibrationCurve) -> 
                 b = x
 
     seed = _seed(curve.exact, a, b, ya, yb)
-    if seed is not None:
-        lo, hi = seed * (1.0 - SEED_HALF_WIDTH), seed * (1.0 + SEED_HALF_WIDTH)
-        mid = 0.5 * (lo + hi)
-        if a < lo < mid < hi < b:
-            # one grid block; the midpoint goes last, so its residual is the last call
-            block = curve.forward(np.array([lo, hi, mid])).delta_lambda - delta_lambda_obs
-            ylo, yhi, ymid = block.tolist()
-            straddles = min(ylo, yhi) <= 0.0 <= max(ylo, yhi)
-            if straddles and hi - lo <= BISECTION_REL_TOL * mid:
-                return OmegaEstimate(omega_hat=mid, method="numeric-bisection", residual=abs(ymid))
-            # a miss: mid first, so [a, b] keeps the sign change nearest the
-            # seed; when that is past the block, step out towards it
-            for x, y in ((mid, ymid), (lo, ylo), (hi, yhi)):
-                narrow(x, y)
-            reach = SEED_STEP_FACTOR * ((hi if a >= hi else lo) - seed)
-            while a < seed + reach < b:
-                narrow(seed + reach, excess(seed + reach))
-                reach *= SEED_STEP_FACTOR
+    lo, hi = seed * (1.0 - SEED_HALF_WIDTH), seed * (1.0 + SEED_HALF_WIDTH)
+    mid = 0.5 * (lo + hi)
+    if a < lo < mid < hi < b:
+        # one grid block; the midpoint goes last, so its residual is the last call
+        block = curve.forward(np.array([lo, hi, mid])).delta_lambda - delta_lambda_obs
+        ylo, yhi, ymid = block.tolist()
+        straddles = min(ylo, yhi) <= 0.0 <= max(ylo, yhi)
+        if straddles and hi - lo <= BISECTION_REL_TOL * mid:
+            return OmegaEstimate(omega_hat=mid, method="numeric-bisection", residual=abs(ymid))
+        # a miss: mid first, so [a, b] keeps the sign change nearest the
+        # seed; when that is past the block, step out towards it
+        for x, y in ((mid, ymid), (lo, ylo), (hi, yhi)):
+            narrow(x, y)
+        reach = SEED_STEP_FACTOR * ((hi if a >= hi else lo) - seed)
+        while a < seed + reach < b:
+            narrow(seed + reach, excess(seed + reach))
+            reach *= SEED_STEP_FACTOR
 
     for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (a + b)
