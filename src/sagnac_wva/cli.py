@@ -53,7 +53,8 @@ EXIT_IO = 4
 
 #: the two rotation rates the figure3 spectra are evaluated at, rad/s
 FIGURE3_OMEGAS = (1.0e-9, 1.9e-8)
-#: sweep used by the figure3 ratio and probability panels, rad/s
+#: `omega_ladder` arguments of the figure3 ratio and probability panels'
+#: sweep: from and to (rad/s) and the number of rates
 FIGURE3_SWEEP = (1e-10, 1.9e-8, 25)
 
 FIGURE3_FILES = (
@@ -199,7 +200,7 @@ def _cmd_figure3(args) -> int:
         ))
 
     # panel C: analytic shifts of both schemes and their ratio across Omega
-    omegas = np.geomspace(*FIGURE3_SWEEP)
+    omegas = omega_ladder(*FIGURE3_SWEEP)
     swm_shift, bwm_shift = (analytic_shift(config, s, omegas).delta_lambda for s in schemes)
     ratio = bwm_shift / swm_shift
     if not np.isfinite(ratio).all():

@@ -15,16 +15,19 @@ not ground truth.  It differs from the grid by the 6-sigma truncation
 (about 7e-8 of the shift) and the grid's rounding.  The numeric
 inversion uses it to certify a calibration curve, on the rates of
 `phase_samples`, and to place the grid block it then evaluates; no output
-reports it.
+reports it.  Like `numeric_forward` it is bound once per scheme and works
+out everything that does not depend on Omega then; the bound reference
+takes an array of rates, or one Python float on numpy scalars (the seed's
+one-rate steps), with the same bits either way.
 
 `scheme_spectrum`, `analytic_shift`, `pointform_probability`,
 `numeric_forward` and `exact_gaussian` are the only code that turns
 (scenario, scheme, rotation rate) into a spectrum, a shift or a survival
 probability; `compare_schemes`, the estimators and the CLI all use them.
-Each takes the scheme and the rate (or rates) as explicit arguments and
-reads everything else from the scenario: the probe (`config.probe`, built
-once per config), phi and, for the closed forms, `paper_literal` and
-`delta_lambda_means`.
+Each takes the scheme and the rate (or rates) as explicit arguments (the
+two bound models take the rates when evaluated) and reads everything else
+from the scenario: the probe (`config.probe`, built once per config), phi
+and, for the closed forms, `paper_literal` and `delta_lambda_means`.
 `analytic_shift` is the one home of the published shift formulas, and
 `amplification_factor(config)` reads the width the same way.  A caller that
 runs the scenario's own rate passes `config.omega_rad_per_s`, and
@@ -290,8 +293,16 @@ def analytic_shift(config, scheme: SchemeKind, omega) -> MeanShift:
     return MeanShift(delta_p=delta_p, delta_lambda=delta_lambda)
 
 
-def exact_gaussian(config, scheme: SchemeKind, omegas) -> NumericForward:
-    """Untruncated Gaussian integrals of one scheme's law, one entry per rate; a reference.
+def exact_gaussian(config, scheme: SchemeKind):
+    """Bind the untruncated Gaussian integrals of one scheme's law; a reference.
+
+    Returns `evaluate(omegas) -> NumericForward`.  A rate whose type is
+    exactly `float` (a Python float, not a numpy scalar) gives numpy-scalar
+    fields, computed on numpy scalars; anything else (a numpy scalar, a
+    sequence, an array) gives flat arrays, one entry per rate.  Both run the
+    same operations in the same order, so a rate gets the same bits either
+    way.  The law's numbers (`_law`), p0, sigma_p^2, the probe's lambda0,
+    the area and the loop's lambda0 are worked out here, once.
 
     With a = g + psi_pre, theta/2 = g*p0 + phi_at_p0 (see `_law`) and
     x = 2*a^2*sigma_p^2, the probe's integrals of sin^2(a*p + phi) give
@@ -301,21 +312,33 @@ def exact_gaussian(config, scheme: SchemeKind, omegas) -> NumericForward:
     integrals over the whole line, not the grid: a labelled exact-gaussian
     reference that certifies and seeds the numeric inversion, never a
     result.  An overflow (sigma_p^2 on a tiny lambda0) gives a non-finite
-    value, not a warning.
+    value, not a warning, when binding and when evaluating.
     """
     _, psi_pre, phi_at_p0 = _law(config, scheme)
-    probe = config.probe
-    g = _coupling_length(config, np.asarray(omegas, dtype=float).reshape(-1))
+    area, loop_lambda0, p0 = config.area_m2, config.lambda0_m(), config.probe.p0
     with np.errstate(all="ignore"):
-        a = g + psi_pre
-        half_theta = g * probe.p0 + phi_at_p0
-        variance = probe.sigma_p**2
-        x = 2.0 * a**2 * variance
-        decay = np.exp(-x)
-        twice_p = -np.expm1(-x) + 2.0 * decay * np.sin(half_theta) ** 2
-        delta_p = 2.0 * a * variance * decay * np.sin(2.0 * half_theta) / twice_p
-        delta_lambda = _delta_lambda(delta_p, momentum_to_wavelength(probe.p0))
-    return NumericForward(delta_p=delta_p, delta_lambda=delta_lambda, probability=0.5 * twice_p)
+        variance = config.probe.sigma_p**2
+        lambda0 = momentum_to_wavelength(p0)
+
+    def evaluate(omegas) -> NumericForward:
+        if type(omegas) is float:
+            omegas = np.float64(omegas)
+        else:
+            omegas = np.asarray(omegas, dtype=float).reshape(-1)
+        g = coupling_length(omegas, area, loop_lambda0)
+        with np.errstate(all="ignore"):
+            a = g + psi_pre
+            half_theta = g * p0 + phi_at_p0
+            # np.square, not ** 2: a numpy scalar's ** is pow, which can
+            # differ from an array's square in the last bit
+            x = 2.0 * np.square(a) * variance
+            decay = np.exp(-x)
+            twice_p = -np.expm1(-x) + 2.0 * decay * np.square(np.sin(half_theta))
+            delta_p = 2.0 * a * variance * decay * np.sin(2.0 * half_theta) / twice_p
+            delta_lambda = _delta_lambda(delta_p, lambda0)
+        return NumericForward(delta_p, delta_lambda, probability=0.5 * twice_p)
+
+    return evaluate
 
 
 def phase_samples(config, scheme: SchemeKind, omega_lo: float, omega_hi: float):

@@ -7,41 +7,43 @@ same closed-form shift expression the forward analytic model uses, for the
 scenario's own scheme (so the pair round-trips to rounding); that
 expression is linear in Omega, so it needs no curve.  The numeric one
 solves the exact spectral forward model; because the biased scheme's
-numeric response need not be monotone in Omega, a calibration curve of
-that model must be built first (`calibration_curve`, on the log-spaced
-rates of `omega_ladder`; the only curve this package builds).  The curve
-keeps the bound `numeric_forward` model it was sampled with, and the
-inverter evaluates that same model.  Building the curve is the one place
-that decides whether it can be inverted, and it certifies the curve
-against the scheme's exact-Gaussian curve (`engine.exact_gaussian`),
-sampled finely enough in the law's phase (`engine.phase_samples`) to see
-every turn: a curve is refused there unless that exact curve is finite
-and goes the samples' way between them as well as at them, and the
-sampled shifts step in one direction by more than their distance from it
-plus their rounding floor.  The inverter then refuses only an observation
-outside the calibrated range.  No silent extrapolation, ever.
+numeric response need not be monotone in Omega, a calibration curve of that
+model must be built first (`calibration_curve`, on the log-spaced rates of
+`omega_ladder`, the one log spacing that `sweep` and `figure3` use too; the
+only curve this package builds).  The curve keeps the bound
+`numeric_forward` model it was sampled with, and the inverter evaluates
+that same model.  Building the curve is the one place that decides whether
+it can be inverted, and it certifies the curve against the scheme's
+exact-Gaussian curve (`engine.exact_gaussian`), sampled finely enough in
+the law's phase (`engine.phase_samples`) to see every turn: a curve is
+refused there unless that exact curve is finite and goes the samples' way
+between them as well as at them, and the sampled shifts step in one
+direction by more than their distance from it plus their rounding floor.
+The inverter then refuses only an observation outside the calibrated range.
+No silent extrapolation, ever.
 
 The numeric solve starts from the calibration interval whose sample shifts
 straddle the observation (found among the samples, with no forward call).
 It then seeds the root from closed-form evaluations alone: the curve also
-keeps the scheme's `engine.exact_gaussian` reference, and the seed is the
-root of that closed form plus the grid-minus-exact gap at the interval's
-ends, interpolated linearly.  One forward call evaluates the grid block
-[lo, hi, mid] around the seed, a bracket just narrower than the stop test;
-when lo and hi straddle the observation, mid is the estimate, with that
-block's residual.  Otherwise (a seed off the grid's root, which happens
-where the grid curve is ragged at the scale of the stop test) one-rate
-steps go out from the seed, each SEED_STEP_FACTOR times as far as the
-last, until one passes the root, and plain bisection closes the bracket
+keeps the scheme's `engine.exact_gaussian` reference, bound once when the
+curve is certified, and the seed is the root of that closed form plus the
+grid-minus-exact gap at the interval's ends, interpolated linearly; its
+one-rate steps take the reference's Python-float route, on numpy scalars,
+which gives the bits of its array route.  One forward call evaluates the
+grid block [lo, hi, mid] around the seed, a bracket just narrower than the
+stop test; when lo and hi straddle the observation, mid is the estimate,
+with that block's residual.  Otherwise (a seed off the grid's root, which
+happens where the grid curve is ragged at the scale of the stop test)
+one-rate steps go out from the seed, each SEED_STEP_FACTOR times as far as
+the last, until one passes the root, and plain bisection closes the bracket
 that leaves; a seed that is not a rate inside the interval (a closed form
 that is not finite) leaves the whole interval to bisection.  Every rate
-evaluated narrows one straddling bracket.  The grid is the only model
-whose root is returned; the closed form only places the block.
+evaluated narrows one straddling bracket.  The grid is the only model whose
+root is returned; the closed form only places the block.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -99,13 +101,13 @@ class CalibrationCurve:
     #: the bound `numeric_forward` model the curve was sampled with; the
     #: inverter reuses it, so an estimate binds the model once
     forward: Callable[[object], NumericForward]
-    #: the scheme's `exact_gaussian` reference on the same scenario, which
-    #: seeds the inversion
+    #: the scheme's bound `exact_gaussian` reference on the same scenario,
+    #: which certified the curve and seeds the inversion
     exact: Callable[[object], NumericForward]
 
 
 def omega_ladder(omega_min: float, omega_max: float, n_points: int) -> np.ndarray:
-    """`n_points` log-spaced rates from omega_min to omega_max.
+    """`n_points` log-spaced rates from omega_min to omega_max, np.geomspace's bits.
 
     The rates are real numbers (not bools), omega_max finite and omega_min
     in (0, omega_max); the count is an integer (not a bool) from 2 to
@@ -124,7 +126,12 @@ def omega_ladder(omega_min: float, omega_max: float, n_points: int) -> np.ndarra
         raise ValidationError("points", f"must be >= 2, got {n_points!r}")
     if n_points > MAX_GRID_POINTS:
         raise ValidationError("points", f"must be at most {MAX_GRID_POINTS}, got {n_points!r}")
-    return np.geomspace(omega_min, omega_max, n_points)
+    # np.geomspace's own arithmetic for a positive real range, without its
+    # sign, complex and dtype handling, so the rates are its bits
+    lo, hi = float(omega_min), float(omega_max)
+    ladder = np.power(10.0, np.linspace(np.log10(lo), np.log10(hi), n_points))
+    ladder[0], ladder[-1] = lo, hi
+    return ladder
 
 
 def calibration_curve(
@@ -160,9 +167,9 @@ def calibration_curve(
     forward = numeric_forward(config, scheme)
     shift = forward(omegas)
     diffs = np.diff(shift.delta_p)
-    span = f"[{omegas[0]:.3e}, {omegas[-1]:.3e}] rad/s"
 
     def refusal(subject: str, reason: str) -> NonMonotonicCalibration:
+        span = f"[{omegas[0]:.3e}, {omegas[-1]:.3e}] rad/s"
         message = f"{scheme.value} {subject} on {span} {reason}; refusing to invert"
         return NonMonotonicCalibration(message)
 
@@ -175,7 +182,7 @@ def calibration_curve(
     if not (np.all(diffs > floor) or np.all(diffs < -floor)):
         raise refusal("numeric calibration", "is not strictly monotone")
     samples = phase_samples(config, scheme, omegas[0], omegas[-1])
-    exact = functools.partial(exact_gaussian, config, scheme)
+    exact = exact_gaussian(config, scheme)
     reference = exact(omegas if samples is None else np.concatenate([omegas, samples.ravel()]))
     if not np.isfinite(reference.delta_lambda).all():
         raise refusal("exact-Gaussian reference", "is not finite")
@@ -224,8 +231,10 @@ def _seed(exact, a: float, b: float, ya: float, yb: float) -> float:
     first sign change brackets its root, and Illinois steps (false position
     whose stale end has its value halved), one closed-form evaluation each,
     close in on it; the last step is the seed when they do not settle.  A
-    non-finite closed form gives a NaN seed.  Python floats throughout, so
-    it warns nowhere.
+    non-finite closed form gives a NaN seed.  Each step passes `exact` one
+    Python float (the bound reference's scalar route) and reads the shift
+    with `.item()`, so no one-element array is built; Python floats
+    throughout, so it warns nowhere.
     """
     omegas = np.linspace(a, b, SEED_SAMPLES).tolist()
     closed = exact(omegas).delta_lambda.tolist()
@@ -240,7 +249,7 @@ def _seed(exact, a: float, b: float, ya: float, yb: float) -> float:
         # a step this far inside the block's half-width leaves the seed settled
         if abs(x - x1) <= 0.1 * SEED_HALF_WIDTH * x:
             return x
-        y = float(exact(x).delta_lambda[0]) + offset_a + slope * (x - a)
+        y = exact(x).delta_lambda.item() + offset_a + slope * (x - a)
         if (y < 0.0) != (y1 < 0.0):
             x0, y0 = x1, y1
         else:

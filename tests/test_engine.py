@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sagnac_wva.engine import (
     NUMERIC_CHUNK_ELEMENTS,
@@ -513,7 +515,7 @@ def test_exact_gaussian_matches_the_grid_within_the_truncation_gap(
     omegas = omega_ladder(1e-10, 1e-8, 10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        exact = exact_gaussian(config, scheme, omegas)
+        exact = exact_gaussian(config, scheme)(omegas)
     grid = numeric_forward(config, scheme)(omegas)
     floor = 16.0 * math.ulp(config.probe.p0)
     assert np.all(np.abs(grid.delta_p - exact.delta_p) <= 7.5e-8 * np.abs(exact.delta_p) + floor)
@@ -522,7 +524,7 @@ def test_exact_gaussian_matches_the_grid_within_the_truncation_gap(
     lambda0 = momentum_to_wavelength(config.probe.p0)
     assert np.array_equal(exact.delta_lambda, -exact.delta_p * lambda0**2 / (2.0 * np.pi))
     # one entry per rate, as numeric_forward gives them
-    assert exact_gaussian(config, scheme, omegas[3]).delta_lambda.tolist() == [
+    assert exact_gaussian(config, scheme)(omegas[3]).delta_lambda.tolist() == [
         exact.delta_lambda[3]
     ]
 
@@ -534,8 +536,49 @@ def test_exact_gaussian_is_not_finite_and_silent_where_sigma_p_squared_overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for scheme in SchemeKind:
-            exact = exact_gaussian(config, scheme, omega_ladder(1e-10, 1e-8, 3))
+            bound = exact_gaussian(config, scheme)
+            exact = bound(omega_ladder(1e-10, 1e-8, 3))
             assert not np.any(np.isfinite(exact.delta_lambda))
+            assert not np.isfinite(bound(1e-9).delta_lambda)
+
+
+def _bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scheme_name=st.sampled_from(["swm", "bwm"]),
+    paper_literal=st.booleans(),
+    order=st.integers(0, 2),
+    reading=st.sampled_from(["fwhm", "sigma"]),
+    lambda0_nm=st.floats(700.0, 1000.0),
+    log_fwhm=st.floats(math.log(5.0), math.log(60.0)),
+    log_area=st.floats(0.0, math.log(3000.0)),
+    log_phi=st.floats(math.log(1e-5), math.log(1e-2)),
+    rate_seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_gaussian_float_route_gives_the_array_route_bits(
+    scheme_name, paper_literal, order, reading, lambda0_nm, log_fwhm, log_area, log_phi, rate_seed
+):
+    # the seed's one-rate steps pass a Python float and get numpy scalars;
+    # the certificate and the seed's samples pass arrays; the two routes run
+    # the same operations, so every field of every rate has the same bits.
+    # A numpy scalar's ** 2 (pow) differs from the array's square on about
+    # 1e-3 of rates, so 200 log-uniform rates a scenario are drawn
+    config = _config(
+        scheme=scheme_name, paper_literal=paper_literal, bias_order_m=order,
+        delta_lambda_means=reading, lambda0_nm=lambda0_nm, fwhm_nm=math.exp(log_fwhm),
+        area_m2=math.exp(log_area), phi_rad=math.exp(log_phi), grid=GridSpec(points=101),
+    )
+    exact = exact_gaussian(config, SchemeKind(scheme_name))
+    rng = np.random.default_rng(rate_seed)
+    rates = np.exp(rng.uniform(math.log(1e-12), math.log(1e-6), 200)).tolist()
+    array = exact(rates)
+    for k, rate in enumerate(rates):
+        single = exact(rate)
+        assert all(type(field) is np.float64 for field in single)
+        assert _bits(*single) == _bits(array.delta_p[k], array.delta_lambda[k], array.probability[k])
 
 
 @pytest.mark.parametrize("scheme_name", ["swm", "bwm"])

@@ -1,14 +1,14 @@
 import dataclasses
-import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sagnac_wva import estimation
+from sagnac_wva.cli import FIGURE3_SWEEP
 from sagnac_wva.config import ExperimentConfig
 from sagnac_wva.engine import (
     NumericForward,
@@ -26,6 +26,7 @@ from sagnac_wva.estimation import (
     BISECTION_MAX_ITER,
     BISECTION_REL_TOL,
     SEED_HALF_WIDTH,
+    SEED_MAX_STEPS,
     SEED_STEP_FACTOR,
     CalibrationCurve,
     calibration_curve,
@@ -501,7 +502,7 @@ def test_a_non_finite_closed_form_leaves_the_estimate_to_itp(scheme_name):
         omega_values=omegas,
         delta_lambda_values=forward(omegas).delta_lambda,
         forward=forward,
-        exact=functools.partial(exact_gaussian, config, scheme),
+        exact=exact_gaussian(config, scheme),
     )
     assert not np.isfinite(curve.exact(curve.omega_values).delta_lambda).any()
     obs = 0.5 * float(curve.delta_lambda_values[0] + curve.delta_lambda_values[1])
@@ -639,3 +640,78 @@ def test_numeric_round_trip_on_certified_brackets(scheme_name, log_lo, ratio, po
     obs = float(curve.forward(omega).delta_lambda[0])
     est = estimate_omega_numeric(obs, curve)
     assert abs(est.omega_hat - omega) <= BISECTION_REL_TOL * omega
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bounds=st.lists(
+        st.floats(5e-324, 1e308, allow_subnormal=True), min_size=2, max_size=2, unique=True
+    ).map(sorted),
+    n_points=st.one_of(st.integers(2, 20001), st.sampled_from([25, 20001])),
+)
+@example(bounds=FIGURE3_SWEEP[:2], n_points=FIGURE3_SWEEP[2])
+@example(bounds=[5e-324, 1e308], n_points=20001)
+def test_omega_ladder_is_geomspace_bit_for_bit(bounds, n_points):
+    # the calibration, sweep and figure3 ladders keep np.geomspace's rates
+    # (figure3's 25-rate sweep, the golden matrix's 20001-rate sweep)
+    lo, hi = bounds
+    assert omega_ladder(lo, hi, n_points).tobytes() == np.geomspace(lo, hi, n_points).tobytes()
+
+
+def test_seed_returns_its_last_step_when_the_steps_do_not_settle():
+    # a closed form that jumps between -1 and +1 where the README swm
+    # reference passes its value at 1.37e-9 rad/s: false position on a jump
+    # gains no more than a constant factor a step, so SEED_MAX_STEPS steps
+    # end far from settled and the seed is the last of them
+    exact = estimation.exact_gaussian(_config(grid=GridSpec(points=801)), SchemeKind.SWM)
+    target = exact(1.37e-9).delta_lambda
+
+    def jump(omegas):
+        shifts = exact(omegas)
+        return shifts._replace(delta_lambda=np.sign(shifts.delta_lambda - target))
+
+    calls = []
+
+    def recorded(omegas):
+        calls.append(omegas)
+        return jump(omegas)
+
+    a, b = 1e-9, 2e-9
+    ya, yb = jump([a, b]).delta_lambda.tolist()
+    seed = estimation._seed(recorded, a, b, ya, yb)
+    steps = calls[1:]
+    assert len(steps) == SEED_MAX_STEPS and all(type(x) is float for x in steps)
+    assert seed == steps[-1] and a < seed < b
+    assert abs(seed - 1.37e-9) > 0.1 * SEED_HALF_WIDTH * seed
+    # the same steps taken through one-element arrays land on the same rate
+    through_arrays = estimation._seed(lambda om: jump(np.atleast_1d(om)), a, b, ya, yb)
+    assert through_arrays == seed
+
+
+def test_a_curve_binds_its_reference_once_and_the_seed_steps_on_floats(monkeypatch):
+    # one exact_gaussian binding certifies the curve and seeds every
+    # estimate on it; the seed's one-rate steps pass Python floats and get
+    # numpy scalars back, no one-element arrays
+    binds, singles = [], []
+    bind = estimation.exact_gaussian
+
+    def counted(config, scheme):
+        exact = bind(config, scheme)
+        binds.append(scheme)
+
+        def evaluate(omegas):
+            result = exact(omegas)
+            if np.ndim(omegas) == 0:
+                singles.append((type(omegas), type(result.delta_lambda)))
+            return result
+
+        return evaluate
+
+    monkeypatch.setattr(estimation, "exact_gaussian", counted)
+    config = _config(grid=GridSpec(points=801))
+    curve = calibration_curve(config, 1e-10, 1e-8, 10)
+    for omega in (1.3e-10, 7.1e-10, 3.3e-9, 9.1e-9):
+        obs = float(curve.forward(omega).delta_lambda[0])
+        estimate_omega_numeric(obs, curve)
+    assert binds == [SchemeKind.SWM]
+    assert singles and set(singles) == {(float, np.float64)}
