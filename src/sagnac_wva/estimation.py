@@ -107,7 +107,7 @@ class CalibrationCurve:
 
 
 def omega_ladder(omega_min: float, omega_max: float, n_points: int) -> np.ndarray:
-    """`n_points` log-spaced rates from omega_min to omega_max, np.geomspace's bits.
+    """`n_points` log-spaced rates from omega_min to omega_max, numpy `geomspace`'s bits.
 
     The rates are real numbers (not bools), omega_max finite and omega_min
     in (0, omega_max); the count is an integer (not a bool) from 2 to
@@ -126,7 +126,7 @@ def omega_ladder(omega_min: float, omega_max: float, n_points: int) -> np.ndarra
         raise ValidationError("points", f"must be >= 2, got {n_points!r}")
     if n_points > MAX_GRID_POINTS:
         raise ValidationError("points", f"must be at most {MAX_GRID_POINTS}, got {n_points!r}")
-    # np.geomspace's own arithmetic for a positive real range, without its
+    # numpy `geomspace`'s own arithmetic for a positive real range, without its
     # sign, complex and dtype handling, so the rates are its bits
     lo, hi = float(omega_min), float(omega_max)
     ladder = np.power(10.0, np.linspace(np.log10(lo), np.log10(hi), n_points))

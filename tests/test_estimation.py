@@ -663,7 +663,7 @@ def test_seed_returns_its_last_step_when_the_steps_do_not_settle():
     # reference passes its value at 1.37e-9 rad/s: false position on a jump
     # gains no more than a constant factor a step, so SEED_MAX_STEPS steps
     # end far from settled and the seed is the last of them
-    exact = estimation.exact_gaussian(_config(grid=GridSpec(points=801)), SchemeKind.SWM)
+    exact = exact_gaussian(_config(grid=GridSpec(points=801)), SchemeKind.SWM)
     target = exact(1.37e-9).delta_lambda
 
     def jump(omegas):
