@@ -213,7 +213,7 @@ def _cmd_figure3(args) -> int:
 
     # panel D: survival probabilities across the same sweep
     numeric = [numeric_forward(config, s)(omegas).probability for s in schemes]
-    pointform = [[pointform_probability(config, s, omega) for omega in omegas] for s in schemes]
+    pointform = [pointform_probability(config, s, omegas) for s in schemes]
     tables.append((
         "omega_rad_per_s,prob_swm_numeric,prob_bwm_numeric,prob_swm_pointform,prob_bwm_pointform",
         [omegas, *numeric, *pointform],

@@ -41,16 +41,15 @@ np.diff(p), the probe mean and lambda0.  Each evaluation then computes only
 a column of coupling lengths, the sin^2 law on a (rates, nodes) block of at
 most NUMERIC_CHUNK_ELEMENTS elements at a time (one rate per block on a grid
 with more nodes than that) and two trapezoid sums per rate: the total and
-the first moment.  Every block runs in one workspace that the bound model
-owns: a (rows, nodes) array that takes the law and then the first-moment
-integrand, and a (rows, nodes - 1) array for the trapezoid pair sums.  The
-first evaluation allocates it and a later one grows it only for a larger
-block, so it holds the largest block evaluated so far (one row for a model
-that only ever sees one rate), and no returned array aliases it.  The law
-and the trapezoid run their usual ufuncs in place there, so every rate
-gets the bits a one-rate spectrum and `mean_shift_numeric` /
-`postselection_probability` would give it; those two stay as the
-per-spectrum reference that tests compare against.
+the first moment.  Each evaluation allocates two block arrays and drops
+them when it returns: a (rows, nodes) array that takes the law and then the
+first-moment integrand, and a (rows, nodes - 1) array for the trapezoid
+pair sums, rows being the block's (at most the number of rates).  A bound
+model holds no array between calls.  The law and the trapezoid run their
+usual ufuncs in place there, so every rate gets the bits a one-rate
+spectrum and `mean_shift_numeric` / `postselection_probability` would give
+it; those two stay as the per-spectrum reference that tests compare
+against.
 
 Scheme conventions: every scheme is the one law
 sin^2(p*(g + psi_pre) + phi) * I(p), which reads sin^2(g*p0 + phi_at_p0) at
@@ -67,9 +66,8 @@ exactly at p0.  The paper-literal biased row is the published simplified
 form sin^2(p*g) * I(p), exact only at p = p0; with `paper_literal` the
 analytic shift formulas also use 1/phi in place of cot(phi).
 
-All functions are pure and single-threaded (a bound `numeric_forward`
-model writes its workspace, so it is not for concurrent use); reductions
-use a fixed order so results are bitwise reproducible.  They take their
+All functions, bound models included, are pure and single-threaded;
+reductions use a fixed order so results are bitwise reproducible.  They take their
 arguments as valid: the scenario config and the probe grid checked them,
 and a phi, scheme or width reading that these would refuse gives an
 undefined result, not an error.
@@ -90,8 +88,8 @@ from .sagnac import bias_delay, coupling_length
 from .spectrum import FWHM_PER_SIGMA, ProbeSpectrum, integrals, moments, momentum_to_wavelength
 
 #: rates x grid nodes evaluated per block by `numeric_forward`; bounds each
-#: of the two float64 arrays of a bound model's workspace to 128 KiB
-#: whatever the number of rates (one row, of any size, on a wider grid)
+#: of the two float64 block arrays of one evaluation to 128 KiB whatever
+#: the number of rates (one row, of any size, on a wider grid)
 NUMERIC_CHUNK_ELEMENTS = 16384
 #: rates per segment of `phase_samples`, and the most rates it places on a
 #: bracket; one that needs more is refused, not sampled
@@ -392,10 +390,15 @@ def phase_samples(config, scheme: SchemeKind, omega_lo: float, omega_hi: float):
     return np.concatenate([linear, lo + (hi - lo) * _UNIT, log_rows])
 
 
-def pointform_probability(config, scheme: SchemeKind, omega) -> float:
-    """Survival probability read at p0 alone: sin^2(g*p0 + phi_at_p0)."""
+def pointform_probability(config, scheme: SchemeKind, omega) -> np.float64 | np.ndarray:
+    """Survival probability read at p0 alone: sin^2(g*p0 + phi_at_p0).
+
+    Broadcasts over an array of rates.  The square is np.float_power, libm's
+    pow, so an array of rates gets the bits of one rate at a time; an
+    array's ** 2 is np.square, which can differ in the last bit.
+    """
     theta0 = _coupling_length(config, omega) * config.probe.p0 + _law(config, scheme)[2]
-    return float(np.sin(theta0) ** 2)
+    return np.float_power(np.sin(theta0), 2.0)
 
 
 def numeric_forward(config, scheme: SchemeKind):
@@ -409,9 +412,8 @@ def numeric_forward(config, scheme: SchemeKind):
     nodes rates at a time (at least one) and integrates each row once for its
     total and first moment.
 
-    Every block runs in the model's own workspace (see the module
-    docstring), grown to the largest block evaluated so far; no returned
-    array aliases it.
+    Every block of one evaluation runs in the same two arrays (see the
+    module docstring), allocated per call; the model keeps none of them.
 
     Raises, from `evaluate`, for the first block that holds a rate whose
     spectrum does not integrate to a positive finite total: NonFiniteResult
@@ -427,14 +429,11 @@ def numeric_forward(config, scheme: SchemeKind):
     probe_mean = float(probe_first / probe_total)
     lambda0 = momentum_to_wavelength(probe.p0)
     rows = max(1, NUMERIC_CHUNK_ELEMENTS // p.size)
-    law = pairs = np.empty((0, 0))  # the workspace, grown by evaluate
 
     def evaluate(omegas) -> NumericForward:
-        nonlocal law, pairs
         omegas = np.asarray(omegas, dtype=float).reshape(-1)
         block_rows = min(rows, omegas.size)
-        if len(law) < block_rows:
-            law, pairs = np.empty((block_rows, p.size)), np.empty((block_rows, p.size - 1))
+        law, pairs = np.empty((block_rows, p.size)), np.empty((block_rows, p.size - 1))
         totals = np.empty(omegas.size)
         firsts = np.empty(omegas.size)
         for start in range(0, omegas.size, rows):
@@ -472,7 +471,7 @@ def compare_schemes(config) -> tuple[MeasurementResult, MeasurementResult]:
                 delta_p_analytic=analytic.delta_p,
                 delta_lambda_analytic=analytic.delta_lambda,
                 postselect_prob_numeric=float(numeric.probability[0]),
-                postselect_prob_pointform=pointform_probability(config, scheme, omega),
+                postselect_prob_pointform=float(pointform_probability(config, scheme, omega)),
                 amplification_factor=amplification_factor(config),
             )
         )

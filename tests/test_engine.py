@@ -24,11 +24,13 @@ from sagnac_wva.engine import (
     mean_shift_numeric,
     numeric_forward,
     phase_samples,
+    pointform_probability,
     postselected_spectrum,
     postselection_probability,
     scheme_spectrum,
     transfer_matrix_intensity,
 )
+from sagnac_wva.cli import FIGURE3_SWEEP
 from sagnac_wva.config import ExperimentConfig
 from sagnac_wva.errors import NonFiniteResult, ZeroTotalIntensity
 from sagnac_wva.estimation import omega_ladder
@@ -415,27 +417,31 @@ def test_zero_intensity_rate_inside_a_block_raises():
         numeric_forward(config, SchemeKind.BWM)(omegas).delta_lambda
 
 
-def _traced_peak(call):
+@pytest.mark.parametrize("rates", [10, 10_000])
+def test_numeric_forward_holds_nothing_between_calls(rates):
+    # a bound model allocates its block arrays per call: once the result
+    # is dropped, traced memory is back where it was before the call, and
+    # the peak is bounded by the block size, not the number of rates
+    config = _config(scheme="bwm", bias_order_m=1, grid=GridSpec(points=1501))
+    ladder = omega_ladder(1e-10, 1e-8, rates)
+    numeric_forward(config, SchemeKind.BWM)(ladder)  # numpy's first-call set-up
+    forward = numeric_forward(config, SchemeKind.BWM)
     tracemalloc.start()
     try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        got = forward(ladder)
+        peak = tracemalloc.get_traced_memory()[1]
+        del got
+        after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-
-
-def test_numeric_forward_reuses_its_workspace():
-    # once a bound model has evaluated a block, the same evaluations
-    # allocate nothing of a block's size: a calibration ladder holds one
-    # (rates, nodes) array, one rate not even one spectrum
-    config = _config(scheme="bwm", bias_order_m=1, grid=GridSpec(points=1501))
-    forward = numeric_forward(config, SchemeKind.BWM)
-    ladder = omega_ladder(1e-10, 1e-8, 10)  # the default `estimate` ladder
-    assert NUMERIC_CHUNK_ELEMENTS // 1501 >= ladder.size  # one block
-    forward(ladder)
-    forward(ladder[3])
-    assert _traced_peak(lambda: forward(ladder)) < 2 * ladder.size * 1501 * 8
-    assert _traced_peak(lambda: forward(ladder[3])) < 8 * 1024
+    assert after - before <= 1024
+    # one block is the law and pair arrays, NUMERIC_CHUNK_ELEMENTS doubles
+    # each at most; a second block's worth covers numpy's iterator buffers
+    # for the broadcast operands.  Per rate: totals, firsts, the three
+    # result fields and one temporary.
+    block = 2 * NUMERIC_CHUNK_ELEMENTS * 8
+    assert peak - before <= 2 * block + 6 * 8 * rates
 
 
 @pytest.mark.parametrize(
@@ -579,6 +585,49 @@ def test_exact_gaussian_float_route_gives_the_array_route_bits(
         single = exact(rate)
         assert all(type(field) is np.float64 for field in single)
         assert _bits(*single) == _bits(array.delta_p[k], array.delta_lambda[k], array.probability[k])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scheme_name=st.sampled_from(["swm", "bwm"]),
+    paper_literal=st.booleans(),
+    order=st.integers(0, 2),
+    reading=st.sampled_from(["fwhm", "sigma"]),
+    lambda0_nm=st.floats(700.0, 1000.0),
+    log_fwhm=st.floats(math.log(5.0), math.log(60.0)),
+    log_area=st.floats(0.0, math.log(3000.0)),
+    log_phi=st.floats(math.log(1e-5), math.log(1e-2)),
+    rate_seed=st.integers(0, 2**32 - 1),
+)
+def test_pointform_array_gives_the_per_rate_bits(
+    scheme_name, paper_literal, order, reading, lambda0_nm, log_fwhm, log_area, log_phi, rate_seed
+):
+    # figure3 panel D evaluates the point form on its whole sweep in one
+    # call; every rate must keep the bits of the per-rate scalar formula,
+    # whose ** 2 on a numpy scalar is pow (an array's ** 2 is np.square and
+    # differs in the last bit on about 1e-3 of rates)
+    rng = np.random.default_rng(rate_seed)
+    rates = np.concatenate([
+        np.exp(rng.uniform(math.log(1e-12), math.log(1e-4), 200)),
+        omega_ladder(*FIGURE3_SWEEP),
+    ])
+    config = _config(
+        scheme=scheme_name, paper_literal=paper_literal, bias_order_m=order,
+        delta_lambda_means=reading, lambda0_nm=lambda0_nm, fwhm_nm=math.exp(log_fwhm),
+        area_m2=math.exp(log_area), phi_rad=math.exp(log_phi),
+        omega_rad_per_s=float(rates[0]), grid=GridSpec(points=101),
+    )
+    scheme = SchemeKind(scheme_name)
+
+    def per_rate(omega):
+        theta0 = _coupling_length(config, omega) * config.probe.p0 + _law(config, scheme)[2]
+        return float(np.sin(theta0) ** 2)
+
+    got = pointform_probability(config, scheme, rates)
+    assert _bits(*got) == _bits(*[per_rate(omega) for omega in rates])
+    compared = compare_schemes(config)[scheme is SchemeKind.BWM].postselect_prob_pointform
+    assert type(compared) is float
+    assert _bits(compared) == _bits(per_rate(config.omega_rad_per_s))
 
 
 @pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
