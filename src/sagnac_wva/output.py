@@ -39,15 +39,19 @@ def _atomic_write(path, chunks) -> None:
 
     The temp file, `<name>.<16 random hex digits>.tmp` beside the target, is
     created with mode 0o666 and the kernel takes the umask off, so the file
-    gets the mode `open()` would give it.  Any OS-level failure (missing
-    directory, permissions, full disk) comes back as IoError naming the
-    target and the reason.  On any failure, an exception raised by `chunks`
+    gets the mode `open()` would give it.  An existing target that is not
+    a regular file, links followed (a FIFO, a device, a directory), is
+    refused before the temp file is created, so the rename never replaces
+    it.  Any OS-level failure (missing directory, permissions, full disk)
+    comes back as IoError naming the target and the reason.  On any failure, an exception raised by `chunks`
     included, the temp file is removed and the target is left as it was.
     """
     target = Path(path)
     tmp = target.parent / f"{target.name}.{os.urandom(8).hex()}.tmp"
     created = False
     try:
+        if os.path.exists(target) and not os.path.isfile(target):
+            raise OSError(None, "not a regular file")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         created = True
         with open(fd, "wb") as fh:

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +165,39 @@ def test_io_error_names_the_target_and_the_reason(tmp_path, capsys, monkeypatch,
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "taken"]
+
+
+SWEEP_3 = ["sweep", "--mode", "analytic", "--omega-min", "1e-10", "--omega-max", "1e-8", "--points", "3"]
+
+
+@pytest.mark.parametrize(
+    "command,target,is_kind",
+    [
+        (["spectrum", "--scheme", "swm"], "fifo", stat.S_ISFIFO),
+        (["compare"], "link", stat.S_ISLNK),
+        (SWEEP_3, "folder", stat.S_ISDIR),
+    ],
+    ids=["fifo", "symlink-to-fifo", "directory"],
+)
+def test_output_onto_a_special_file_is_refused(
+    tmp_path, capsys, monkeypatch, command, target, is_kind
+):
+    # the temp file is never renamed over a node that is not a regular file,
+    # links followed; stat does not open the FIFO, so nothing blocks
+    _scenario(tmp_path)
+    os.mkfifo(tmp_path / "fifo")
+    (tmp_path / "link").symlink_to("fifo")
+    (tmp_path / "folder").mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    monkeypatch.chdir(tmp_path)
+    assert cli_main([*command, "--config", "scenario.json", "--out", target]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}: not a regular file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert is_kind(os.lstat(target).st_mode)
+    assert os.readlink("link") == "fifo" and stat.S_ISFIFO(os.lstat("fifo").st_mode)
+    assert not any((tmp_path / "folder").iterdir())
 
 
 def test_compare_writes_record(tmp_path):
