@@ -41,15 +41,15 @@ np.diff(p), the probe mean and lambda0.  Each evaluation then computes only
 a column of coupling lengths, the sin^2 law on a (rates, nodes) block of at
 most NUMERIC_CHUNK_ELEMENTS elements at a time (one rate per block on a grid
 with more nodes than that) and two trapezoid sums per rate: the total and
-the first moment.  Each evaluation allocates two block arrays and drops
-them when it returns: a (rows, nodes) array that takes the law and then the
+the first moment.  Each evaluation allocates two arrays with one row per
+rate of a block (never more rows than rates) and drops them when it
+returns: a (rows, nodes) array that takes the law and then the
 first-moment integrand, and a (rows, nodes - 1) array for the trapezoid
-pair sums, rows being the block's (at most the number of rates).  A bound
-model holds no array between calls.  The law and the trapezoid run their
-usual ufuncs in place there, so every rate gets the bits a one-rate
-spectrum and `mean_shift_numeric` / `postselection_probability` would give
-it; those two stay as the per-spectrum reference that tests compare
-against.
+pair sums.  A bound model holds no array between calls.  The law and the
+trapezoid run their usual ufuncs in place there, so every rate gets the
+bits a one-rate spectrum and `mean_shift_numeric` /
+`postselection_probability` would give it; those two stay as the
+per-spectrum reference that tests compare against.
 
 Scheme conventions: every scheme is the one law
 sin^2(p*(g + psi_pre) + phi) * I(p), which reads sin^2(g*p0 + phi_at_p0) at
@@ -66,11 +66,11 @@ exactly at p0.  The paper-literal biased row is the published simplified
 form sin^2(p*g) * I(p), exact only at p = p0; with `paper_literal` the
 analytic shift formulas also use 1/phi in place of cot(phi).
 
-All functions, bound models included, are pure and single-threaded;
-reductions use a fixed order so results are bitwise reproducible.  They take their
-arguments as valid: the scenario config and the probe grid checked them,
-and a phi, scheme or width reading that these would refuse gives an
-undefined result, not an error.
+All functions, the bound models included, are pure and single-threaded;
+reductions use a fixed order so results are bitwise reproducible.  They
+take their arguments as valid: the scenario config and the probe grid
+checked them, and a phi, scheme or width reading that these would refuse
+gives an undefined result, not an error.
 """
 
 from __future__ import annotations

@@ -43,8 +43,9 @@ def _atomic_write(path, chunks) -> None:
     a regular file, links followed (a FIFO, a device, a directory), is
     refused before the temp file is created, so the rename never replaces
     it.  Any OS-level failure (missing directory, permissions, full disk)
-    comes back as IoError naming the target and the reason.  On any failure, an exception raised by `chunks`
-    included, the temp file is removed and the target is left as it was.
+    comes back as IoError naming the target and the reason.  On any
+    failure, an exception raised by `chunks` included, the temp file is
+    removed and the target is left as it was.
     """
     target = Path(path)
     tmp = target.parent / f"{target.name}.{os.urandom(8).hex()}.tmp"
