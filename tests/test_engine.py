@@ -625,7 +625,7 @@ def test_pointform_array_gives_the_per_rate_bits(
 
     got = pointform_probability(config, scheme, rates)
     assert _bits(*got) == _bits(*[per_rate(omega) for omega in rates])
-    compared = compare_schemes(config)[scheme is SchemeKind.BWM].postselect_prob_pointform
+    compared = {r.scheme: r for r in compare_schemes(config)}[scheme].postselect_prob_pointform
     assert type(compared) is float
     assert _bits(compared) == _bits(per_rate(config.omega_rad_per_s))
 
