@@ -17,8 +17,8 @@ inversion uses it to certify a calibration curve, on the rates of
 `phase_samples`, and to place the grid block it then evaluates; no output
 reports it.  Like `numeric_forward` it is bound once per scheme and works
 out everything that does not depend on Omega then; the bound reference
-takes an array of rates, or one Python float on numpy scalars (the seed's
-one-rate steps), with the same bits either way.
+keeps numpy's shapes, so one rate gives numpy scalars (the seed's one-rate
+steps) with the bits an array of rates gives it.
 
 `scheme_spectrum`, `analytic_shift`, `pointform_probability`,
 `numeric_forward` and `exact_gaussian` are the only code that turns
@@ -120,8 +120,9 @@ class MeanShift(NamedTuple):
 
 
 class NumericForward(NamedTuple):
-    """Forward results, one entry per rotation rate: the grid's
-    (`numeric_forward`) or the untruncated reference's (`exact_gaussian`)."""
+    """Forward results per rotation rate: the grid's (`numeric_forward`, one
+    entry per rate) or the untruncated reference's (`exact_gaussian`, in the
+    shape of its rates)."""
 
     delta_p: np.ndarray  # 1/m, mean momentum shift of the post-selected spectrum
     delta_lambda: np.ndarray  # m, the same shift as a wavelength
@@ -294,13 +295,12 @@ def analytic_shift(config, scheme: SchemeKind, omega) -> MeanShift:
 def exact_gaussian(config, scheme: SchemeKind):
     """Bind the untruncated Gaussian integrals of one scheme's law; a reference.
 
-    Returns `evaluate(omegas) -> NumericForward`.  A rate whose type is
-    exactly `float` (a Python float, not a numpy scalar) gives numpy-scalar
-    fields, computed on numpy scalars; anything else (a numpy scalar, a
-    sequence, an array) gives flat arrays, one entry per rate.  Both run the
-    same operations in the same order, so a rate gets the same bits either
-    way.  The law's numbers (`_law`), p0, sigma_p^2, the probe's lambda0,
-    the area and the loop's lambda0 are worked out here, once.
+    Returns `evaluate(omegas) -> NumericForward`, fields in numpy's shapes:
+    one rate (a Python float or a numpy scalar) gives numpy scalars, and a
+    sequence or an array gives arrays of its shape.  Both run the same
+    operations in the same order, so a rate gets the same bits either way.
+    The law's numbers (`_law`), p0, sigma_p^2, the probe's lambda0, the
+    area and the loop's lambda0 are worked out here, once.
 
     With a = g + psi_pre, theta/2 = g*p0 + phi_at_p0 (see `_law`) and
     x = 2*a^2*sigma_p^2, the probe's integrals of sin^2(a*p + phi) give
@@ -319,10 +319,7 @@ def exact_gaussian(config, scheme: SchemeKind):
         lambda0 = momentum_to_wavelength(p0)
 
     def evaluate(omegas) -> NumericForward:
-        if type(omegas) is float:
-            omegas = np.float64(omegas)
-        else:
-            omegas = np.asarray(omegas, dtype=float).reshape(-1)
+        omegas = np.asarray(omegas, dtype=float)
         g = coupling_length(omegas, area, loop_lambda0)
         with np.errstate(all="ignore"):
             a = g + psi_pre

@@ -529,10 +529,9 @@ def test_exact_gaussian_matches_the_grid_within_the_truncation_gap(
     # the wavelength shift converts as the grid's does
     lambda0 = momentum_to_wavelength(config.probe.p0)
     assert np.array_equal(exact.delta_lambda, -exact.delta_p * lambda0**2 / (2.0 * np.pi))
-    # one entry per rate, as numeric_forward gives them
-    assert exact_gaussian(config, scheme)(omegas[3]).delta_lambda.tolist() == [
-        exact.delta_lambda[3]
-    ]
+    # numpy's shapes: a numpy-scalar rate gives a numpy scalar
+    single = exact_gaussian(config, scheme)(omegas[3]).delta_lambda
+    assert type(single) is np.float64 and single == exact.delta_lambda[3]
 
 
 def test_exact_gaussian_is_not_finite_and_silent_where_sigma_p_squared_overflows():
@@ -564,14 +563,15 @@ def _bits(*values) -> bytes:
     log_phi=st.floats(math.log(1e-5), math.log(1e-2)),
     rate_seed=st.integers(0, 2**32 - 1),
 )
-def test_exact_gaussian_float_route_gives_the_array_route_bits(
+def test_exact_gaussian_gives_one_rate_the_bits_of_an_array_of_rates(
     scheme_name, paper_literal, order, reading, lambda0_nm, log_fwhm, log_area, log_phi, rate_seed
 ):
     # the seed's one-rate steps pass a Python float and get numpy scalars;
-    # the certificate and the seed's samples pass arrays; the two routes run
-    # the same operations, so every field of every rate has the same bits.
-    # A numpy scalar's ** 2 (pow) differs from the array's square on about
-    # 1e-3 of rates, so 200 log-uniform rates a scenario are drawn
+    # the certificate and the seed's samples pass arrays; one route runs the
+    # same operations on both, so every field of every rate has the same
+    # bits, whether the rate is a Python float, a numpy scalar or a 0-d
+    # array.  A numpy scalar's ** 2 (pow) differs from the array's square on
+    # about 1e-3 of rates, so 200 log-uniform rates a scenario are drawn
     config = _config(
         scheme=scheme_name, paper_literal=paper_literal, bias_order_m=order,
         delta_lambda_means=reading, lambda0_nm=lambda0_nm, fwhm_nm=math.exp(log_fwhm),
@@ -582,9 +582,11 @@ def test_exact_gaussian_float_route_gives_the_array_route_bits(
     rates = np.exp(rng.uniform(math.log(1e-12), math.log(1e-6), 200)).tolist()
     array = exact(rates)
     for k, rate in enumerate(rates):
-        single = exact(rate)
-        assert all(type(field) is np.float64 for field in single)
-        assert _bits(*single) == _bits(array.delta_p[k], array.delta_lambda[k], array.probability[k])
+        bits = _bits(array.delta_p[k], array.delta_lambda[k], array.probability[k])
+        for one in (rate, np.float64(rate), np.array(rate)):
+            single = exact(one)
+            assert all(type(field) is np.float64 for field in single)
+            assert _bits(*single) == bits
 
 
 @settings(max_examples=300, deadline=None)

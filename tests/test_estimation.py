@@ -690,8 +690,9 @@ def test_seed_returns_its_last_step_when_the_steps_do_not_settle():
 
 def test_a_curve_binds_its_reference_once_and_the_seed_steps_on_floats(monkeypatch):
     # one exact_gaussian binding certifies the curve and seeds every
-    # estimate on it; the seed's one-rate steps pass Python floats and get
-    # numpy scalars back, no one-element arrays
+    # estimate on it; the seed's one-rate steps pass Python floats, and the
+    # reference keeps numpy's shapes, so they get numpy scalars back, no
+    # one-element arrays
     binds, singles = [], []
     bind = estimation.exact_gaussian
 
