@@ -39,25 +39,30 @@ def _atomic_write(path, chunks) -> None:
 
     The temp file, `<name>.<16 random hex digits>.tmp` beside the target, is
     created with mode 0o666 and the kernel takes the umask off, so the file
-    gets the mode `open()` would give it.  An existing target that is not
-    a regular file, links followed (a FIFO, a device, a directory), is
-    refused before the temp file is created, so the rename never replaces
-    it.  Any OS-level failure (missing directory, permissions, full disk)
-    comes back as IoError naming the target and the reason.  On any
-    failure, an exception raised by `chunks` included, the temp file is
-    removed and the target is left as it was.
+    gets the mode `open()` would give it.  A target that is a symbolic link
+    is written through, as `open()` writes: the link is resolved, and the
+    temp file and the rename go to the path it names, so the link stays a
+    link (a dangling one gets its target created).  An existing target that
+    is not a regular file, links followed (a FIFO, a device, a directory),
+    is refused before the temp file is created, so the rename never
+    replaces it.  Any OS-level failure (missing directory, permissions, full
+    disk) comes back as IoError naming the target as given and the reason.
+    On any failure, an exception raised by `chunks` included, the temp file
+    is removed and the target is left as it was.
     """
     target = Path(path)
-    tmp = target.parent / f"{target.name}.{os.urandom(8).hex()}.tmp"
+    # only a link is resolved: realpath walks every component of the path
+    real = Path(os.path.realpath(target)) if os.path.islink(target) else target
+    tmp = real.parent / f"{real.name}.{os.urandom(8).hex()}.tmp"
     created = False
     try:
-        if os.path.exists(target) and not os.path.isfile(target):
+        if os.path.exists(real) and not os.path.isfile(real):
             raise OSError(None, "not a regular file")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         created = True
         with open(fd, "wb") as fh:
             fh.writelines(chunks)
-        os.replace(tmp, target)
+        os.replace(tmp, real)
         created = False
     except OSError as exc:
         raise IoError(f"cannot write {target}: {exc.strerror or exc}") from exc

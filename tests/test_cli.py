@@ -200,6 +200,41 @@ def test_output_onto_a_special_file_is_refused(
     assert not any((tmp_path / "folder").iterdir())
 
 
+@pytest.mark.parametrize(
+    "points_to,code,err",
+    [
+        ("real.json", 0, ""),
+        ("sub/new.json", 0, ""),
+        ("missing/new.json", 4, "error: cannot write link: No such file or directory\n"),
+    ],
+    ids=["to-a-file", "dangling", "into-a-missing-directory"],
+)
+def test_output_through_a_symlink_writes_its_target(
+    tmp_path, capsys, monkeypatch, points_to, code, err
+):
+    # --out writes through a link, as open() and shell redirection do: the
+    # link stays a link, and the file it names gets the record
+    _scenario(tmp_path)
+    (tmp_path / "real.json").write_text("old", encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link").symlink_to(points_to)
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["compare", "--config", "scenario.json", "--out", "link"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+    assert os.readlink("link") == points_to
+    after = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    if code:
+        assert after == before
+        assert (tmp_path / "real.json").read_text(encoding="utf-8") == "old"
+    else:
+        assert after == sorted({*before, Path(points_to)})
+        record = json.loads((tmp_path / points_to).read_text(encoding="utf-8"))
+        assert set(record["results"]) == {"swm", "bwm"}
+
+
 def test_compare_writes_record(tmp_path):
     config = _scenario(tmp_path)
     out = tmp_path / "run.json"
