@@ -693,6 +693,21 @@ def test_compare_with_overflowing_result_is_numeric_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP standing defect 3")
+def test_compare_on_an_aliased_grid_is_refused(tmp_path, capsys):
+    # the golden edge-aliased-lambda scenario: the law's fringes are ~1e131
+    # times finer than the 1001-node grid, so its trapezoid sums are aliasing
+    # noise (P = 0.507 for both schemes, where the law's integral is 1/2)
+    config = _scenario(tmp_path, lambda0_nm=1e-140, fwhm_nm=1e-142, grid={"points": 1001})
+    out = tmp_path / "run.json"
+    code = cli_main(["compare", "--config", str(config), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 #: a valid line so short that p0^2 overflows a double (p0 ~ 6.3e159 1/m)
 TINY_LINE = {"lambda0_nm": 1e-150, "fwhm_nm": 1e-152, "grid": {"points": 101}}
 
