@@ -167,6 +167,23 @@ def test_io_error_names_the_target_and_the_reason(tmp_path, capsys, monkeypatch,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "taken"]
 
 
+def test_a_file_at_the_temp_name_is_left_alone(tmp_path, capsys, monkeypatch):
+    # the temp file is created with O_EXCL, so a file already at its name
+    # fails the write; that file and the target stay as they were
+    _scenario(tmp_path)
+    (tmp_path / "run.json").write_text("old", encoding="utf-8")
+    (tmp_path / "run.json.0000000000000000.tmp").write_text("not ours", encoding="utf-8")
+    # os.urandom(8) becomes bytes(8), eight zero bytes, so the temp name is known
+    monkeypatch.setattr(os, "urandom", bytes)
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["compare", "--config", "scenario.json", "--out", "run.json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write run.json: File exists\n"
+    assert (tmp_path / "run.json").read_text(encoding="utf-8") == "old"
+    assert (tmp_path / "run.json.0000000000000000.tmp").read_text(encoding="utf-8") == "not ours"
+
+
 SWEEP_3 = ["sweep", "--mode", "analytic", "--omega-min", "1e-10", "--omega-max", "1e-8", "--points", "3"]
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sagnac_wva.config import ExperimentConfig, config_from_dict, load_scenario
 from sagnac_wva.errors import ParseError, ValidationError
 from sagnac_wva.output import record_to_json
-from sagnac_wva.spectrum import MAX_GRID_POINTS, GridSpec
+from sagnac_wva.spectrum import MAX_GRID_POINTS, GridSpec, gaussian_probe
 
 BASE = {
     "lambda0_nm": 833.0,
@@ -177,6 +177,32 @@ def test_rejects_non_object_grid():
     with pytest.raises(ValidationError) as exc:
         config_from_dict(_raw(grid=4001))
     assert exc.value.field == "grid"
+
+
+def test_a_grid_that_is_not_a_gridspec_is_refused():
+    # built directly, not through config_from_dict, which makes the GridSpec
+    with pytest.raises(ValidationError) as exc:
+        ExperimentConfig(**BASE, grid={"points": 101})
+    assert exc.value.field == "grid"
+
+
+def test_a_narrow_line_builds_its_config_without_a_warning():
+    # the README line: sigma_lambda/lambda0 = 0.01, far below the wide-line limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config_from_dict(_raw())
+
+
+def test_the_step_refusal_quotes_the_wavelength_it_was_given():
+    # a scenario's own lambda0_nm, not lambda0_m() * 1e9 = 1550.0000000000002
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict(_raw(lambda0_nm=1550.0, fwhm_nm=1e-12))
+    assert " at lambda0_nm = 1550.0, which does not separate " in str(exc.value)
+    # a direct call without it: lambda0 in nm
+    lambda0 = 1550.0 * 1e-9
+    with pytest.raises(ValidationError) as exc:
+        gaussian_probe(lambda0, 1e-21)
+    assert f" at lambda0_nm = {lambda0 * 1e9!r}, which does not separate " in str(exc.value)
 
 
 def test_grid_values_accepted():

@@ -662,3 +662,12 @@ def test_phase_samples_refuse_a_bracket_past_the_cap():
     config = _config()
     assert phase_samples(config, SchemeKind.SWM, 1e-3, 50.0) is None
     assert phase_samples(config, SchemeKind.SWM, 1e-3, 5.0).size <= 200_000
+
+
+def test_phase_samples_give_none_where_the_coupling_per_rate_underflows():
+    # area 5e-324: g' = 4*S/c underflows to 0, so theta/2 does not move
+    # with Omega and no spacing in phase can be turned into rates
+    config = _config(area_m2=5e-324, grid=GridSpec(points=101))
+    assert _coupling_length(config, 1.0) == 0.0
+    for scheme in SchemeKind:
+        assert phase_samples(config, scheme, 1e-10, 1e-8) is None

@@ -573,6 +573,33 @@ def test_a_missed_block_steps_out_from_the_seed(monkeypatch, scheme_name, k):
         _assert_bracket_contract(curve, obs, calls, est)
 
 
+def test_a_ragged_block_narrows_to_the_bracket_that_straddles(monkeypatch):
+    # a grid ragged at the block's midpoint: the excess has the lower end's
+    # sign at lo and at hi, the other sign at mid, so the block does not
+    # straddle.  mid narrows the bracket to [1, mid] and lo then moves its
+    # lower end; hi, past mid, is outside the bracket and moves nothing
+    seed = 1.5
+    lo, hi = seed * (1.0 - SEED_HALF_WIDTH), seed * (1.0 + SEED_HALF_WIDTH)
+    mid = 0.5 * (lo + hi)
+
+    def ragged(omegas):
+        omegas = np.atleast_1d(omegas)
+        return np.where(omegas == mid, 1e-3, omegas - 1.6)
+
+    curve = CalibrationCurve(
+        np.array([1.0, 2.0]), np.array([-0.6, 0.4]), _model(ragged), _NAN_REFERENCE
+    )
+    monkeypatch.setattr(estimation, "_seed", lambda *_: seed)
+    recorded, calls = _recording(curve)
+    est = estimate_omega_numeric(0.0, recorded)
+    assert [rate for rate, _ in calls[:3]] == [lo, hi, mid]
+    assert [value < 0.0 for _, value in calls[:3]] == [True, True, False]
+    # [mid, hi] holds a sign change too, so the contract alone cannot tell
+    # the estimate from one in a bracket that hi inverted
+    assert est.omega_hat == 0.5 * (lo + mid)
+    _assert_bracket_contract(curve, 0.0, calls, est)
+
+
 @pytest.mark.parametrize(
     "scheme_name, backward", [("swm", "4.526e-09"), ("bwm", "4.520e-09")], ids=["swm", "bwm"]
 )

@@ -349,6 +349,18 @@ def test_infinite_relative_difference_serialized_as_null():
     assert all(row["relative_difference"] is None for row in payload["discrepancy"])
 
 
+def test_zero_against_zero_is_no_relative_difference():
+    # a quantity that is 0.0 both ways differs by 0.0, written as 0.0, not
+    # as the null of an infinite difference
+    config = _config()
+    swm, bwm = compare_schemes(config)
+    results = (dataclasses.replace(swm, delta_p_numeric=0.0, delta_p_analytic=0.0), bwm)
+    rows = discrepancy_from_results(results)
+    assert (rows[0].quantity, rows[0].relative_difference) == ("delta_p", 0.0)
+    payload = json.loads(record_to_json(build_run_record(config, results, rows)))
+    assert payload["discrepancy"][0]["relative_difference"] == 0.0
+
+
 def test_run_record_refuses_a_non_finite_result_field():
     # the first non-finite field, schemes in order and fields in dataclass
     # order, is named; the record would otherwise hold an inf
