@@ -28,8 +28,8 @@ It then seeds the root from closed-form evaluations alone: the curve also
 keeps the scheme's `engine.exact_gaussian` reference, bound once when the
 curve is certified, and the seed is the root of that closed form plus the
 grid-minus-exact gap at the interval's ends, interpolated linearly; its
-one-rate steps take the reference's Python-float route, on numpy scalars,
-which gives the bits of its array route.  One forward call evaluates the
+one-rate steps pass the reference Python floats and get numpy scalars,
+with the bits an array gives each rate.  One forward call evaluates the
 grid block [lo, hi, mid] around the seed, a bracket just narrower than the
 stop test; when lo and hi straddle the observation, mid is the estimate,
 with that block's residual.  Otherwise (a seed off the grid's root, which
@@ -232,9 +232,9 @@ def _seed(exact, a: float, b: float, ya: float, yb: float) -> float:
     whose stale end has its value halved), one closed-form evaluation each,
     close in on it; the last step is the seed when they do not settle.  A
     non-finite closed form gives a NaN seed.  Each step passes `exact` one
-    Python float (the bound reference's scalar route) and reads the shift
-    with `.item()`, so no one-element array is built; Python floats
-    throughout, so it warns nowhere.
+    Python float, which gives numpy scalars, and reads the shift with
+    `.item()`, so no one-element array is built; Python floats throughout,
+    so it warns nowhere.
     """
     omegas = np.linspace(a, b, SEED_SAMPLES).tolist()
     closed = exact(omegas).delta_lambda.tolist()
