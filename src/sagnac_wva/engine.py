@@ -15,10 +15,14 @@ not ground truth.  It differs from the grid by the 6-sigma truncation
 (about 7e-8 of the shift) and the grid's rounding.  The numeric
 inversion uses it to certify a calibration curve, on the rates of
 `phase_samples`, and to place the grid block it then evaluates; no output
-reports it.  Like `numeric_forward` it is bound once per scheme and works
-out everything that does not depend on Omega then; the bound reference
-keeps numpy's shapes, so one rate gives numpy scalars (the seed's one-rate
-steps) with the bits an array of rates gives it.
+reports it.  Like `numeric_forward` it is bound once per scheme; the bound
+reference keeps numpy's shapes, so one rate gives numpy scalars (the seed's
+one-rate steps) with the bits an array of rates gives it.
+
+Each forward quantity has one home: `_coupling_length` turns rates into
+coupling lengths g for every function here, the bound models included, and
+`_delta_lambda(delta_p, p0)` turns every momentum shift into a wavelength
+shift, working out lambda0 = 2*pi/p0 itself.
 
 `scheme_spectrum`, `analytic_shift`, `pointform_probability`,
 `numeric_forward` and `exact_gaussian` are the only code that turns
@@ -35,17 +39,16 @@ runs the scenario's own rate passes `config.omega_rad_per_s`, and
 
 `numeric_forward` is the batched numeric forward model behind `compare`,
 the calibration ladder, the bisection, numeric sweeps and the figure3
-probability panel.  Binding it works out, once, everything that does not
-depend on Omega: the loop constants, the bias, the trapezoid widths
-np.diff(p), the probe mean and lambda0.  Each evaluation then computes only
-a column of coupling lengths, the sin^2 law on a (rates, nodes) block of at
-most NUMERIC_CHUNK_ELEMENTS elements at a time (one rate per block on a grid
-with more nodes than that) and two trapezoid sums per rate: the total and
-the first moment.  Each evaluation allocates two arrays with one row per
-rate of a block (never more rows than rates) and drops them when it
-returns: a (rows, nodes) array that takes the law and then the
-first-moment integrand, and a (rows, nodes - 1) array for the trapezoid
-pair sums.  A bound model holds no array between calls.  The law and the
+probability panel.  Binding it works out, once, the law's numbers (`_law`),
+the trapezoid widths np.diff(p) and the probe mean.  Each evaluation then
+computes only a column of coupling lengths, the sin^2 law on a (rates,
+nodes) block of at most NUMERIC_CHUNK_ELEMENTS elements at a time (one rate
+per block on a grid with more nodes than that) and two trapezoid sums per
+rate: the total and the first moment.  Each evaluation allocates two
+arrays with one row per rate of a block (never more rows than rates) and
+drops them when it returns: a (rows, nodes) array that takes the law and
+then the first-moment integrand, and a (rows, nodes - 1) array for the
+trapezoid pair sums.  A bound model holds no array between calls.  The law and the
 trapezoid run their usual ufuncs in place there, so every rate gets the
 bits a one-rate spectrum and `mean_shift_numeric` /
 `postselection_probability` would give it; those two stay as the
@@ -210,10 +213,11 @@ def postselection_probability(probe: ProbeSpectrum, intensity: np.ndarray) -> fl
     return float(np.trapezoid(intensity, probe.p_grid))
 
 
-def _delta_lambda(delta_p, lambda0):
-    """A momentum shift as a wavelength shift at the probe centre lambda0:
-    -delta_p * lambda0^2 / (2*pi); the package's one such conversion."""
-    return -delta_p * lambda0**2 / (2.0 * np.pi)
+def _delta_lambda(delta_p, p0):
+    """A momentum shift as a wavelength shift at the probe centre p0:
+    -delta_p * lambda0^2 / (2*pi) with lambda0 = 2*pi/p0; the package's one
+    such conversion, and the one place that works out that lambda0."""
+    return -delta_p * momentum_to_wavelength(p0) ** 2 / (2.0 * np.pi)
 
 
 def mean_shift_numeric(probe: ProbeSpectrum, intensity: np.ndarray) -> MeanShift:
@@ -222,8 +226,7 @@ def mean_shift_numeric(probe: ProbeSpectrum, intensity: np.ndarray) -> MeanShift
     post_mean = moments(probe.p_grid, intensity).mean
     probe_mean = moments(probe.p_grid, probe.intensity).mean
     delta_p = post_mean - probe_mean
-    lambda0 = momentum_to_wavelength(probe.p0)
-    return MeanShift(delta_p=delta_p, delta_lambda=_delta_lambda(delta_p, lambda0))
+    return MeanShift(delta_p=delta_p, delta_lambda=_delta_lambda(delta_p, probe.p0))
 
 
 def _width_ratio_sq(config) -> float:
@@ -299,8 +302,9 @@ def exact_gaussian(config, scheme: SchemeKind):
     one rate (a Python float or a numpy scalar) gives numpy scalars, and a
     sequence or an array gives arrays of its shape.  Both run the same
     operations in the same order, so a rate gets the same bits either way.
-    The law's numbers (`_law`), p0, sigma_p^2, the probe's lambda0, the
-    area and the loop's lambda0 are worked out here, once.
+    The law's numbers (`_law`), p0 and sigma_p^2 are worked out here, once;
+    each evaluation takes g from `_coupling_length` and converts delta_p
+    with `_delta_lambda`.
 
     With a = g + psi_pre, theta/2 = g*p0 + phi_at_p0 (see `_law`) and
     x = 2*a^2*sigma_p^2, the probe's integrals of sin^2(a*p + phi) give
@@ -313,14 +317,13 @@ def exact_gaussian(config, scheme: SchemeKind):
     value, not a warning, when binding and when evaluating.
     """
     _, psi_pre, phi_at_p0 = _law(config, scheme)
-    area, loop_lambda0, p0 = config.area_m2, config.lambda0_m(), config.probe.p0
+    p0 = config.probe.p0
     with np.errstate(all="ignore"):
         variance = config.probe.sigma_p**2
-        lambda0 = momentum_to_wavelength(p0)
 
     def evaluate(omegas) -> NumericForward:
         omegas = np.asarray(omegas, dtype=float)
-        g = coupling_length(omegas, area, loop_lambda0)
+        g = _coupling_length(config, omegas)
         with np.errstate(all="ignore"):
             a = g + psi_pre
             half_theta = g * p0 + phi_at_p0
@@ -330,7 +333,7 @@ def exact_gaussian(config, scheme: SchemeKind):
             decay = np.exp(-x)
             twice_p = -np.expm1(-x) + 2.0 * decay * np.square(np.sin(half_theta))
             delta_p = 2.0 * a * variance * decay * np.sin(2.0 * half_theta) / twice_p
-            delta_lambda = _delta_lambda(delta_p, lambda0)
+            delta_lambda = _delta_lambda(delta_p, p0)
         return NumericForward(delta_p, delta_lambda, probability=0.5 * twice_p)
 
     return evaluate
@@ -402,12 +405,12 @@ def numeric_forward(config, scheme: SchemeKind):
     """Bind the numeric forward model of one scheme to a scenario.
 
     Returns `evaluate(omegas) -> NumericForward`, flat arrays with one entry
-    per rate of `omegas` (a scalar or any array).  Everything that does not
-    depend on Omega is worked out here, once: the loop constants, the bias,
-    the trapezoid widths, the probe mean and lambda0.  `evaluate` computes
-    the coupling lengths and spectra of at most NUMERIC_CHUNK_ELEMENTS //
-    nodes rates at a time (at least one) and integrates each row once for its
-    total and first moment.
+    per rate of `omegas` (a scalar or any array).  The law's numbers
+    (`_law`), the trapezoid widths and the probe mean are worked out here,
+    once.  `evaluate` computes the coupling lengths (`_coupling_length`)
+    and spectra of at most NUMERIC_CHUNK_ELEMENTS // nodes rates at a time
+    (at least one) and integrates each row once for its total and first
+    moment.
 
     Every block of one evaluation runs in the same two arrays (see the
     module docstring), allocated per call; the model keeps none of them.
@@ -417,14 +420,12 @@ def numeric_forward(config, scheme: SchemeKind):
     for a NaN or infinite total (an overflowed coupling), else
     ZeroTotalIntensity.
     """
-    area, loop_lambda0 = config.area_m2, config.lambda0_m()
     phi, psi_pre, _ = _law(config, scheme)
     probe = config.probe
     p = probe.p_grid
     widths = np.diff(p)
     probe_total, probe_first = integrals(p, probe.intensity, widths)
     probe_mean = float(probe_first / probe_total)
-    lambda0 = momentum_to_wavelength(probe.p0)
     rows = max(1, NUMERIC_CHUNK_ELEMENTS // p.size)
 
     def evaluate(omegas) -> NumericForward:
@@ -435,14 +436,14 @@ def numeric_forward(config, scheme: SchemeKind):
         firsts = np.empty(omegas.size)
         for start in range(0, omegas.size, rows):
             block = slice(start, start + rows)
-            g = coupling_length(omegas[block, None], area, loop_lambda0)
+            g = _coupling_length(config, omegas[block, None])
             intensity = postselected_spectrum(probe, g, phi, psi_pre, out=law[: len(g)])
             totals[block], firsts[block] = integrals(p, intensity, widths, pairs[: len(g)])
         # the operation order of mean_shift_numeric, rate by rate
         delta_p = firsts / totals - probe_mean
         return NumericForward(
             delta_p=delta_p,
-            delta_lambda=_delta_lambda(delta_p, lambda0),
+            delta_lambda=_delta_lambda(delta_p, probe.p0),
             probability=totals,
         )
 

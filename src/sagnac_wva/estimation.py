@@ -67,7 +67,7 @@ from .errors import (
     OutOfRangeObservation,
     ValidationError,
 )
-from .spectrum import MAX_GRID_POINTS, finite_real, momentum_to_wavelength
+from .spectrum import MAX_GRID_POINTS, finite_real
 
 #: the numeric inversion stops when the bracket shrinks below this relative
 #: width in Omega, or after this many steps
@@ -174,7 +174,7 @@ def calibration_curve(
         return NonMonotonicCalibration(message)
 
     def metres(delta_p) -> str:
-        return f"{abs(_delta_lambda(delta_p, momentum_to_wavelength(config.probe.p0))):.3e} m"
+        return f"{abs(_delta_lambda(delta_p, config.probe.p0)):.3e} m"
 
     # the shift is a mean momentum near p0 less the probe's, so a step under
     # a few ulps of p0 (here 16) is rounding, not signal
