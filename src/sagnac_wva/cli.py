@@ -17,7 +17,9 @@ command) goes through the top-level parser.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -181,7 +183,17 @@ def _cmd_estimate(args) -> int:
         "residual_m": estimate.residual,
         "scheme": scheme.value,
     }
-    sys.stdout.write(record_to_json(payload))
+    try:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(record_to_json(payload))
+        sys.stdout.flush()
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the interpreter flushes stdout again at exit; send that flush to
+            # devnull, as the Python docs' note on SIGPIPE does, so it is silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise IoError(f"cannot write stdout: {exc.strerror or exc}") from exc
     return EXIT_OK
 
 

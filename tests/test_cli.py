@@ -184,6 +184,38 @@ def test_a_file_at_the_temp_name_is_left_alone(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "run.json.0000000000000000.tmp").read_text(encoding="utf-8") == "not ours"
 
 
+ESTIMATE_BWM = ["estimate", "--delta-lambda-m", "1.68e-9", "--method", "analytic"]
+
+
+def test_estimate_onto_a_closed_stdout_is_an_io_error(tmp_path, capsys, monkeypatch):
+    # an interpreter started with fd 1 closed (`>&-`) has sys.stdout None
+    config = _scenario(tmp_path, scheme="bwm")
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli_main([*ESTIMATE_BWM, "--config", str(config)]) == 4
+    assert capsys.readouterr().err == "error: cannot write stdout: Bad file descriptor\n"
+
+
+def test_estimate_into_a_pipe_nobody_reads_is_an_io_error(tmp_path):
+    # with PYTHONUNBUFFERED unset the record waits in stdout's buffer, and
+    # the pipe fails only when that is flushed: at exit, unless the command
+    # flushes it itself.  The read end is closed before the child starts.
+    config = _scenario(tmp_path, scheme="bwm")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "sagnac_wva.cli", *ESTIMATE_BWM, "--config", str(config)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 4
+    assert child.stderr == "error: cannot write stdout: Broken pipe\n"
+
+
 SWEEP_3 = ["sweep", "--mode", "analytic", "--omega-min", "1e-10", "--omega-max", "1e-8", "--points", "3"]
 
 
@@ -193,18 +225,24 @@ SWEEP_3 = ["sweep", "--mode", "analytic", "--omega-min", "1e-10", "--omega-max",
         (["spectrum", "--scheme", "swm"], "fifo", stat.S_ISFIFO),
         (["compare"], "link", stat.S_ISLNK),
         (SWEEP_3, "folder", stat.S_ISDIR),
+        (["compare"], "loop", stat.S_ISLNK),
+        (["compare"], "cycle-a", stat.S_ISLNK),
     ],
-    ids=["fifo", "symlink-to-fifo", "directory"],
+    ids=["fifo", "symlink-to-fifo", "directory", "symlink-loop", "symlink-cycle"],
 )
 def test_output_onto_a_special_file_is_refused(
     tmp_path, capsys, monkeypatch, command, target, is_kind
 ):
     # the temp file is never renamed over a node that is not a regular file,
-    # links followed; stat does not open the FIFO, so nothing blocks
+    # links followed; stat does not open the FIFO, so nothing blocks.  A link
+    # that never resolves (a loop or a cycle) is no regular file either
     _scenario(tmp_path)
     os.mkfifo(tmp_path / "fifo")
     (tmp_path / "link").symlink_to("fifo")
     (tmp_path / "folder").mkdir()
+    (tmp_path / "loop").symlink_to("loop")
+    (tmp_path / "cycle-a").symlink_to("cycle-b")
+    (tmp_path / "cycle-b").symlink_to("cycle-a")
     before = sorted(p.name for p in tmp_path.iterdir())
     monkeypatch.chdir(tmp_path)
     assert cli_main([*command, "--config", "scenario.json", "--out", target]) == 4
@@ -215,6 +253,8 @@ def test_output_onto_a_special_file_is_refused(
     assert is_kind(os.lstat(target).st_mode)
     assert os.readlink("link") == "fifo" and stat.S_ISFIFO(os.lstat("fifo").st_mode)
     assert not any((tmp_path / "folder").iterdir())
+    assert os.readlink("loop") == "loop"
+    assert (os.readlink("cycle-a"), os.readlink("cycle-b")) == ("cycle-b", "cycle-a")
 
 
 @pytest.mark.parametrize(
