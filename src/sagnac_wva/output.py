@@ -43,9 +43,9 @@ def _atomic_write(path, chunks) -> None:
     is written through, as `open()` writes: the link is resolved, and the
     temp file and the rename go to the path it names, so the link stays a
     link (a dangling one gets its target created).  An existing target that
-    is not a regular file, links followed (a FIFO, a device, a directory),
-    is refused before the temp file is created, so the rename never
-    replaces it.  Any OS-level failure (missing directory, permissions, full
+    is not a regular file, links followed (a FIFO, a device, a directory,
+    or a link loop, which `realpath` leaves unresolved), is refused before
+    the temp file is created, so the rename never replaces it.  Any OS-level failure (missing directory, permissions, full
     disk) comes back as IoError naming the target as given and the reason.
     On any failure, an exception raised by `chunks` included, the temp file
     is removed and the target is left as it was.
@@ -56,7 +56,7 @@ def _atomic_write(path, chunks) -> None:
     tmp = real.parent / f"{real.name}.{os.urandom(8).hex()}.tmp"
     created = False
     try:
-        if os.path.exists(real) and not os.path.isfile(real):
+        if os.path.lexists(real) and not os.path.isfile(real):
             raise OSError(None, "not a regular file")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         created = True
