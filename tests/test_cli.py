@@ -14,8 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conftest
 import sagnac_wva.cli
-from sagnac_wva.cli import FIGURE3_FILES, build_parser, cli_main, main
+from sagnac_wva.cli import (
+    FIGURE3_FILES,
+    FIGURE3_OMEGAS,
+    FIGURE3_SWEEP,
+    build_parser,
+    cli_main,
+    main,
+)
+from sagnac_wva.config import load_scenario
 from sagnac_wva.errors import (
     IoError,
     NonFiniteResult,
@@ -26,6 +35,7 @@ from sagnac_wva.errors import (
     ValidationError,
     ZeroTotalIntensity,
 )
+from sagnac_wva.estimation import omega_ladder
 
 # numpy warnings must never reach a CLI user's stderr
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -419,12 +429,15 @@ def test_estimate_numeric_on_a_curve_turning_between_samples_fails(
 
 @pytest.mark.parametrize("scheme", ["swm", "bwm"])
 def test_estimate_numeric_with_a_non_finite_reference_fails(tmp_path, capsys, scheme):
-    # the golden edge-tiny-lambda `estimate-<scheme>-3-point` run: its grid
-    # aliases the law and its exact-Gaussian reference is NaN, so it is
-    # refused instead of printing 1e-8 rad/s with residual 0
+    # the golden edge-tiny-lambda `estimate-<scheme>-3-point` run, on a loop
+    # small enough that the grid resolves the law: sigma_p^2 overflows, so
+    # the exact-Gaussian reference is NaN and the curve is refused instead
+    # of inverted
     config = _scenario(
-        tmp_path, lambda0_nm=1e-150, fwhm_nm=1e-152, scheme=scheme, grid={"points": 1001}
+        tmp_path, lambda0_nm=1e-150, fwhm_nm=1e-152, area_m2=1e-148, scheme=scheme,
+        grid={"points": 1001},
     )
+    conftest.assert_grid_resolves(load_scenario(config), [1e-10, 1e-8])
     code = cli_main(
         [
             "estimate", "--config", str(config), "--delta-lambda-m", "-6.901930055575093e-164",
@@ -765,13 +778,15 @@ def test_compare_on_an_aliased_grid_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
-#: a valid line so short that p0^2 overflows a double (p0 ~ 6.3e159 1/m)
-TINY_LINE = {"lambda0_nm": 1e-150, "fwhm_nm": 1e-152, "grid": {"points": 101}}
+#: a valid line so short that p0^2 overflows a double (p0 ~ 6.3e159 1/m),
+#: on a loop small enough that its 101 nodes resolve the law
+TINY_LINE = {"lambda0_nm": 1e-150, "fwhm_nm": 1e-152, "area_m2": 1e-143, "grid": {"points": 101}}
 
 
 def test_tiny_wavelength_compare_is_numeric_error(tmp_path, capsys):
     # the closed-form delta_p overflows to inf: refused, not an OverflowError
     config = _scenario(tmp_path, **TINY_LINE)
+    conftest.assert_grid_resolves(load_scenario(config), [BASE["omega_rad_per_s"]])
     out = tmp_path / "run.json"
     assert cli_main(["compare", "--config", str(config), "--out", str(out)]) == 3
     captured = capsys.readouterr()
@@ -794,6 +809,9 @@ def test_tiny_wavelength_analytic_bwm_commands_succeed(tmp_path, capsys, command
     # each evaluates the bwm delta_p = 2*g*p0^2*cot(phi), which overflows to
     # inf; none of them publishes it, so all succeed and write no NaN
     config = _scenario(tmp_path, scheme="bwm", **TINY_LINE)
+    if command[0] == "figure3":
+        rates = [*FIGURE3_OMEGAS, *omega_ladder(*FIGURE3_SWEEP)]
+        conftest.assert_grid_resolves(load_scenario(config), rates)
     argv = [str(tmp_path / token) if flag == "--out" else token
             for flag, token in zip([None] + command, command)]
     assert cli_main(argv + ["--config", str(config)]) == 0
@@ -843,17 +861,19 @@ def test_spectrum_with_overflowing_coupling_is_numeric_error(tmp_path, capsys, s
 
 
 @pytest.mark.parametrize(
-    "command",
+    "command,rates",
     [
-        ["compare"],
-        ["sweep", "--omega-min", "1e-10", "--omega-max", "1e300", "--points", "5",
-         "--mode", "numeric"],
+        (["compare"], [1e300]),
+        (["sweep", "--omega-min", "1e-10", "--omega-max", "1e300", "--points", "2",
+          "--mode", "numeric"], [1e-10, 1e300]),
     ],
     ids=["compare", "sweep-numeric"],
 )
-def test_overflowing_coupling_is_reported_as_non_finite(tmp_path, capsys, command):
-    # g = inf makes every intensity and so every total nan, not zero
+def test_overflowing_coupling_is_reported_as_non_finite(tmp_path, capsys, command, rates):
+    # g = inf makes every intensity and so every total nan, not zero; every
+    # finite coupling among the rates is one the grid resolves
     config = _scenario(tmp_path, area_m2=1e10, omega_rad_per_s=1e300, grid={"points": 101})
+    conftest.assert_grid_resolves(load_scenario(config), rates)
     code = cli_main(command + ["--config", str(config), "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 3

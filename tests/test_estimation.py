@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conftest
 from sagnac_wva import estimation
 from sagnac_wva.cli import FIGURE3_SWEEP
 from sagnac_wva.config import ExperimentConfig
@@ -488,13 +489,16 @@ def test_a_missed_block_leaves_the_bracket_to_itp():
 
 @pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
 def test_a_non_finite_closed_form_leaves_the_estimate_to_itp(scheme_name):
-    # the golden matrix's edge-tiny-lambda scenario, whose sigma_p^2
-    # overflows: the closed form is NaN, so no block is seeded and every
-    # call is a one-rate bisection step, with no numpy warning on the way;
-    # `calibration_curve` refuses this curve, so it is built by hand
+    # the golden matrix's edge-tiny-lambda scenario, on a loop small enough
+    # that the grid resolves the law; its sigma_p^2 overflows: the closed
+    # form is NaN, so no block is seeded and every call is a one-rate
+    # bisection step, with no numpy warning on the way; `calibration_curve`
+    # refuses this curve, so it is built by hand
     config = _config(
-        scheme=scheme_name, lambda0_nm=1e-150, fwhm_nm=1e-152, grid=GridSpec(points=1001)
+        scheme=scheme_name, lambda0_nm=1e-150, fwhm_nm=1e-152, area_m2=1e-148,
+        grid=GridSpec(points=1001),
     )
+    conftest.assert_grid_resolves(config, [1e-10, 1e-8])
     scheme = SchemeKind(scheme_name)
     forward = numeric_forward(config, scheme)
     omegas = omega_ladder(1e-10, 1e-8, 3)
@@ -517,12 +521,15 @@ def test_a_non_finite_closed_form_leaves_the_estimate_to_itp(scheme_name):
 
 @pytest.mark.parametrize("scheme_name", ["swm", "bwm"])
 def test_a_non_finite_reference_is_refused(scheme_name):
-    # the golden matrix's edge-tiny-lambda scenario: the aliased grid samples
-    # clear the step floor, but sigma_p^2 overflows, so the exact-Gaussian
-    # reference is NaN at every ladder rate
+    # the golden matrix's edge-tiny-lambda scenario, on a loop small enough
+    # that the grid resolves the law: the grid samples clear the step floor,
+    # but sigma_p^2 overflows, so the exact-Gaussian reference is NaN at
+    # every ladder rate
     config = _config(
-        scheme=scheme_name, lambda0_nm=1e-150, fwhm_nm=1e-152, grid=GridSpec(points=1001)
+        scheme=scheme_name, lambda0_nm=1e-150, fwhm_nm=1e-152, area_m2=1e-148,
+        grid=GridSpec(points=1001),
     )
+    conftest.assert_grid_resolves(config, [1e-10, 1e-8])
     with pytest.raises(NonMonotonicCalibration) as exc:
         calibration_curve(config, 1e-10, 1e-8, 3)
     assert str(exc.value) == (
