@@ -48,9 +48,9 @@ rate: the total and the first moment.  Each evaluation allocates two
 arrays with one row per rate of a block (never more rows than rates) and
 drops them when it returns: a (rows, nodes) array that takes the law and
 then the first-moment integrand, and a (rows, nodes - 1) array for the
-trapezoid pair sums.  A bound model holds no array between calls.  The law and the
-trapezoid run their usual ufuncs in place there, so every rate gets the
-bits a one-rate spectrum and `mean_shift_numeric` /
+trapezoid pair sums.  A bound model holds no array between calls.  The
+law and the trapezoid run their usual ufuncs in place there, so every rate
+gets the bits a one-rate spectrum and `mean_shift_numeric` /
 `postselection_probability` would give it; those two stay as the
 per-spectrum reference that tests compare against.
 
