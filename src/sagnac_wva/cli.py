@@ -9,6 +9,11 @@ errors the package passes on unwrapped, a missing scenario file exits 2
 and any other 4.  Diagnostics go to stderr, a failure as one `error:` line
 and no warning of any kind; machine-readable output goes to files or
 stdout only.
+`cli_main` is the one boundary between the commands and the process: it
+reads the scenario once and hands it to the command, writes the text a
+command returns (only `estimate` returns any) to stdout, and maps every
+package or OS error to its exit code in one place.  A command only
+computes and writes its files.
 An argv that starts with a command name is parsed by that command's
 sub-parser alone; any other argv (none, `--help`, `--version`, an unknown
 command) goes through the top-level parser.
@@ -119,8 +124,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
-def _cmd_spectrum(args) -> int:
-    config = load_scenario(args.config)
+def _cmd_spectrum(args, config) -> None:
     name = args.scheme or config.scheme
     if name == "both":
         raise ValidationError(
@@ -137,19 +141,15 @@ def _cmd_spectrum(args) -> int:
         "p_inv_m,lambda_m,intensity_probe,intensity_post",
         [probe.p_grid, momentum_to_wavelength(probe.p_grid), probe.intensity, intensity],
     )
-    return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    config = load_scenario(args.config)
+def _cmd_compare(args, config) -> None:
     results = compare_schemes(config)
     record = build_run_record(config, results, discrepancy_from_results(results))
     write_results_json(args.out, record)
-    return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    config = load_scenario(args.config)
+def _cmd_sweep(args, config) -> None:
     schemes = (
         (SchemeKind.SWM, SchemeKind.BWM)
         if config.scheme == "both"
@@ -165,40 +165,25 @@ def _cmd_sweep(args) -> int:
     else:
         header = "omega_rad_per_s,delta_lambda_swm_m,delta_lambda_bwm_m"
     write_table_csv(args.out, header, [omegas, *shifts])
-    return EXIT_OK
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args, config) -> str:
     check_observation(args.delta_lambda_m)
-    config = load_scenario(args.config)
     scheme = single_scheme(config)
     if args.method == "analytic":
         estimate = estimate_omega_analytic(args.delta_lambda_m, config)
     else:
         curve = calibration_curve(config, args.omega_min, args.omega_max, args.points)
         estimate = estimate_omega_numeric(args.delta_lambda_m, curve)
-    payload = {
+    return record_to_json({
         "omega_hat_rad_per_s": estimate.omega_hat,
         "method": estimate.method,
         "residual_m": estimate.residual,
         "scheme": scheme.value,
-    }
-    try:
-        if sys.stdout is None:  # fd 1 was closed when the interpreter started
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        sys.stdout.write(record_to_json(payload))
-        sys.stdout.flush()
-    except OSError as exc:
-        if isinstance(exc, BrokenPipeError):
-            # the interpreter flushes stdout again at exit; send that flush to
-            # devnull, as the Python docs' note on SIGPIPE does, so it is silent
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise IoError(f"cannot write stdout: {exc.strerror or exc}") from exc
-    return EXIT_OK
+    })
 
 
-def _cmd_figure3(args) -> int:
-    config = load_scenario(args.config)
+def _cmd_figure3(args, config) -> None:
     probe = config.probe
     schemes = (SchemeKind.SWM, SchemeKind.BWM)
     tables = []  # (header, columns), one per FIGURE3_FILES entry
@@ -240,7 +225,6 @@ def _cmd_figure3(args) -> int:
         raise IoError(f"cannot create {out_dir}: {exc.strerror or exc}") from exc
     for name, (header, columns) in zip(FIGURE3_FILES, tables):
         write_table_csv(out_dir / name, header, columns)
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -250,6 +234,21 @@ _COMMANDS = {
     "estimate": _cmd_estimate,
     "figure3": _cmd_figure3,
 }
+
+
+def _write_stdout(text: str) -> None:
+    """Write and flush `text` on stdout; a failure raises `IoError` (exit 4)."""
+    try:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the interpreter flushes stdout again at exit; send that flush to
+            # devnull, as the Python docs' note on SIGPIPE does, so it is silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise IoError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
 #: float-valued flags whose value may be negative, e.g. an swm shift of -1.2e-09
@@ -307,16 +306,20 @@ def cli_main(argv: list[str]) -> int:
     try:
         # the commands check the non-finite values they refuse themselves, so
         # numpy's own warnings would only add noise next to `error:`; the
-        # same holds for Python warnings, such as the probe's wide-line one
+        # same holds for Python warnings, such as the probe's wide-line one,
+        # which fires when the scenario is loaded
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return _COMMANDS[args.command](args)
-    except SagnacWvaError as exc:
+            text = _COMMANDS[args.command](args, load_scenario(args.config))
+        if text is not None:
+            _write_stdout(text)
+    except (SagnacWvaError, OSError) as exc:
+        # OSErrors are passed on unwrapped, as load_scenario's FileNotFoundError
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:  # passed on unwrapped, as load_scenario's FileNotFoundError
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, SagnacWvaError):
+            return exc.exit_code
         return EXIT_CONFIG if isinstance(exc, FileNotFoundError) else EXIT_IO
+    return EXIT_OK
 
 
 def main() -> None:

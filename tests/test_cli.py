@@ -837,11 +837,12 @@ def test_every_package_error_maps_to_an_exit_code(tmp_path, monkeypatch, capsys,
     # carries, 2, 3 or 4, and one line
     exc = error("field", "refused") if error is ValidationError else error("refused")
 
-    def command(args):
+    def command(args, config):
         raise exc
 
     monkeypatch.setitem(sagnac_wva.cli._COMMANDS, "compare", command)
-    code = cli_main(["compare", "--config", "unused.json", "--out", str(tmp_path / "r.json")])
+    config = _scenario(tmp_path)
+    code = cli_main(["compare", "--config", str(config), "--out", str(tmp_path / "r.json")])
     assert code == error.exit_code
     assert code in (2, 3, 4)
     assert capsys.readouterr().err == f"error: {exc}\n"
@@ -1180,22 +1181,24 @@ def test_figure3_numeric_failure_writes_nothing(tmp_path, capsys, overrides, mes
     ],
     ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
 )
-def test_exit_code_of_each_mapped_error(capsys, monkeypatch, error, code):
-    def command(args):
+def test_exit_code_of_each_mapped_error(tmp_path, capsys, monkeypatch, error, code):
+    def command(args, config):
         raise error
 
     monkeypatch.setitem(sagnac_wva.cli._COMMANDS, "compare", command)
-    assert cli_main(["compare", "--config", "scenario.json", "--out", "out.json"]) == code
+    config = _scenario(tmp_path)
+    assert cli_main(["compare", "--config", str(config), "--out", "out.json"]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
 
 
-def test_unmapped_error_propagates(capsys, monkeypatch):
-    def command(args):
+def test_unmapped_error_propagates(tmp_path, capsys, monkeypatch):
+    def command(args, config):
         raise RuntimeError("a bug, not a refusal")
 
     monkeypatch.setitem(sagnac_wva.cli._COMMANDS, "compare", command)
+    config = _scenario(tmp_path)
     with pytest.raises(RuntimeError, match="a bug, not a refusal"):
-        cli_main(["compare", "--config", "scenario.json", "--out", "out.json"])
+        cli_main(["compare", "--config", str(config), "--out", "out.json"])
     assert capsys.readouterr().out == ""
