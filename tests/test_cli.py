@@ -546,6 +546,18 @@ def test_estimate_rejects_non_finite_observation(tmp_path, capsys, method, value
     assert captured.out == ""
 
 
+def test_unreadable_scenario_is_reported_before_a_bad_observation(tmp_path, capsys):
+    # cli_main reads the scenario before any command runs, so of two
+    # refusals with exit 2 the scenario's comes first
+    missing = tmp_path / "nope.json"
+    code = cli_main(["estimate", "--config", str(missing), "--delta-lambda-m=nan",
+                     "--method", "analytic"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert captured.out == ""
+
+
 def test_figure3_rows_match_compare_schemes(tmp_path):
     # panels C and D and compare_schemes share one forward path: equal bits
     from sagnac_wva.config import load_scenario
