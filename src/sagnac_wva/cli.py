@@ -13,7 +13,11 @@ stdout only.
 reads the scenario once and hands it to the command, writes the text a
 command returns (only `estimate` returns any) to stdout, and maps every
 package or OS error to its exit code in one place.  A command only
-computes and writes its files.
+computes and writes its files.  The CLI writes the standard streams
+through two helpers alone: `_write_stdout` turns any failed write into
+exit 4, and `_write_stderr` never raises, so a lost `error:` line leaves
+the exit code as it was.  After a failed write either one points its fd
+at devnull, so the interpreter's flush at exit cannot fail again.
 An argv that starts with a command name is parsed by that command's
 sub-parser alone; any other argv (none, `--help`, `--version`, an unknown
 command) goes through the top-level parser.
@@ -22,6 +26,7 @@ command) goes through the top-level parser.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import os
@@ -236,6 +241,17 @@ _COMMANDS = {
 }
 
 
+def _to_devnull(stream) -> None:
+    """Point `stream`'s fd at devnull after a failed write: the interpreter
+    flushes the stream again at exit, and that flush is then silent (the
+    Python docs' note on SIGPIPE)."""
+    with contextlib.suppress(AttributeError, OSError):  # None, or no fd
+        fd = stream.fileno()
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fd)
+        os.close(null)
+
+
 def _write_stdout(text: str) -> None:
     """Write and flush `text` on stdout; a failure raises `IoError` (exit 4)."""
     try:
@@ -244,11 +260,19 @@ def _write_stdout(text: str) -> None:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
-        if isinstance(exc, BrokenPipeError):
-            # the interpreter flushes stdout again at exit; send that flush to
-            # devnull, as the Python docs' note on SIGPIPE does, so it is silent
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_devnull(sys.stdout)
         raise IoError(f"cannot write stdout: {exc.strerror or exc}") from exc
+
+
+def _write_stderr(text: str) -> None:
+    """Write and flush `text` on stderr, if it is open; never raises.  With
+    fd 2 closed at start `sys.stderr` is None, and nothing is written."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text)
+            sys.stderr.flush()
+        except OSError:
+            _to_devnull(sys.stderr)
 
 
 #: float-valued flags whose value may be negative, e.g. an swm shift of -1.2e-09
@@ -291,19 +315,24 @@ def cli_main(argv: list[str]) -> int:
     parser, commands = build_parser()
     argv = _join_float_values(argv)
     try:
-        if argv and argv[0] in commands:
-            # the top-level parser would hand every token after the command to
-            # its sub-parser and refuse what that leaves over; do both directly
-            args, extras = commands[argv[0]].parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
-            args.command = argv[0]
-        else:
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed usage/help; fold its exit status through
-        return int(exc.code) if exc.code is not None else EXIT_OK
-    try:
+        try:
+            if argv and argv[0] in commands:
+                # the top-level parser would hand every token after the command
+                # to its sub-parser and refuse what that leaves over; do both
+                args, extras = commands[argv[0]].parse_known_args(argv[1:])
+                if extras:
+                    parser.error(f"unrecognized arguments: {' '.join(extras)}")
+                args.command = argv[0]
+            else:
+                args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse wrote usage, help or version and swallowed any write
+            # error; flushing both streams makes a lost --help or --version
+            # exit 4, as a lost estimate record does
+            _write_stderr("")
+            if sys.stdout is not None:  # else argparse wrote to stderr
+                _write_stdout("")
+            return int(exc.code) if exc.code is not None else EXIT_OK
         # the commands check the non-finite values they refuse themselves, so
         # numpy's own warnings would only add noise next to `error:`; the
         # same holds for Python warnings, such as the probe's wide-line one,
@@ -315,12 +344,11 @@ def cli_main(argv: list[str]) -> int:
             _write_stdout(text)
     except (SagnacWvaError, OSError) as exc:
         # OSErrors are passed on unwrapped, as load_scenario's FileNotFoundError
-        print(f"error: {exc}", file=sys.stderr)
+        _write_stderr(f"error: {exc}\n")
         if isinstance(exc, SagnacWvaError):
             return exc.exit_code
         return EXIT_CONFIG if isinstance(exc, FileNotFoundError) else EXIT_IO
     return EXIT_OK
-
 
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))

@@ -1,15 +1,21 @@
-"""The CLI's exit contract under fuzzed scenarios and flags.
+"""The CLI's exit contract under fuzzed scenarios and flags, and whatever
+the standard streams are.
 
 Whatever the scenario, a command exits 0, 2, 3 or 4; stdout is valid JSON
 or empty; a failure prints exactly one `error:` line; no warning of any kind
-is emitted; and no written file carries a NaN.  Every run goes through
-`cli_main` in process, on grids of at most 101 nodes.
+is emitted; and no written file carries a NaN.  Those runs go through
+`cli_main` in process, on grids of at most 101 nodes.  The stream runs start
+the interpreter as a subprocess with stdout or stderr closed, read-only or
+a pipe whose reader has gone.
 """
 
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -169,3 +175,61 @@ def test_every_run_keeps_the_exit_contract(raw, commands):
             work = Path(tmp) / str(k)
             work.mkdir()
             _check_run(work, scenario, command)
+
+
+#: (argv, exit code with working streams), run in a directory holding bwm.json
+ROUTES = {
+    "help": (["--help"], 0),
+    "version": (["--version"], 0),
+    "usage-error": (["frobnicate"], 2),
+    "missing-scenario": (["compare", "--config", "missing.json", "--out", "x.json"], 2),
+    "estimate": (["estimate", "--config", "bwm.json", "--delta-lambda-m", "1.68e-9",
+                  "--method", "analytic"], 0),
+}
+
+
+def _break_stream(fd, state):
+    """A preexec_fn that leaves `fd` closed or open read-only in the child."""
+    def run():
+        if state == "closed":
+            os.close(fd)
+        elif state == "read-only":
+            os.dup2(os.open(os.devnull, os.O_RDONLY), fd)
+    return run
+
+
+@pytest.mark.parametrize("state", ["closed", "read-only", "gone"])
+@pytest.mark.parametrize("fd", [1, 2], ids=["stdout", "stderr"])
+@pytest.mark.parametrize("route", ROUTES)
+def test_the_exit_contract_holds_whatever_the_streams_are(tmp_path, route, fd, state):
+    # with PYTHONUNBUFFERED unset, output waits in the streams' buffers and
+    # the interpreter's flush at exit fails too unless the CLI handles it.
+    # A lost --help, --version or estimate record exits 4; every other run
+    # keeps its code, and a lost error: line never moves to stdout
+    argv, code = ROUTES[route]
+    (tmp_path / "bwm.json").write_text(
+        json.dumps({**README, "scheme": "bwm"}), encoding="utf-8")
+    if fd == 1 and route in ("help", "version", "estimate") and (
+            state != "closed" or route == "estimate"):
+        code = 4  # a closed stdout sends argparse's text to stderr
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    streams = [subprocess.PIPE, subprocess.PIPE]
+    streams[fd - 1] = write_end if state == "gone" else subprocess.DEVNULL
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "sagnac_wva.cli", *argv], cwd=tmp_path, env=env,
+            stdout=streams[0], stderr=streams[1], preexec_fn=_break_stream(fd, state),
+            text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == code
+    if fd == 1:
+        assert sum(line.startswith("error: ") for line in child.stderr.splitlines()) <= 1
+        assert "Exception ignored" not in child.stderr
+        assert "Traceback" not in child.stderr
+    else:
+        assert "error:" not in child.stdout
