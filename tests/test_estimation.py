@@ -628,7 +628,7 @@ def test_curve_turning_between_samples_is_refused(scheme_name, backward):
 
 
 def test_a_ladder_across_the_biased_turning_point_is_refused():
-    # the bwm curve of the README scenario peaks at 1.0017e-8 rad/s; every
+    # the bwm curve of the README scenario peaks at 1.0029e-8 rad/s; every
     # sample of a ladder to 1.05e-8 rises, but the curve falls past the peak
     config = _config(scheme="bwm")
     curve = calibration_curve(config, 1e-10, 9.9e-9, 10)

@@ -168,7 +168,7 @@ ONE_OFFS = [
       for scheme, observed in (("swm", "-5.105890607060714e-10"),
                                ("bwm", "-5.106839577107428e-10"))],
     # the bwm shift at 5e-9 rad/s on the README scenario, on a ladder that
-    # ends just below the k = 0 turning point of the curve (1.0017e-8 rad/s),
+    # ends just below the k = 0 turning point of the curve (1.0029e-8 rad/s),
     # which is inverted, and on one that crosses it, which is refused
     *[(f"estimate-bwm-{name}-turning-point",
        ["estimate", "--config", "readme-bwm.json", "--delta-lambda-m", "6.7620148795770035e-09",
