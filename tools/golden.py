@@ -17,10 +17,13 @@ numeric `sweep`s (a numeric one up to 1e308 rad/s, where `4*Omega`
 overflows, and an analytic one over every decade from 5e-324 to the
 largest double; on the README scenario at 1001 nodes of each scheme, also
 an analytic one of 20001 rates, whose 2- and 3-column tables span several
-CSV chunks), analytic and numeric `estimate`s per scheme (numeric ones
-also on an interior ladder sample and on a 2-point ladder), `figure3`
-and three usage errors (one a `sweep` of 10**30 rates, more than any
-machine could allocate).  A last directory, `one-off/`, holds single
+CSV chunks), a 10-rate numeric ladder `sweep` per scheme, analytic and
+numeric `estimate`s per scheme (numeric ones also on an interior ladder
+sample and on a 2-point ladder), `figure3` and three usage errors (one a `sweep` of 10**30 rates, more than any
+machine could allocate).  The estimates' observations are three fixed
+shifts plus, where the ladder succeeded, its values frozen in
+`LADDER_OBSERVATIONS`, so that a checkout whose ladders differ still runs
+the same estimate argvs.  A last directory, `one-off/`, holds single
 commands for the refusals no scenario reaches: unreadable or malformed
 scenario files, single-scheme commands on a `both` scenario, refused flag
 values, an overflowing closed-form estimate, a calibration ladder from a
@@ -201,6 +204,218 @@ ONE_OFFS = [
 #: scenarios that also get a long analytic sweep: one per scheme setting
 LONG_SWEEP = {f"{scheme}-full-1001-readme" for scheme in ("swm", "bwm", "both")}
 
+#: the observations the numeric estimates of each (scenario, scheme) take from
+#: that scheme's 10-point numeric ladder on the estimator's default bracket,
+#: frozen as that ladder wrote them at commit 93c69d6: (midpoint of samples
+#: 3 and 4, sample 0, sample 9, sample 4), in m.  A scenario whose ladder
+#: was refused there has none
+LADDER_OBSERVATIONS = {
+    ("swm-full-1001-readme", "swm"): (
+        -1.0785865802001201e-13, -1.742849784684823e-14,
+        -1.7256579938121145e-12, -1.3485102946158858e-13),
+    ("swm-full-1001-random", "swm"): (
+        -6.594744226931509e-13, -1.0653358202522145e-13,
+        -1.059817775344418e-11, -8.245584439475275e-13),
+    ("swm-full-4001-readme", "swm"): (
+        -1.0785865822571482e-13, -1.742849784684823e-14,
+        -1.7256579939149658e-12, -1.348510297701428e-13),
+    ("swm-full-4001-random", "swm"): (
+        -1.0491270055548703e-13, -1.6944295662472345e-14,
+        -1.692057620929671e-12, -1.3118100291965638e-13),
+    ("swm-full-16001-readme", "swm"): (
+        -1.07858658020012e-13, -1.7428497641145404e-14,
+        -1.7256579936064117e-12, -1.3485102956443999e-13),
+    ("swm-full-16001-random", "swm"): (
+        -1.2511564777158705e-15, -2.0205653585134902e-16,
+        -2.0205217180615936e-14, -1.56444935434577e-15),
+    ("swm-literal-1001-readme", "swm"): (
+        -1.0785865802001201e-13, -1.742849784684823e-14,
+        -1.7256579938121145e-12, -1.3485102946158858e-13),
+    ("swm-literal-1001-random", "swm"): (
+        -4.4394114801007516e-16, -7.169460097341935e-17,
+        -7.169394971003549e-15, -5.551052780433998e-16),
+    ("swm-literal-4001-readme", "swm"): (
+        -1.0785865822571482e-13, -1.742849784684823e-14,
+        -1.7256579939149658e-12, -1.348510297701428e-13),
+    ("swm-literal-4001-random", "swm"): (
+        -4.335401853936194e-14, -7.06804181510985e-15,
+        -6.047540162298437e-13, -5.410347443850112e-14),
+    ("swm-literal-16001-readme", "swm"): (
+        -1.07858658020012e-13, -1.7428497641145404e-14,
+        -1.7256579936064117e-12, -1.3485102956443999e-13),
+    ("swm-literal-16001-random", "swm"): (
+        -2.1931674400874045e-11, -3.816177311350089e-12,
+        -1.6024745734054185e-10, -2.7006662313434704e-11),
+    ("bwm-full-1001-readme", "bwm"): (
+        1.0343105235574695e-09, 1.6766813842209271e-10,
+        8.493181938012839e-09, 1.2916457166249053e-09),
+    ("bwm-full-1001-random", "bwm"): (
+        5.872607215591223e-15, 9.484008190490345e-16,
+        9.48401337609163e-14, 7.34312593646651e-15),
+    ("bwm-full-4001-readme", "bwm"): (
+        1.0343105235575208e-09, 1.6766813842219557e-10,
+        8.493181938127313e-09, 1.291645716625111e-09),
+    ("bwm-full-4001-random", "bwm"): (
+        1.9838578705516489e-10, 3.2101946588675804e-11,
+        2.2011608659222277e-09, 2.479017900321974e-10),
+    ("bwm-full-16001-readme", "bwm"): (
+        1.034310523557675e-09, 1.676681384225041e-10,
+        8.493181938134717e-09, 1.2916457166253165e-09),
+    ("bwm-full-16001-random", "bwm"): (
+        -6.453775604825802e-18, -1.0421878966037317e-18,
+        -1.0422910835241875e-16, -8.0698463681841e-18),
+    ("bwm-literal-1001-readme", "bwm"): (
+        -1.7317466659624993e-10, -1.7317466659614708e-10,
+        -1.7317466659583854e-10, -1.7317466659624993e-10),
+    ("bwm-literal-1001-random", "bwm"): (
+        -9.731113092908783e-11, -9.731113092901644e-11,
+        -9.731113092901644e-11, -9.731113092915924e-11),
+    ("bwm-literal-4001-readme", "bwm"): (
+        -1.731746666009811e-10, -1.7317466660067256e-10,
+        -1.7317466660067256e-10, -1.7317466660087824e-10),
+    ("bwm-literal-4001-random", "bwm"): (
+        -2.0021993321681977e-10, -2.0021993321681977e-10,
+        -2.0021993321651185e-10, -2.0021993321681977e-10),
+    ("bwm-literal-16001-readme", "bwm"): (
+        -1.731746666010325e-10, -1.7317466660108395e-10,
+        -1.731746666009811e-10, -1.731746666009811e-10),
+    ("bwm-literal-16001-random", "bwm"): (
+        -6.399393566500357e-10, -6.399393566501031e-10,
+        -6.399393566501031e-10, -6.399393566501031e-10),
+    ("both-full-1001-readme", "swm"): (
+        -1.0785865802001201e-13, -1.742849784684823e-14,
+        -1.7256579938121145e-12, -1.3485102946158858e-13),
+    ("both-full-1001-readme", "bwm"): (
+        1.0343105235574695e-09, 1.6766813842209271e-10,
+        8.493181938012839e-09, 1.2916457166249053e-09),
+    ("both-full-1001-random", "swm"): (
+        -2.101793134792704e-11, -4.175806471456739e-12,
+        -8.119310414753118e-11, -2.521658331727736e-11),
+    ("both-full-1001-random", "bwm"): (
+        -1.5586602727599255e-13, -2.5171705869756014e-14,
+        -2.517166067382188e-12, -1.948953534863219e-13),
+    ("both-full-4001-readme", "swm"): (
+        -1.0785865822571482e-13, -1.742849784684823e-14,
+        -1.7256579939149658e-12, -1.348510297701428e-13),
+    ("both-full-4001-readme", "bwm"): (
+        1.0343105235575208e-09, 1.6766813842219557e-10,
+        8.493181938127313e-09, 1.291645716625111e-09),
+    ("both-full-4001-random", "swm"): (
+        -2.0885186585233378e-17, -3.372699570896509e-18,
+        -3.3728638719496367e-16, -2.6114811483742583e-17),
+    ("both-full-4001-random", "bwm"): (
+        1.8213182569458473e-13, 2.9413514776404895e-14,
+        2.9413578439828708e-12, 2.2773819790920106e-13),
+    ("both-full-16001-readme", "swm"): (
+        -1.07858658020012e-13, -1.7428497641145404e-14,
+        -1.7256579936064117e-12, -1.3485102956443999e-13),
+    ("both-full-16001-readme", "bwm"): (
+        1.034310523557675e-09, 1.676681384225041e-10,
+        8.493181938134717e-09, 1.2916457166253165e-09),
+    ("both-full-16001-random", "swm"): (
+        -4.160121140976146e-15, -6.718446321720358e-16,
+        -6.717965993130334e-14, -5.201823781842278e-15),
+    ("both-full-16001-random", "bwm"): (
+        7.657507728695934e-12, 1.2366501375403148e-12,
+        1.236726711697854e-10, 9.574978998746522e-12),
+    ("both-literal-1001-readme", "swm"): (
+        -1.0785865802001201e-13, -1.742849784684823e-14,
+        -1.7256579938121145e-12, -1.3485102946158858e-13),
+    ("both-literal-1001-readme", "bwm"): (
+        -1.7317466659624993e-10, -1.7317466659614708e-10,
+        -1.7317466659583854e-10, -1.7317466659624993e-10),
+    ("both-literal-1001-random", "swm"): (
+        -4.0517128477455804e-14, -6.543603631323837e-15,
+        -6.539011685919674e-13, -5.0662323791539625e-14),
+    ("both-literal-1001-random", "bwm"): (
+        -9.217384574009991e-10, -9.217384574009991e-10,
+        -9.217384574010937e-10, -9.217384574009991e-10),
+    ("both-literal-4001-readme", "swm"): (
+        -1.0785865822571482e-13, -1.742849784684823e-14,
+        -1.7256579939149658e-12, -1.348510297701428e-13),
+    ("both-literal-4001-readme", "bwm"): (
+        -1.731746666009811e-10, -1.7317466660067256e-10,
+        -1.7317466660067256e-10, -1.7317466660087824e-10),
+    ("both-literal-4001-random", "swm"): (
+        -1.0639901418243928e-15, -1.718302217727727e-16,
+        -1.71825722763572e-14, -1.3304160713400954e-15),
+    ("both-literal-4001-random", "bwm"): (
+        -6.599219484344076e-10, -6.599219484345036e-10,
+        -6.599219484342153e-10, -6.599219484345999e-10),
+    ("both-literal-16001-readme", "swm"): (
+        -1.07858658020012e-13, -1.7428497641145404e-14,
+        -1.7256579936064117e-12, -1.3485102956443999e-13),
+    ("both-literal-16001-readme", "bwm"): (
+        -1.731746666010325e-10, -1.7317466660108395e-10,
+        -1.731746666009811e-10, -1.731746666009811e-10),
+    ("both-literal-16001-random", "swm"): (
+        -7.786560024700492e-15, -1.2575113002579837e-15,
+        -1.2572479889500955e-13, -9.736314524429133e-15),
+    ("both-literal-16001-random", "bwm"): (
+        -5.941018803451932e-10, -5.941018803452393e-10,
+        -5.941018803453314e-10, -5.941018803453314e-10),
+    ("edge-huge-rate", "swm"): (
+        -1.0785865802001201e-13, -1.742849784684823e-14,
+        -1.7256579938121145e-12, -1.3485102946158858e-13),
+    ("edge-huge-rate", "bwm"): (
+        1.0343105235574695e-09, 1.6766813842209271e-10,
+        8.493181938012839e-09, 1.2916457166249053e-09),
+    ("edge-tiny-phi", "swm"): (
+        -1.7317466659624993e-10, -1.7317466659614708e-10,
+        -1.7317466659583854e-10, -1.7317466659624993e-10),
+    ("edge-subnormal-phi", "swm"): (
+        -1.7317466659624993e-10, -1.7317466659614708e-10,
+        -1.7317466659583854e-10, -1.7317466659624993e-10),
+    ("edge-subnormal-phi", "bwm"): (
+        -1.7317466659624993e-10, -1.7317466659614708e-10,
+        -1.7317466659583854e-10, -1.7317466659624993e-10),
+    ("edge-wide-phi", "swm"): (
+        -7.652659419709064e-19, -1.2362739899859278e-19,
+        -1.2360477168762798e-17, -9.568266995706393e-19),
+    ("edge-wide-phi", "bwm"): (
+        -2.165396632822573e-14, -3.4970236539853733e-15,
+        -3.4970231674981875e-13, -2.7076185675526943e-14),
+    ("edge-inf-coupling", "swm"): (
+        -1.4846893116700016e-10, -1.724170921994526e-10,
+        -2.275964715805969e-09, -1.3658782888464845e-10),
+    ("edge-inf-coupling", "bwm"): (
+        -1.4847660053056935e-10, -1.7241808501725582e-10,
+        -2.276401028352803e-09, -1.3659762000165306e-10),
+    ("edge-subnormal-area", "swm"): (
+        -1.0285141347636671e-22, -1.0285141347636671e-22,
+        -1.0285141347636671e-22, -1.0285141347636671e-22),
+    ("edge-subnormal-area", "bwm"): (
+        1.0285141347636671e-22, 1.0285141347636671e-22,
+        1.0285141347636671e-22, 1.0285141347636671e-22),
+    ("edge-overflowing-shifts", "swm"): (
+        7.052151686835291e-11, -1.4210560159063004e-12,
+        6.053911875934105e-11, 8.162897626014655e-12),
+    ("edge-overflowing-shifts", "bwm"): (
+        7.052151686835291e-11, -1.4210560159063004e-12,
+        6.053911875934105e-11, 8.162897626014655e-12),
+    ("edge-wide-line", "swm"): (
+        -6.561422951941338e-11, -1.060237075468629e-11,
+        -1.0497721294958381e-09, -8.203464133018792e-11),
+    ("edge-wide-line", "bwm"): (
+        1.0388971584459274e-09, 1.6768445069782206e-10,
+        1.690958207233822e-08, 1.2991892247692628e-09),
+    ("edge-tiny-lambda", "swm"): (
+        4.6478303111536235e-164, -2.227760331675912e-164,
+        -6.901930055575093e-164, 2.3814361149525287e-164),
+    ("edge-tiny-lambda", "bwm"): (
+        4.6478303111536235e-164, -2.227760331675912e-164,
+        -6.901930055575093e-164, 2.3814361149525287e-164),
+    ("edge-aliased-lambda", "swm"): (
+        -7.020109503611451e-155, 1.8871616682820293e-155,
+        -6.156669533554004e-156, 1.5518206356983142e-155),
+    ("edge-aliased-lambda", "bwm"): (
+        -7.020109503611451e-155, 1.8871616682820293e-155,
+        -6.156669533554004e-156, 1.5518206356983142e-155),
+    ("edge-huge-bias-order", "swm"): (
+        -1.0785865802001201e-13, -1.742849784684823e-14,
+        -1.7256579938121145e-12, -1.3485102946158858e-13),
+}
+
 TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 
 
@@ -251,16 +466,9 @@ def run(cli_main, directory: Path, name: str, argv: list) -> None:
     )
 
 
-def sweep_values(path: Path) -> list:
-    """The last column of a sweep CSV, or [] when the sweep wrote nothing."""
-    if not path.exists():
-        return []
-    rows = path.read_text(encoding="utf-8").splitlines()[1:]
-    return [float(row.rsplit(",", 1)[1]) for row in rows]
-
-
-def record_scenario(cli_main, directory: Path, raw: dict, long_sweep: bool) -> None:
-    """Run every command on one scenario; `directory` is the working directory."""
+def record_scenario(cli_main, directory: Path, scenario: str, raw: dict) -> None:
+    """Run every command on the matrix scenario named `scenario`, whose values
+    are `raw`; `directory` is the working directory."""
     (directory / "scenario.json").write_text(json.dumps(raw), encoding="utf-8")
     cfg = ["--config", "scenario.json"]
     for scheme in ("swm", "bwm"):
@@ -284,15 +492,15 @@ def record_scenario(cli_main, directory: Path, raw: dict, long_sweep: bool) -> N
         ("sweep-numeric", "1e-10", "1e-8", numeric_rates, "numeric"),
         ("sweep-numeric-wide", "1e-12", "1e308", "50", "numeric"),
     ]
-    if long_sweep:
+    if scenario in LONG_SWEEP:
         sweeps.append(("sweep-analytic-long", "1e-12", "1e-4", "20001", "analytic"))
     for name, lo, hi, points, mode in sweeps:
         run(cli_main, directory, name,
             ["sweep", *cfg, "--omega-min", lo, "--omega-max", hi, "--points", points,
              "--mode", mode, "--out", f"{name}.csv"])
 
-    # estimates need a single scheme; observations come from this checkout's
-    # own 10-point ladder on the estimator's default bracket
+    # estimates need a single scheme; observations beyond the three fixed
+    # ones are the frozen ladder values
     for scheme in ("swm", "bwm") if raw["scheme"] == "both" else (raw["scheme"],):
         single = f"scenario-{scheme}.json"
         (directory / single).write_text(json.dumps({**raw, "scheme": scheme}), encoding="utf-8")
@@ -300,10 +508,10 @@ def record_scenario(cli_main, directory: Path, raw: dict, long_sweep: bool) -> N
         run(cli_main, directory, f"ladder-{scheme}",
             ["sweep", "--config", single, "--omega-min", "1e-10", "--omega-max", "1e-8",
              "--points", "10", "--mode", "numeric", "--out", ladder])
-        values = sweep_values(directory / ladder)
+        frozen = LADDER_OBSERVATIONS.get((scenario, scheme))
         observations = [1.2e-13, -1.2e-13, 2.5e-9]
-        if values:
-            observations += [0.5 * (values[3] + values[4]), values[0], values[-1]]
+        if frozen:
+            observations += frozen[:3]
         for k, observed in enumerate(observations):
             for method in ("analytic", "numeric"):
                 run(cli_main, directory, f"estimate-{scheme}-{method}-{k}",
@@ -312,11 +520,11 @@ def record_scenario(cli_main, directory: Path, raw: dict, long_sweep: bool) -> N
         run(cli_main, directory, f"estimate-{scheme}-3-point",
             ["estimate", "--config", single, "--delta-lambda-m", repr(observations[-1]),
              "--method", "numeric", "--points", "3"])
-        if values:
+        if frozen:
             # an interior ladder sample, which the inversion returns without a
             # search, and a ladder of one calibration interval
             run(cli_main, directory, f"estimate-{scheme}-sample",
-                ["estimate", "--config", single, "--delta-lambda-m", repr(values[4]),
+                ["estimate", "--config", single, "--delta-lambda-m", repr(frozen[3]),
                  "--method", "numeric"])
             run(cli_main, directory, f"estimate-{scheme}-2-point",
                 ["estimate", "--config", single, "--delta-lambda-m", repr(observations[3]),
@@ -371,7 +579,7 @@ def main(argv: list) -> int:
             directory.mkdir()
             # relative paths keep OUT out of every message the commands print
             os.chdir(directory)
-            record_scenario(cli.cli_main, directory, raw, name in LONG_SWEEP)
+            record_scenario(cli.cli_main, directory, name, raw)
         directory = out / ONE_OFF_DIR
         directory.mkdir()
         os.chdir(directory)

@@ -76,7 +76,7 @@ def main(argv: list) -> int:
             with tempfile.TemporaryDirectory() as tmp:
                 os.chdir(tmp)
                 try:
-                    golden.record_scenario(cli.cli_main, Path(tmp), raw, name in golden.LONG_SWEEP)
+                    golden.record_scenario(cli.cli_main, Path(tmp), name, raw)
                 finally:
                     os.chdir(cwd)
         with tempfile.TemporaryDirectory() as tmp:
