@@ -350,6 +350,7 @@ def cli_main(argv: list[str]) -> int:
         return EXIT_CONFIG if isinstance(exc, FileNotFoundError) else EXIT_IO
     return EXIT_OK
 
+
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
 
