@@ -227,6 +227,9 @@ def test_the_exit_contract_holds_whatever_the_streams_are(tmp_path, route, fd, s
     finally:
         os.close(write_end)
     assert child.returncode == code
+    if code == 4:
+        reason = "Broken pipe" if state == "gone" else "Bad file descriptor"
+        assert child.stderr == f"error: cannot write stdout: {reason}\n"
     if fd == 1:
         assert sum(line.startswith("error: ") for line in child.stderr.splitlines()) <= 1
         assert "Exception ignored" not in child.stderr
