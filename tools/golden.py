@@ -19,11 +19,12 @@ largest double; on the README scenario at 1001 nodes of each scheme, also
 an analytic one of 20001 rates, whose 2- and 3-column tables span several
 CSV chunks), a 10-rate numeric ladder `sweep` per scheme, analytic and
 numeric `estimate`s per scheme (numeric ones also on an interior ladder
-sample and on a 2-point ladder), `figure3` and three usage errors (one a `sweep` of 10**30 rates, more than any
-machine could allocate).  The estimates' observations are three fixed
-shifts plus, where the ladder succeeded, its values frozen in
-`LADDER_OBSERVATIONS`, so that a checkout whose ladders differ still runs
-the same estimate argvs.  A last directory, `one-off/`, holds single
+sample and on a 2-point ladder), `figure3` and three usage errors (one a
+`sweep` of 10**30 rates, more than any machine could allocate).  The
+estimates' observations are three fixed shifts plus, where the ladder
+succeeded, its values frozen in `LADDER_OBSERVATIONS`, so that a checkout
+whose ladders differ still runs the same estimate argvs.  A last
+directory, `one-off/`, holds single
 commands for the refusals no scenario reaches: unreadable or malformed
 scenario files, single-scheme commands on a `both` scenario, refused flag
 values, an overflowing closed-form estimate, a calibration ladder from a
